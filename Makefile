@@ -19,11 +19,9 @@ verify-kernels:
 	REPRO_KERNEL=numpy PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	REPRO_KERNEL=python PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_differential.py
 
-# Tier-1 pinned to the recursive FD-tree baseline, then the lattice
-# differential + metamorphic suites, which sweep the whole
-# engine × backend grid themselves (docs/ALGORITHMS.md).
+# The lattice differential + metamorphic suites, which sweep both
+# kernel backends themselves (docs/ALGORITHMS.md).
 verify-lattice:
-	REPRO_FDTREE=legacy PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py -m "not fuzz"
 
 # Tier-1 again with every encoded column forced onto the mmap spill
@@ -68,12 +66,10 @@ fuzz-kernels:
 	KERNEL_FUZZ_SEEDS=50 PYTHONPATH=src $(PYTHON) -m pytest -q -m fuzz tests/test_kernels_differential.py
 	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25 --kernel numpy
 
-# Lattice-engine fuzz campaign: seeded op-sequence/cover equivalence
-# vs the naive oracle, plus the verification harness pinned to the
-# recursive baseline engine.
+# Lattice fuzz campaign: seeded op-sequence/cover equivalence vs the
+# naive oracle.
 fuzz-lattice:
 	LATTICE_FUZZ_SEEDS=50 PYTHONPATH=src $(PYTHON) -m pytest -q -m fuzz tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py
-	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25 --fdtree legacy
 
 # Full paper-reproduction benchmark harness (writes benchmarks/results/).
 bench:

@@ -1,28 +1,25 @@
-"""Micro-benchmarks for the FD-tree lattice engine (induction hot path).
+"""Micro-benchmarks for the FD-tree (induction hot path).
 
-Every workload runs once per engine configuration — the recursive
-``legacy`` trie, the level-indexed engine under the ``python`` kernel
-backend, and (when installed) under the ``numpy`` uint64-mirror
-backend:
+Every workload runs once per kernel backend — the level-indexed tree
+under the ``python`` backend and (when installed) under the ``numpy``
+uint64-mirror backend:
 
-* **generalization batch (wide lattice)** — the preset the PR's ≥5x
-  acceptance gate is measured on: a 36-attribute lattice holding
-  ~4.1k stored LHSs on levels 2 and 4, probed with 200 popcount-30
-  generalization queries whose RHS attributes exist in the tree (so
-  RHS-union bookkeeping cannot prune the walk) but that all miss
-  (every stored LHS contains an attribute the queries exclude),
-  forcing full sweeps with no early exit under either engine;
+* **generalization batch (wide lattice)** — a 36-attribute lattice
+  holding ~4.1k stored LHSs on levels 2 and 4, probed with 200
+  popcount-30 generalization queries whose RHS attributes exist in the
+  tree (so RHS-union bookkeeping cannot prune the walk) but that all
+  miss (every stored LHS contains an attribute the queries exclude),
+  forcing full sweeps with no early exit;
 * **collect_violated sweep** — 100 wide agree sets against the same
   lattice (HyFD induction's per-pair violation scan);
 * **any_violated screen** — 2 000 agree sets through the batched
   screening entry point (the ``apply_agree_sets`` pre-filter);
 * **induction end-to-end** — ``build_positive_cover`` over 8 000
   sampled agree sets of a 12-attribute planted instance, with the
-  resulting covers asserted byte-identical across engines.
+  resulting covers asserted byte-identical across backends.
 
 The table is persisted to ``benchmarks/results/fdtree.txt`` and
-machine-readable timings (plus engine speedups over the recursive
-baseline) to ``benchmarks/results/BENCH_fdtree.json``.
+machine-readable timings to ``benchmarks/results/BENCH_fdtree.json``.
 """
 
 from __future__ import annotations
@@ -34,23 +31,16 @@ import pytest
 from _util import emit, emit_json
 from repro import kernels
 from repro.evaluation.reporting import format_table
-from repro.structures import fdtree
 from repro.structures.fdtree import FDTree
 
-#: engine configurations, the recursive baseline first
-ENGINES = ["legacy", "level-python"] + (
-    ["level-numpy"] if kernels.numpy_available() else []
-)
+#: kernel backends, the interpreted oracle first
+BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
 
-#: (operation, engine config) → seconds (best of the measured rounds)
+#: (operation, backend) → seconds (best of the measured rounds)
 _ROWS: dict[tuple[str, str], float] = {}
 
 #: covers built by the end-to-end workload, compared at teardown
 _COVERS: dict[str, list[tuple[int, int]]] = {}
-
-#: the workload whose speedup over the recursive baseline gates the PR
-GATE_OPERATION = "generalization batch (wide lattice)"
-SPEEDUP_GATE = 5.0
 
 WIDTH = 36
 EXCLUDED = WIDTH - 1  # every stored LHS contains it; no query does
@@ -79,107 +69,56 @@ DATASET_SIZES = {
 }
 
 
-@pytest.fixture(params=ENGINES)
-def lattice_engine(request):
-    """Pin the FD-tree engine (and kernel backend) for one benchmark."""
-    config = request.param
-    if config == "legacy":
-        fdtree.set_engine("legacy")
-        kernels.set_backend("python")
-    else:
-        fdtree.set_engine("level")
-        kernels.set_backend(config.split("-", 1)[1])
-    yield config
-    fdtree.set_engine(None)
+@pytest.fixture(params=BACKENDS)
+def kernel_backend(request):
+    """Pin the kernel backend (and so the tree's representation)."""
+    kernels.set_backend(request.param)
+    yield request.param
     kernels.set_backend(None)
 
 
-def _speedups() -> dict[str, dict[str, float]]:
-    """operation → {config: legacy_seconds / config_seconds}."""
-    out: dict[str, dict[str, float]] = {}
-    for (operation, config), seconds in _ROWS.items():
-        if config == "legacy":
-            continue
-        legacy_seconds = _ROWS.get((operation, "legacy"))
-        if legacy_seconds and seconds:
-            out.setdefault(operation, {})[config] = legacy_seconds / seconds
-    return out
-
-
 @pytest.fixture(scope="module", autouse=True)
-def _engine_report(request):
+def _backend_report(request):
     yield
     if not _ROWS:
         return
     if len({tuple(cover) for cover in _COVERS.values()}) > 1:
         raise AssertionError(
-            f"covers diverge across engines: {sorted(_COVERS)}"
+            f"covers diverge across backends: {sorted(_COVERS)}"
         )
-    speedups = _speedups()
     operations = list(dict.fromkeys(op for op, _ in _ROWS))
-    table_rows = []
-    for operation in operations:
-        for config in ENGINES:
-            seconds = _ROWS.get((operation, config))
-            if seconds is None:
-                continue
-            speedup = speedups.get(operation, {}).get(config)
-            table_rows.append(
-                [
-                    operation,
-                    config,
-                    f"{seconds * 1e3:.2f}",
-                    f"{speedup:.1f}x" if speedup else "",
-                ]
-            )
     emit(
         format_table(
-            ["operation", "engine", "time (ms)", "vs legacy"],
-            table_rows,
-            title="FD-tree lattice engine micro-benchmarks",
+            ["operation", "backend", "time (ms)"],
+            [
+                [operation, backend, f"{_ROWS[(operation, backend)] * 1e3:.2f}"]
+                for operation in operations
+                for backend in BACKENDS
+                if (operation, backend) in _ROWS
+            ],
+            title="FD-tree micro-benchmarks",
         ),
         request,
         filename="fdtree",
     )
-    gate_speedup = max(
-        speedups.get(GATE_OPERATION, {}).values(), default=None
-    )
     emit_json(
         "fdtree",
         {
-            "engines": [
-                config
-                for config in ENGINES
-                if any(key[1] == config for key in _ROWS)
+            "backends": [
+                backend
+                for backend in BACKENDS
+                if any(key[1] == backend for key in _ROWS)
             ],
             "dataset_sizes": DATASET_SIZES,
             "timings_seconds": {
                 operation: {
-                    config: _ROWS[(operation, config)]
-                    for config in ENGINES
-                    if (operation, config) in _ROWS
+                    backend: _ROWS[(operation, backend)]
+                    for backend in BACKENDS
+                    if (operation, backend) in _ROWS
                 }
                 for operation in operations
             },
-            "speedups_over_legacy": speedups,
-            "gate": {
-                "operation": GATE_OPERATION,
-                "required_speedup": SPEEDUP_GATE,
-                "best_speedup": gate_speedup,
-                "gate_passed": (
-                    gate_speedup >= SPEEDUP_GATE
-                    if gate_speedup is not None
-                    else None
-                ),
-            },
         },
-    )
-    # Acceptance gate: the level engine (best available backend) beats
-    # the recursive baseline ≥5x on the wide-lattice generalization
-    # preset.  Only evaluated when the baseline was measured too.
-    assert gate_speedup is None or gate_speedup >= SPEEDUP_GATE, (
-        f"{GATE_OPERATION}: lattice speedup {gate_speedup:.1f}x "
-        f"< {SPEEDUP_GATE}x over the recursive baseline"
     )
 
 
@@ -216,7 +155,7 @@ def _wide_queries(
     return out
 
 
-def test_generalization_batch_wide(benchmark, lattice_engine):
+def test_generalization_batch_wide(benchmark, kernel_backend):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     # RHS attributes drawn from the stored RHS range (0..11), so the
@@ -232,10 +171,12 @@ def test_generalization_batch_wide(benchmark, lattice_engine):
         rounds=5, iterations=1,
     )
     assert hits == [False] * len(pairs)  # full sweeps: nothing matches
-    _ROWS[(GATE_OPERATION, lattice_engine)] = benchmark.stats.stats.min
+    _ROWS[
+        ("generalization batch (wide lattice)", kernel_backend)
+    ] = benchmark.stats.stats.min
 
 
-def test_collect_violated_sweep_wide(benchmark, lattice_engine):
+def test_collect_violated_sweep_wide(benchmark, kernel_backend):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     agree_sets = _wide_queries(100, 23, include_excluded=True)
@@ -246,11 +187,11 @@ def test_collect_violated_sweep_wide(benchmark, lattice_engine):
     )
     assert sum(len(v) for v in violated) > 0
     _ROWS[
-        ("collect_violated sweep (wide lattice)", lattice_engine)
+        ("collect_violated sweep (wide lattice)", kernel_backend)
     ] = benchmark.stats.stats.min
 
 
-def test_any_violated_screen_wide(benchmark, lattice_engine):
+def test_any_violated_screen_wide(benchmark, kernel_backend):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     agree_sets = _wide_queries(2_000, 29, include_excluded=True)
@@ -261,7 +202,7 @@ def test_any_violated_screen_wide(benchmark, lattice_engine):
     )
     assert any(flags)
     _ROWS[
-        ("any_violated screen (wide lattice)", lattice_engine)
+        ("any_violated screen (wide lattice)", kernel_backend)
     ] = benchmark.stats.stats.min
 
 
@@ -283,14 +224,14 @@ def induction_agree_sets():
             if left != right and mask != full]
 
 
-def test_induction_end_to_end(benchmark, lattice_engine, induction_agree_sets):
+def test_induction_end_to_end(benchmark, kernel_backend, induction_agree_sets):
     from repro.discovery.hyfd.induction import build_positive_cover
 
     cover = benchmark.pedantic(
         build_positive_cover, args=(12, induction_agree_sets),
         rounds=3, iterations=1,
     )
-    _COVERS[lattice_engine] = list(cover.iter_all())
+    _COVERS[kernel_backend] = list(cover.iter_all())
     _ROWS[
-        ("induction end-to-end (12 attrs)", lattice_engine)
+        ("induction end-to-end (12 attrs)", kernel_backend)
     ] = benchmark.stats.stats.min

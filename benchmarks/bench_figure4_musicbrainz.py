@@ -22,27 +22,14 @@ from repro.discovery.hyfd import HyFD
 from repro.discovery.precomputed import PrecomputedFDs
 from repro.evaluation.metrics import evaluate_schema_recovery
 from repro.evaluation.snowflake import schema_tree
-from repro.structures import fdtree
 
 _REPORT: list[str] = []
 
-#: operation → config ("backend-engine" or "auto") → seconds
+#: operation → config (kernel backend or "auto") → seconds
 _TIMINGS: dict[str, dict[str, float]] = {}
 
-#: per-config sorted FD covers, asserted identical across configs
+#: per-backend sorted FD covers, asserted identical across backends
 _COVERS: dict[str, list] = {}
-
-#: FD-tree engine dimension for the discovery workload: MusicBrainz's
-#: universal relation is 32 attributes wide — the level-indexed
-#: lattice's home turf vs the recursive baseline.
-ENGINES = ["level", "legacy"]
-
-
-@pytest.fixture(params=ENGINES)
-def fdtree_engine(request):
-    fdtree.set_engine(request.param)
-    yield request.param
-    fdtree.set_engine(None)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -54,14 +41,8 @@ def _figure4_report(request, datasets):
         return
     universal = datasets["musicbrainz"]
     discovery = _TIMINGS.get("hyfd_discovery", {})
-    python_s = discovery.get("python-level")
-    numpy_s = discovery.get("numpy-level")
-    engine_speedups = {}
-    for backend in ("python", "numpy"):
-        legacy_s = discovery.get(f"{backend}-legacy")
-        level_s = discovery.get(f"{backend}-level")
-        if legacy_s and level_s:
-            engine_speedups[backend] = legacy_s / level_s
+    python_s = discovery.get("python")
+    numpy_s = discovery.get("numpy")
     emit_json(
         "figure4_musicbrainz",
         {
@@ -76,7 +57,6 @@ def _figure4_report(request, datasets):
             "hyfd_speedup_numpy_over_python": (
                 python_s / numpy_s if python_s and numpy_s else None
             ),
-            "hyfd_speedup_level_over_legacy": engine_speedups or None,
             "covers_identical_across_configs": (
                 len(set(map(str, _COVERS.values()))) == 1
                 if len(_COVERS) > 1
@@ -86,17 +66,16 @@ def _figure4_report(request, datasets):
     )
 
 
-def test_hyfd_discovery_per_backend(benchmark, datasets, kernel, fdtree_engine):
+def test_hyfd_discovery_per_backend(benchmark, datasets, kernel):
     """End-to-end FD discovery on the denormalized MusicBrainz table,
-    once per kernel backend × FD-tree engine — the Figure 4 pipeline's
-    dominant cost.
+    once per kernel backend — the Figure 4 pipeline's dominant cost.
 
     Beyond the timing, the discovered cover must be byte-identical
-    across every config: a faster-but-different cover is a failure.
+    across backends: a faster-but-different cover is a failure.
     """
     universal = datasets["musicbrainz"]
     universal.invalidate_caches()
-    config = f"{kernel}-{fdtree_engine}"
+    config = kernel
 
     cover = benchmark.pedantic(
         lambda: HyFD().discover(universal), rounds=1, iterations=1

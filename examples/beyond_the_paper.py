@@ -2,7 +2,7 @@
 
 The paper's §6 and §9 sketch three extensions without evaluating them;
 this example demonstrates all three as implemented in
-:mod:`repro.extensions`:
+:mod:`repro.extensions` and :mod:`repro.incremental`:
 
 1. **4NF normalization** — multi-valued dependencies are discovered
    from the data and decomposed just like FDs ("the normalization
@@ -22,11 +22,11 @@ Run with::
 
 from repro import normalize
 from repro.extensions import (
-    ConstraintMonitor,
     ExtendedScoringDecider,
     FourNFNormalizer,
     discover_mvds,
 )
+from repro.incremental import ConstraintMonitor
 from repro.io.datasets import address_example
 from repro.io.graphviz import schema_to_dot
 from repro.model.instance import RelationInstance

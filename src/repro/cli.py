@@ -213,25 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         "results are byte-identical under either backend",
     )
     parser.add_argument(
-        "--fdtree",
-        default=None,
-        choices=("level", "legacy", "auto"),
-        help="FD-tree engine for the positive cover (default: "
-        "$REPRO_FDTREE or auto = legacy trie for narrow relations, "
-        "the level-indexed lattice engine otherwise; level = always "
-        "the lattice engine; legacy = the recursive baseline); covers "
-        "are identical under every engine",
-    )
-    parser.add_argument(
         "--storage",
         default=None,
         choices=("memory", "auto", "spill"),
         help="column-store residency policy (default: $REPRO_STORAGE or "
         "memory = encoded columns stay on the heap; auto = stream "
         "ingestion and spill to disk-backed mmap pages when the "
-        "encoded footprint would breach --memory-limit; spill = "
-        "always on disk); results are byte-identical under every "
-        "policy",
+        "encoded footprint exceeds $REPRO_SPILL_THRESHOLD, else a "
+        "quarter of --memory-limit, else 64 MiB; spill = always on "
+        "disk); results are byte-identical under every policy",
     )
     governance = parser.add_argument_group("resource governance")
     governance.add_argument(
@@ -417,14 +407,6 @@ def _select_kernel(name: str | None) -> None:
         kernels.backend_name()
 
 
-def _select_fdtree(name: str | None) -> None:
-    """Apply ``--fdtree`` (validated eagerly, exit 2 on a bad name)."""
-    if name is not None:
-        from repro.structures import fdtree
-
-        fdtree.set_engine(name)
-
-
 def _select_storage(name: str | None) -> None:
     """Apply ``--storage`` (validated eagerly, exit 2 on a bad name)."""
     if name is not None:
@@ -436,7 +418,6 @@ def _select_storage(name: str | None) -> None:
 def _main_normalize(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     _select_kernel(args.kernel)
-    _select_fdtree(args.fdtree)
     _select_storage(args.storage)
 
     budget = None
@@ -687,13 +668,6 @@ def build_apply_batch_parser(watch: bool = False) -> argparse.ArgumentParser:
         "(default: $REPRO_KERNEL or auto)",
     )
     parser.add_argument(
-        "--fdtree",
-        default=None,
-        choices=("level", "legacy", "auto"),
-        help="FD-tree engine for the positive cover "
-        "(default: $REPRO_FDTREE or auto)",
-    )
-    parser.add_argument(
         "--storage",
         default=None,
         choices=("memory", "auto", "spill"),
@@ -776,7 +750,6 @@ def _main_apply_batch(argv: list[str], watch: bool) -> int:
 
     args = build_apply_batch_parser(watch=watch).parse_args(argv)
     _select_kernel(args.kernel)
-    _select_fdtree(args.fdtree)
     _select_storage(args.storage)
 
     budget = None
@@ -968,13 +941,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="kernel backend for the partition/agree-set hot paths",
     )
     parser.add_argument(
-        "--fdtree",
-        default=None,
-        choices=("level", "legacy", "auto"),
-        help="FD-tree engine policy (auto = legacy trie for narrow "
-        "relations, level-indexed bitset engine otherwise)",
-    )
-    parser.add_argument(
         "--storage",
         default=None,
         choices=("memory", "auto", "spill"),
@@ -988,7 +954,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def _main_serve(argv: list[str]) -> int:
     args = build_serve_parser().parse_args(argv)
     _select_kernel(args.kernel)
-    _select_fdtree(args.fdtree)
     _select_storage(args.storage)
     if args.workers is not None:
         import os

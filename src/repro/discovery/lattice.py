@@ -27,7 +27,7 @@ from repro.discovery.hitting_sets import minimal_hitting_sets
 from repro.model.attributes import iter_bits
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import add_candidates, checkpoint
-from repro.structures.lattice_index import LevelIndex
+from repro.structures.settrie import SetTrie
 
 __all__ = ["find_minimal_satisfying"]
 
@@ -35,9 +35,9 @@ __all__ = ["find_minimal_satisfying"]
 class _Classifier:
     """Memoized predicate with minimal/maximal boundary pruning.
 
-    The boundary sets are :class:`LevelIndex` stores (the level-indexed
-    lattice layout), so the per-evaluation subset/superset screens are
-    flat mask sweeps bounded by the query's popcount.
+    The boundary sets are :class:`SetTrie` stores, so the
+    per-evaluation subset/superset screens walk only the trie paths the
+    query can reach.
     """
 
     __slots__ = ("predicate", "universe", "min_sat", "max_unsat", "cache", "evaluations")
@@ -45,8 +45,8 @@ class _Classifier:
     def __init__(self, predicate: Callable[[int], bool], universe: int) -> None:
         self.predicate = predicate
         self.universe = universe
-        self.min_sat = LevelIndex()
-        self.max_unsat = LevelIndex()
+        self.min_sat = SetTrie()
+        self.max_unsat = SetTrie()
         self.cache: dict[int, bool] = {}
         self.evaluations = 0
 
@@ -165,11 +165,11 @@ def _complete_with_hitting_sets(classifier: _Classifier) -> list[int]:
         candidates = minimal_hitting_sets(complements, universe)
         new_unsat: list[int] = []
         progressed = False
-        # One batched membership screen for the whole round: candidates
-        # are pairwise distinct (minimal_hitting_sets dedups), so the
+        # One membership screen for the whole round: candidates are
+        # pairwise distinct (minimal_hitting_sets dedups), so the
         # mid-round min_sat inserts below can never be hits for later
         # candidates and the pre-round screen is exact.
-        known = classifier.min_sat.contains_batch(candidates)
+        known = [candidate in classifier.min_sat for candidate in candidates]
         for candidate, already_minimal in zip(candidates, known):
             if already_minimal:
                 continue

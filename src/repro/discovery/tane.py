@@ -34,12 +34,11 @@ from __future__ import annotations
 import itertools
 
 from repro.discovery.base import FDAlgorithm
-from repro.model.attributes import bits_of, full_mask, iter_bits
+from repro.model.attributes import full_mask, iter_bits
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import add_candidates, checkpoint
-from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import StrippedPartition
 
 __all__ = ["Tane"]
@@ -222,7 +221,7 @@ class Tane(FDAlgorithm):
         codes: list,
         parallel=None,
     ) -> tuple[list[int], dict[int, StrippedPartition]]:
-        survivor_index = LevelIndex(survivors)
+        survivor_set = set(survivors)
         # Group by prefix (all attributes except the largest one).
         prefix_blocks: dict[int, list[int]] = {}
         for mask in survivors:
@@ -239,7 +238,10 @@ class Tane(FDAlgorithm):
                 # second's top attribute: π(first) · π({top}) = π(candidate),
                 # computed against the value-id vector (no probe fill/reset).
                 candidate = first | second
-                if _all_subsets_present(candidate, survivor_index):
+                if all(
+                    candidate & ~(1 << attr) in survivor_set
+                    for attr in iter_bits(candidate)
+                ):
                     cands.append((first, second, candidate))
 
         next_level: list[int] = []
@@ -319,15 +321,3 @@ class Tane(FDAlgorithm):
                 next_partitions[candidate] = partition
                 errors[candidate] = error
                 next_level.append(candidate)
-
-
-def _all_subsets_present(candidate: int, survivors: LevelIndex) -> bool:
-    """TANE's candidate-generation guard: every direct subset survived.
-
-    Routed through the level index's batched membership check (all the
-    subsets sit on one level, so the short-circuiting ``contains_all``
-    is one level-dict sweep).
-    """
-    return survivors.contains_all(
-        candidate & ~(1 << attr) for attr in bits_of(candidate)
-    )

@@ -1,7 +1,6 @@
 """Constraint monitoring against a frozen normalization result.
 
-Historically ``repro.extensions.incremental`` (still importable from
-there); now part of the incremental subsystem, where
+Part of the incremental subsystem, where
 :class:`~repro.incremental.engine.IncrementalNormalizer` uses it to
 report which discovered constraints an incoming batch breaks *before*
 the schema is evolved to accommodate the batch.

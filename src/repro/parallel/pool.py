@@ -401,17 +401,15 @@ def _worker_main(
     fault_flag,
 ) -> None:
     """Worker loop: pull ``(epoch, index, kind, payload, budget, kernel,
-    fdtree_engine, fault)`` from this worker's private queue.
+    fault)`` from this worker's private queue.
 
     ``kernel`` is the parent's *resolved* kernel backend name; pinning
     it per task keeps spawned (non-fork) workers from re-resolving
     ``auto`` differently from the parent, so shard results stay
-    byte-identical to serial runs under either backend.
-    ``fdtree_engine`` is pinned the same way — any FD-tree a task
-    handler builds must use the parent's engine, not the worker
-    environment's default.  ``fault`` is the optional worker-level
-    fault descriptor (mode/at_tick/stage); it is armed with the shared
-    once-only flag so exactly one worker per plan actually misbehaves.
+    byte-identical to serial runs under either backend.  ``fault`` is
+    the optional worker-level fault descriptor (mode/at_tick/stage); it
+    is armed with the shared once-only flag so exactly one worker per
+    plan actually misbehaves.
 
     Results go back as ``(worker_id, epoch, index, status, value)``
     frames over this worker's private result pipe; the heartbeat slot
@@ -421,19 +419,17 @@ def _worker_main(
     _reset_worker_state()
     from repro import kernels
     from repro.parallel.tasks import TASK_HANDLERS, worker_attach_seconds
-    from repro.structures import fdtree
 
     while True:
         item = tasks_queue.get()
         if item is None:
             break
-        epoch, index, kind, payload, budget_snapshot, kernel, engine, fault = item
+        epoch, index, kind, payload, budget_snapshot, kernel, fault = item
         heartbeats[worker_id] = time.monotonic()
         if epoch < epoch_value.value or cancel_flag.is_set():
             _post_result(result_writer, (worker_id, epoch, index, "cancelled", None))
             continue
         kernels.ensure_backend(kernel)
-        fdtree.ensure_engine(engine)
         governor = _budget_from_snapshot(
             budget_snapshot, cancel_flag, heartbeats, worker_id
         )
@@ -678,14 +674,12 @@ class WorkerPool:
         self._cancel.clear()
 
         from repro import kernels
-        from repro.structures import fdtree
 
         governor = current_governor()
         snapshot = _governor_snapshot(governor)
         plan = governor.fault_plan if governor is not None else None
         fault = self._worker_fault_descriptor(plan)
         kernel = kernels.backend_name()
-        engine = fdtree.engine_name()
 
         self.stats.batches += 1
         self.stats.tasks_dispatched += len(payloads)
@@ -701,7 +695,6 @@ class WorkerPool:
                 payloads[index],
                 snapshot,
                 kernel,
-                engine,
                 fault,
             )
 

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import kernels
-from repro.structures import fdtree, storage
+from repro.structures import storage
 from repro.discovery.base import FDAlgorithm, resolve_fd_algorithm
 from repro.discovery.ind import IND, discover_unary_inds
 from repro.discovery.ucc import resolve_ucc_algorithm
@@ -185,7 +185,6 @@ def profile(
     _collect_cache_counters(counters, "ucc_", ucc)
 
     counters["kernel_backend"] = kernels.backend_name()
-    counters["fdtree_engine"] = fdtree.engine_name()
     counters["storage_policy"] = storage.policy_name()
     counters["storage_tier"] = _storage_tier(instance)
     counters.update(kernels.counters_delta(kernel_mark))

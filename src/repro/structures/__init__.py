@@ -4,14 +4,10 @@ These are the performance-critical substrates the paper relies on:
 
 * :mod:`repro.structures.settrie` — the "prefix tree, aka trie" used by
   the improved/optimized closure algorithms and the violation detector
-  for subset lookups over attribute sets,
+  for subset lookups over attribute sets, and for the DFD/DUCC
+  lattice-search boundary sets,
 * :mod:`repro.structures.fdtree` — HyFD's positive cover as a
-  level-indexed bitset lattice (the recursive prefix-tree baseline
-  lives on in :mod:`repro.structures.fdtree_legacy`, selectable via
-  ``REPRO_FDTREE=legacy``),
-* :mod:`repro.structures.lattice_index` — the SetTrie query surface on
-  the same level-indexed layout, backing DFD/DUCC boundary sets and
-  TANE's survivor check,
+  level-indexed bitset lattice,
 * :mod:`repro.structures.encoding` — columnar dictionary encoding of
   relation values, the shared substrate of the PLI hot path,
 * :mod:`repro.structures.partitions` — stripped partitions (position
@@ -24,7 +20,6 @@ These are the performance-critical substrates the paper relies on:
 from repro.structures.bloom import BloomFilter
 from repro.structures.encoding import EncodedRelation
 from repro.structures.fdtree import FDTree
-from repro.structures.lattice_index import LevelIndex
 from repro.structures.partitions import CacheStats, PLICache, StrippedPartition
 from repro.structures.settrie import SetTrie
 
@@ -33,7 +28,6 @@ __all__ = [
     "CacheStats",
     "EncodedRelation",
     "FDTree",
-    "LevelIndex",
     "PLICache",
     "SetTrie",
     "StrippedPartition",

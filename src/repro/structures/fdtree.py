@@ -3,9 +3,8 @@
 An :class:`FDTree` stores candidate FDs ``X → a``; HyFD's induction
 phase repeatedly removes FDs violated by a discovered non-FD and
 inserts their minimal specializations, and the validation phase walks
-the cover level by level.  Profiling after the kernel layer landed
-(DESIGN.md §3) showed ~70% of wide-lattice discovery time in the old
-recursive per-node dict walk, so the store is now a **level index**:
+the cover level by level.  HyFD's original FD-tree is a recursive
+prefix tree of per-node dicts; here the store is a **level index**:
 
 * stored LHSs are grouped by popcount *level*; level ``k`` holds two
   parallel arrays ``lhs[i]`` / ``rhs[i]`` (attribute-set bitmask →
@@ -30,24 +29,14 @@ mixes representations mid-life.
 
 ``remove`` tombstones an entry (RHS mask → 0); a level auto-compacts
 when tombstones dominate, and :meth:`prune` compacts everything and
-recomputes the exact unions — the fix for the old engine's
-permanently-stale ``rhs_subtree`` over-approximations.  Iteration
-orders (:meth:`iter_level`, :meth:`iter_all`) reproduce the legacy
-sorted-path DFS order exactly, so every downstream consumer sees
-byte-identical covers (pinned by ``tests/test_fdtree_differential.py``).
-
-Engine selection mirrors the kernel registry: ``set_engine()`` /
-``REPRO_FDTREE`` choose between ``auto`` (the default: per-tree width
-dispatch — the trie at or below :data:`AUTO_LEGACY_MAX_ATTRIBUTES`
-attributes, levels above; see :func:`resolve_engine`), ``level`` (this
-module), and ``legacy`` (:mod:`repro.structures.fdtree_legacy`, the
-recursive baseline); the CLI exposes ``--fdtree`` and the worker pool
-ships the requested engine name with every task.
+recomputes the exact unions.  Iteration orders (:meth:`iter_level`,
+:meth:`iter_all`) are the prefix tree's sorted-path DFS order, so every
+downstream consumer sees deterministic covers (pinned against a naive
+dict oracle by ``tests/test_fdtree_differential.py``).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 from math import comb
@@ -55,26 +44,7 @@ from math import comb
 from repro import kernels
 from repro.model.attributes import bits_of, iter_bits
 
-__all__ = [
-    "AUTO_LEGACY_MAX_ATTRIBUTES",
-    "ENGINE_CHOICES",
-    "FDTree",
-    "engine_name",
-    "ensure_engine",
-    "resolve_engine",
-    "set_engine",
-]
-
-ENGINE_CHOICES = ("level", "legacy", "auto")
-
-#: ``auto`` picks the recursive trie at or below this attribute count —
-#: the narrow-lattice regime where per-level sweep setup dominates and
-#: the trie's pointer walk is measurably faster (BENCH_fdtree.json:
-#: ~1.3x on ≤12-attribute relations) — and the level engine above it.
-AUTO_LEGACY_MAX_ATTRIBUTES = 12
-
-# Programmatic override (set_engine); None means "consult REPRO_FDTREE".
-_requested: str | None = None
+__all__ = ["FDTree"]
 
 #: below this many entries a mirrored level is swept with the
 #: interpreted loop anyway — per-call numpy overhead beats the loop on
@@ -100,85 +70,6 @@ _VIOL_CALLS = "kernel_lattice_violation_calls"
 _VIOL_ROWS = "kernel_lattice_violation_rows"
 _LEVELS_CALLS = "kernel_lattice_levels_calls"
 _LEVELS_ROWS = "kernel_lattice_levels_rows"
-
-
-def set_engine(name: str | None) -> None:
-    """Select the FD-tree engine programmatically (the ``--fdtree`` flag).
-
-    ``name`` is ``level`` / ``legacy`` / ``auto``, or ``None`` to drop
-    the override and fall back to ``REPRO_FDTREE``.  ``auto`` defers
-    the choice to construction time: relations at or below
-    :data:`AUTO_LEGACY_MAX_ATTRIBUTES` attributes get the recursive
-    trie, wider ones the level engine — closing the known narrow-lattice
-    gap without giving up the wide-lattice sweeps.  The choice applies
-    to trees constructed afterwards; existing trees keep their engine.
-    """
-    global _requested
-    if name is not None:
-        name = name.strip().lower()
-        if name not in ENGINE_CHOICES:
-            from repro.runtime.errors import InputError
-
-            raise InputError(
-                f"unknown FD-tree engine {name!r}; "
-                f"choose one of {', '.join(ENGINE_CHOICES)}"
-            )
-    _requested = name
-
-
-def engine_name() -> str:
-    """The requested engine: ``"level"``, ``"legacy"``, or ``"auto"``.
-
-    ``"auto"`` resolves per tree at construction time (see
-    :func:`resolve_engine`); it is reported as-is so pool workers
-    re-pin the *policy*, not one width's resolution of it.
-    """
-    if _requested is not None:
-        return _requested
-    raw = os.environ.get("REPRO_FDTREE", "").strip().lower()
-    if not raw:
-        # ``auto`` became the default once the width heuristic soaked:
-        # narrow lattices get the faster trie, wide ones the level
-        # sweeps, and the resolution is a pure function of the relation
-        # so byte-identity is unaffected (ROADMAP item 3).
-        return "auto"
-    if raw not in ENGINE_CHOICES:
-        from repro.runtime.errors import InputError
-
-        raise InputError(
-            f"REPRO_FDTREE={raw!r} is not a valid FD-tree engine; "
-            f"choose one of {', '.join(ENGINE_CHOICES)}"
-        )
-    return raw
-
-
-def ensure_engine(name: str) -> None:
-    """Pin this process to a resolved engine name.
-
-    Pool workers call this per task batch with the parent's resolved
-    engine (alongside ``kernels.ensure_backend``) so spawned workers
-    never resolve ``REPRO_FDTREE`` differently from the parent.
-    """
-    if name != engine_name():
-        set_engine(name)
-
-
-def resolve_engine(num_attributes: int) -> str:
-    """The concrete engine a tree of this width gets: level or legacy.
-
-    ``auto`` resolves on the attribute count alone, so the resolution
-    is a pure function of the relation — identical in the parent, in
-    every pool worker, and across restarts (the byte-identity contract
-    does not depend on where a tree is built).
-    """
-    name = engine_name()
-    if name == "auto":
-        return (
-            "legacy"
-            if num_attributes <= AUTO_LEGACY_MAX_ATTRIBUTES
-            else "level"
-        )
-    return name
 
 
 class _Level:
@@ -212,22 +103,6 @@ class FDTree:
     """Level-indexed positive cover over FD left-hand sides."""
 
     __slots__ = ("num_attributes", "_levels", "_words", "_np", "_depth_hint")
-
-    engine = "level"
-
-    def __new__(cls, num_attributes: int | None = None):
-        # Engine dispatch happens only on explicit construction:
-        # pickle/copy re-create instances via ``__new__(cls)`` with no
-        # arguments and must get back exactly the class they saved.
-        if (
-            cls is FDTree
-            and num_attributes is not None
-            and resolve_engine(int(num_attributes)) == "legacy"
-        ):
-            from repro.structures.fdtree_legacy import LegacyFDTree
-
-            return super().__new__(LegacyFDTree)
-        return super().__new__(cls)
 
     def __init__(self, num_attributes: int | None = None) -> None:
         self.num_attributes = int(num_attributes or 0)
@@ -739,9 +614,9 @@ class FDTree:
     def iter_level(self, depth: int) -> Iterator[tuple[int, int]]:
         """Yield ``(lhs, rhs_mask)`` for all FDs with ``|lhs| == depth``.
 
-        Emitted in ascending attribute-path order — the legacy engine's
-        sorted-children DFS order — so validation processes candidates
-        in the identical sequence under either engine.
+        Emitted in ascending attribute-path order (a prefix tree's
+        sorted-children DFS order), so validation processes candidates
+        in one deterministic sequence.
         """
         if depth < 0 or depth >= len(self._levels):
             return
@@ -755,8 +630,8 @@ class FDTree:
     def iter_all(self) -> Iterator[tuple[int, int]]:
         """Yield every stored ``(lhs, rhs_mask)`` pair.
 
-        Ordered by ascending attribute path across all levels — byte
-        for byte the legacy DFS order (a prefix path sorts before its
+        Ordered by ascending attribute path across all levels — a
+        prefix tree's DFS order (a prefix path sorts before its
         extensions, so interleaving levels falls out of the tuple sort).
         """
         entries = [
@@ -770,7 +645,7 @@ class FDTree:
 
     def depth(self) -> int:
         """Length of the longest stored LHS (not shrunk by ``remove``;
-        recomputed by :meth:`prune`, exactly like the legacy engine)."""
+        recomputed by :meth:`prune`)."""
         return self._depth_hint
 
     def count_fds(self) -> int:

@@ -1,281 +1,2 @@
-"""The recursive FD prefix tree — the pre-lattice baseline engine.
-
-This is the original :class:`FDTree` implementation: FDs ``X → a`` are
-stored along the sorted attribute path of ``X`` in a trie of dict
-nodes, and every generalization/violation query is a recursive walk
-pruned by per-node ``rhs_subtree`` over-approximations.
-
-It remains in the codebase for three reasons:
-
-* it is the **differential baseline** for the level-indexed lattice
-  engine (``tests/test_fdtree_differential.py`` asserts byte-identical
-  behaviour between the two on seeded instances),
-* it is selectable at runtime (``REPRO_FDTREE=legacy`` or
-  ``--fdtree legacy``) so regressions in the new engine can be
-  bisected in production without a rollback, and
-* ``benchmarks/bench_fdtree.py`` measures the lattice engine's speedup
-  against exactly this recursive walk (the ≥5x gate).
-
-Compared to the historical class it gains :meth:`prune` — the original
-``remove`` left dead node chains in place and never shrank the
-``rhs_subtree`` masks, so heavy removal churn (HyFD induction)
-permanently inflated every later traversal — and the batch entry
-points of the lattice engine, implemented as plain loops so both
-engines expose one interface.
-"""
-
-from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
-
-from repro.model.attributes import bits_of, iter_bits, mask_of
-
-from repro.structures import fdtree as _fdtree
-
-__all__ = ["LegacyFDTree"]
-
-
-class _Node:
-    __slots__ = ("children", "fds", "rhs_subtree")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _Node] = {}
-        self.fds = 0
-        self.rhs_subtree = 0
-
-
-class LegacyFDTree(_fdtree.FDTree):
-    """Prefix tree over FD left-hand sides with per-node RHS bitmasks."""
-
-    __slots__ = ("_root",)
-
-    engine = "legacy"
-
-    def __init__(self, num_attributes: int | None = None) -> None:
-        self.num_attributes = int(num_attributes or 0)
-        self._root = _Node()
-
-    # The base class strips its level/mirror caches on pickling; this
-    # engine has none, so it pickles its trie verbatim.
-    def __getstate__(self):
-        return {"num_attributes": self.num_attributes, "root": self._root}
-
-    def __setstate__(self, state) -> None:
-        self.num_attributes = state["num_attributes"]
-        self._root = state["root"]
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add(self, lhs: int, rhs: int) -> None:
-        """Mark ``lhs → a`` for every attribute ``a`` in ``rhs``."""
-        if not rhs:
-            return
-        node = self._root
-        node.rhs_subtree |= rhs
-        for index in bits_of(lhs):
-            child = node.children.get(index)
-            if child is None:
-                child = _Node()
-                node.children[index] = child
-            node = child
-            node.rhs_subtree |= rhs
-        node.fds |= rhs
-
-    def remove(self, lhs: int, rhs: int) -> None:
-        """Unmark ``lhs → a`` for every ``a`` in ``rhs`` (nodes stay in place)."""
-        node: _Node | None = self._root
-        for index in bits_of(lhs):
-            node = node.children.get(index) if node else None
-            if node is None:
-                return
-        if node is not None:
-            node.fds &= ~rhs
-
-    def prune(self) -> None:
-        """Drop dead subtrees and recompute exact ``rhs_subtree`` masks.
-
-        ``remove`` leaves emptied nodes in place and never shrinks the
-        over-approximate ``rhs_subtree``, so a removal-heavy induction
-        burst permanently inflates every later traversal.  One pruning
-        pass restores the tree to what building it from the surviving
-        FDs would produce.
-        """
-        self._prune(self._root)
-
-    def _prune(self, node: _Node) -> int:
-        exact = node.fds
-        dead: list[int] = []
-        for index, child in node.children.items():
-            subtree = self._prune(child)
-            if subtree:
-                exact |= subtree
-            else:
-                dead.append(index)
-        for index in dead:
-            del node.children[index]
-        node.rhs_subtree = exact
-        return exact
-
-    def add_minimal_specializations(
-        self, lhs: int, rhs_attr: int, extensions: int
-    ) -> list[int]:
-        """Insert ``lhs ∪ {b} → rhs_attr`` for each ``b`` in ``extensions``
-        that has no stored generalization; return the LHSs added."""
-        rhs_bit = 1 << rhs_attr
-        added: list[int] = []
-        for extension in iter_bits(extensions):
-            new_lhs = lhs | (1 << extension)
-            if self.contains_fd_or_generalization(new_lhs, rhs_attr):
-                continue
-            self.add(new_lhs, rhs_bit)
-            added.append(new_lhs)
-        return added
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def contains_fd(self, lhs: int, rhs_attr: int) -> bool:
-        """Exact membership of ``lhs → rhs_attr`` (``rhs_attr`` is an index)."""
-        node: _Node | None = self._root
-        for index in bits_of(lhs):
-            node = node.children.get(index) if node else None
-            if node is None:
-                return False
-        return bool(node.fds >> rhs_attr & 1)
-
-    def contains_fd_or_generalization(self, lhs: int, rhs_attr: int) -> bool:
-        """True iff some stored ``X → rhs_attr`` has ``X ⊆ lhs``."""
-        return self._contains_generalization(self._root, lhs, rhs_attr)
-
-    def _contains_generalization(self, node: _Node, lhs: int, rhs_attr: int) -> bool:
-        if node.fds >> rhs_attr & 1:
-            return True
-        if not node.rhs_subtree >> rhs_attr & 1:
-            return False
-        for index, child in node.children.items():
-            if lhs >> index & 1:
-                if self._contains_generalization(child, lhs, rhs_attr):
-                    return True
-        return False
-
-    def contains_generalization_batch(
-        self, pairs: Iterable[tuple[int, int]]
-    ) -> list[bool]:
-        """Batch form of :meth:`contains_fd_or_generalization`."""
-        return [
-            self.contains_fd_or_generalization(lhs, rhs_attr)
-            for lhs, rhs_attr in pairs
-        ]
-
-    def collect_violated(self, agree_set: int) -> list[tuple[int, int]]:
-        """FDs violated by a record pair that agrees exactly on ``agree_set``.
-
-        A stored ``X → a`` is violated iff ``X ⊆ agree_set`` and
-        ``a ∉ agree_set``.  Returns ``(lhs, violated_rhs_mask)`` pairs.
-        """
-        disagree = ((1 << self.num_attributes) - 1) & ~agree_set
-        out: list[tuple[int, int]] = []
-        self._collect_violated(self._root, agree_set, disagree, (), out)
-        return out
-
-    def _collect_violated(
-        self,
-        node: _Node,
-        agree_set: int,
-        disagree: int,
-        prefix: tuple[int, ...],
-        out: list[tuple[int, int]],
-    ) -> None:
-        hit = node.fds & disagree
-        if hit:
-            out.append((mask_of(prefix), hit))
-        if not node.rhs_subtree & disagree:
-            return
-        for index, child in node.children.items():
-            if agree_set >> index & 1:
-                self._collect_violated(
-                    child, agree_set, disagree, prefix + (index,), out
-                )
-
-    def collect_violated_batch(
-        self, agree_sets: Iterable[int]
-    ) -> list[list[tuple[int, int]]]:
-        """Read-only batch form of :meth:`collect_violated`."""
-        return [self.collect_violated(agree) for agree in agree_sets]
-
-    def any_violated(self, agree_set: int) -> bool:
-        """True iff :meth:`collect_violated` would return anything."""
-        disagree = ((1 << self.num_attributes) - 1) & ~agree_set
-        if not disagree:
-            return False
-        return self._any_violated(self._root, agree_set, disagree)
-
-    def _any_violated(self, node: _Node, agree_set: int, disagree: int) -> bool:
-        if node.fds & disagree:
-            return True
-        if not node.rhs_subtree & disagree:
-            return False
-        for index, child in node.children.items():
-            if agree_set >> index & 1:
-                if self._any_violated(child, agree_set, disagree):
-                    return True
-        return False
-
-    def any_violated_batch(self, agree_sets: Iterable[int]) -> list[bool]:
-        """Read-only batch form of :meth:`any_violated`."""
-        return [self.any_violated(agree) for agree in agree_sets]
-
-    # ------------------------------------------------------------------
-    # Iteration
-    # ------------------------------------------------------------------
-    def iter_level(self, depth: int) -> Iterator[tuple[int, int]]:
-        """Yield ``(lhs, rhs_mask)`` for all FDs with ``|lhs| == depth``."""
-        yield from self._iter_level(self._root, depth, ())
-
-    def _iter_level(
-        self, node: _Node, depth: int, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[int, int]]:
-        if len(prefix) == depth:
-            if node.fds:
-                yield (mask_of(prefix), node.fds)
-            return
-        for index, child in sorted(node.children.items()):
-            yield from self._iter_level(child, depth, prefix + (index,))
-
-    def iter_all(self) -> Iterator[tuple[int, int]]:
-        """Yield every stored ``(lhs, rhs_mask)`` pair."""
-        yield from self._iter_all(self._root, ())
-
-    def _iter_all(
-        self, node: _Node, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[int, int]]:
-        if node.fds:
-            yield (mask_of(prefix), node.fds)
-        for index, child in sorted(node.children.items()):
-            yield from self._iter_all(child, prefix + (index,))
-
-    def depth(self) -> int:
-        """Length of the longest stored LHS."""
-        return self._depth(self._root)
-
-    def _depth(self, node: _Node) -> int:
-        if not node.children:
-            return 0
-        return 1 + max(self._depth(child) for child in node.children.values())
-
-    def count_fds(self) -> int:
-        """Total number of single-RHS FDs stored."""
-        return sum(rhs.bit_count() for _, rhs in self.iter_all())
-
-    def stats(self) -> dict[str, int]:
-        """Structural size: trie nodes vs. nodes carrying live FDs."""
-        nodes = live = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            nodes += 1
-            if node.fds:
-                live += 1
-            stack.extend(node.children.values())
-        return {"nodes": nodes, "live": live, "dead": nodes - live}
+"""Alias kept for ``benchmarks/e2e/traced_main.py``, its only importer; drop both together."""
+from repro.structures.fdtree import FDTree as LegacyFDTree  # noqa: F401

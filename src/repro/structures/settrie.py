@@ -129,7 +129,7 @@ class SetTrie:
         return False
 
     def iter_subsets_of(self, mask: int) -> Iterator[int]:
-        """Yield every stored set that is a subset of ``mask``."""
+        """Yield every stored subset of ``mask``, in sorted-path order."""
         yield from self._iter_subsets(self._root, mask, ())
 
     def _iter_subsets(
@@ -165,7 +165,12 @@ class SetTrie:
         return any(self._has_any_terminal(child) for child in node.children.values())
 
     def iter_all(self) -> Iterator[int]:
-        """Yield all stored sets (unspecified but deterministic order)."""
+        """Yield all stored sets in sorted-path order.
+
+        That is ascending by ``bits_of(mask)`` — a set comes before its
+        extensions.  The lattice search's hitting-set loop consumes
+        ``max_unsat`` in this order.
+        """
         yield from self._iter_all(self._root, ())
 
     def _iter_all(self, node: _Node, prefix: tuple[int, ...]) -> Iterator[int]:

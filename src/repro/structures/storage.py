@@ -24,9 +24,10 @@ Tier selection is a process-wide *policy* (``--storage`` /
 * ``spill`` — every encoding goes to disk (the CI soak mode);
 * ``auto`` — spill only when the projected encoded footprint of the
   relation would breach the spill threshold, which derives from the
-  runtime governor's memory budget (``--memory``), so columns migrate
-  to disk exactly when keeping them resident would eat the budget the
-  user granted the *whole* process.
+  runtime governor's memory budget (``--memory-limit``; see
+  :func:`spill_threshold_bytes`), so columns migrate to disk exactly
+  when keeping them resident would eat the budget the user granted the
+  *whole* process.
 
 Spill files live in pid-attributed directories
 (``repro-spill-<pid>-<hex>`` under ``$REPRO_SPILL_DIR`` or the system
@@ -68,7 +69,6 @@ __all__ = [
     "attach_file_handle",
     "counters_delta",
     "counters_snapshot",
-    "ensure_policy",
     "memory_budget",
     "peak_buffered_cells",
     "policy_name",
@@ -100,7 +100,7 @@ POLICY_CHOICES = ("memory", "auto", "spill")
 
 
 # ----------------------------------------------------------------------
-# Policy registry (mirrors repro.kernels / repro.structures.fdtree)
+# Policy registry (mirrors repro.kernels)
 # ----------------------------------------------------------------------
 _requested: str | None = None
 _policy_overrides: list[str] = []
@@ -138,11 +138,6 @@ def policy_name() -> str:
     return "memory"
 
 
-def ensure_policy(name: str) -> None:
-    """Pin the policy by exact name (pool workers mirror the parent)."""
-    set_policy(name)
-
-
 @contextlib.contextmanager
 def policy_override(name: str | None):
     """Temporarily force a policy (``None`` is a no-op).
@@ -167,8 +162,9 @@ def memory_budget(max_bytes: int | None):
 
     Used where encoding happens outside a governed region (CSV
     ingestion in the CLI, session create/revive in the server) so
-    ``auto`` can see the ``--memory`` budget the discovery run will be
-    governed by.  An ambient governor, when active, takes precedence.
+    ``auto`` can see the ``--memory-limit`` budget the discovery run
+    will be governed by.  An ambient governor, when active, takes
+    precedence.
     """
     if not max_bytes:
         yield
@@ -183,10 +179,10 @@ def memory_budget(max_bytes: int | None):
 def spill_threshold_bytes() -> int:
     """Encoded bytes above which ``auto`` spills a relation.
 
-    Resolution order: ``REPRO_SPILL_THRESHOLD`` (a ``--memory``-style
-    size string), then a quarter of the governing memory budget (the
-    encoded columns of *one* relation should never claim the whole
-    process allowance), then :data:`DEFAULT_SPILL_THRESHOLD`.
+    Resolution order: ``REPRO_SPILL_THRESHOLD`` (a size string like
+    ``--memory-limit`` takes), then a quarter of the governing memory
+    budget (the encoded columns of *one* relation should never claim
+    the whole process allowance), then :data:`DEFAULT_SPILL_THRESHOLD`.
     """
     raw = os.environ.get("REPRO_SPILL_THRESHOLD")
     if raw:

@@ -563,14 +563,6 @@ def build_verify_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_KERNEL or auto); the campaign's oracles and "
         "subjects all run under the selected backend",
     )
-    parser.add_argument(
-        "--fdtree",
-        default=None,
-        choices=("level", "legacy", "auto"),
-        help="FD-tree lattice engine (default: $REPRO_FDTREE or level); "
-        "the campaign's oracles and subjects all run under the selected "
-        "engine",
-    )
     return parser
 
 
@@ -583,15 +575,6 @@ def main_verify(argv: Sequence[str] | None = None) -> int:
         try:
             kernels.set_backend(args.kernel)
             kernels.backend_name()  # resolve eagerly; fail at the boundary
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.fdtree is not None:
-        from repro.runtime.errors import InputError
-        from repro.structures import fdtree
-
-        try:
-            fdtree.set_engine(args.fdtree)
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -1,21 +1,10 @@
-"""Unit tests for the FD prefix tree (HyFD's positive cover).
+"""Unit tests for the FD-tree (HyFD's positive cover).
 
-Every test runs under both engines (the level-indexed lattice and the
-recursive legacy trie) via the autouse fixture; the deeper
-cross-engine equivalence lives in ``test_fdtree_differential.py``.
+The differential suite against a naive dict oracle, under both kernel
+backends, lives in ``test_fdtree_differential.py``.
 """
 
-import pytest
-
-from repro.structures import fdtree
 from repro.structures.fdtree import FDTree
-
-
-@pytest.fixture(autouse=True, params=["level", "legacy"])
-def engine(request):
-    fdtree.set_engine(request.param)
-    yield request.param
-    fdtree.set_engine(None)
 
 
 class TestAddRemove:

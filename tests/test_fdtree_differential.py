@@ -1,12 +1,11 @@
-"""Lattice differential suite: FD-tree engines vs. a naive set oracle.
+"""Lattice differential suite: the FD-tree vs. a naive set oracle.
 
-The level-indexed lattice engine (``fdtree.FDTree``), the recursive
-baseline (``fdtree_legacy.LegacyFDTree``), and — under the numpy kernel
-backend — the uint64-mirror sweep paths must all implement the same
-abstract store: a set of ``lhs mask → rhs mask`` FDs with subset
-queries over it.  :class:`NaiveFDTree` is that store written as the
-most obvious dict possible, and every behaviour here is pinned against
-it:
+The level-indexed FD-tree (``fdtree.FDTree``) under the pure-Python
+kernel backend and — under numpy — its uint64-mirror sweep paths must
+both implement the same abstract store: a set of ``lhs mask → rhs
+mask`` FDs with subset queries over it.  :class:`NaiveFDTree` is that
+store written as the most obvious dict possible, and every behaviour
+here is pinned against it:
 
 * property-based add/remove/specialize/prune/query sequences
   (hypothesis) on widths from 1 to 70 attributes (the multi-word
@@ -14,19 +13,18 @@ it:
   empty LHS, constant full-mask RHSs;
 * positive-cover construction from real agree sets (planted and
   random instances, both NULL semantics) asserting the final covers
-  are byte-identical across engines and backends;
+  are byte-identical across backends;
 * a wider seeded campaign behind ``-m fuzz`` (nightly CI), widened via
   ``LATTICE_FUZZ_SEEDS`` exactly like ``KERNEL_FUZZ_SEEDS``.
 
-Ordering contract: ``iter_all`` / ``iter_level`` are byte-identical
-across engines (ascending attribute-path order).  ``collect_violated``
-returns the same *multiset* under every engine but in engine-specific
-order; consumers are order-insensitive (see
+Ordering contract: ``iter_all`` / ``iter_level`` follow ascending
+attribute-path order.  ``collect_violated`` returns the oracle's
+*multiset* in storage order; consumers are order-insensitive (see
 :func:`repro.discovery.hyfd.induction.apply_agree_set` — within one
 agree set, specializations from different violated FDs can only
 collide as exact equals, because extension attributes lie outside the
-agree set while every violated LHS lies inside it).  Within the level
-engine the python and numpy backends agree on the exact order.
+agree set while every violated LHS lies inside it).  The python and
+numpy backends agree on the exact order.
 """
 
 import os
@@ -41,28 +39,25 @@ from repro import kernels
 from repro.model.attributes import bits_of, full_mask, iter_bits
 from repro.structures import fdtree
 from repro.structures.fdtree import FDTree
-from repro.structures.fdtree_legacy import LegacyFDTree
 
 NUMPY = kernels.numpy_available()
 requires_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
 
-#: (engine, kernel backend) grid; legacy ignores the backend entirely,
-#: so legacy+numpy would duplicate legacy+python.
-CONFIGS = [("level", "python"), ("legacy", "python"), ("level", "numpy")]
+#: kernel backends; each pins the tree's representation at construction
+CONFIGS = ["python", "numpy"]
 
 
 def available_configs():
-    return [c for c in CONFIGS if c[1] != "numpy" or NUMPY]
+    return [backend for backend in CONFIGS if backend != "numpy" or NUMPY]
 
 
 def config_params():
     return [
         pytest.param(
-            (engine, backend),
-            id=f"{engine}-{backend}",
+            backend,
             marks=[requires_numpy] if backend == "numpy" else [],
         )
-        for engine, backend in CONFIGS
+        for backend in CONFIGS
     ]
 
 
@@ -78,17 +73,12 @@ def _force_vectorized_levels():
     fdtree.SMALL_LEVEL_THRESHOLD = 0
     yield
     fdtree.SMALL_LEVEL_THRESHOLD = original
-    fdtree.set_engine(None)
     kernels.set_backend(None)
 
 
-def build(config, width):
-    engine, backend = config
-    fdtree.set_engine(engine)
+def build(backend, width):
     kernels.set_backend(backend)
-    tree = FDTree(width)
-    assert tree.engine == engine
-    return tree
+    return FDTree(width)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +246,7 @@ def random_scenario(rng, width, num_ops):
     return ops, probes
 
 
-def assert_engines_match_naive(width, ops, probes):
+def assert_backends_match_naive(width, ops, probes):
     naive = NaiveFDTree(width)
     expected_log = apply_ops(naive, ops)
     expected = surface(naive, width, probes)
@@ -278,7 +268,7 @@ class TestPropertyDifferential:
     @given(lattice_scenarios())
     def test_all_engines_match_naive_oracle(self, scenario):
         width, ops, probes = scenario
-        assert_engines_match_naive(width, ops, probes)
+        assert_backends_match_naive(width, ops, probes)
 
     @requires_numpy
     @settings(
@@ -287,12 +277,12 @@ class TestPropertyDifferential:
     )
     @given(lattice_scenarios())
     def test_backends_agree_on_exact_violation_order(self, scenario):
-        """python vs. numpy within the level engine: *order* identical
-        (both sweep levels ascending in storage order), not just sets."""
+        """python vs. numpy: *order* identical (both sweep levels
+        ascending in storage order), not just sets."""
         width, ops, probes = scenario
-        first = build(("level", "python"), width)
+        first = build("python", width)
         apply_ops(first, ops)
-        second = build(("level", "numpy"), width)
+        second = build("numpy", width)
         apply_ops(second, ops)
         assert first.collect_violated_batch(probes) == (
             second.collect_violated_batch(probes)
@@ -392,20 +382,16 @@ def assert_covers_identical(instance, null_equals_null):
 
     agree_sets = all_pairs_agree_sets(instance, null_equals_null)
     expected = naive_positive_cover(instance.arity, agree_sets).iter_all()
-    for config in available_configs():
-        engine, backend = config
-        fdtree.set_engine(engine)
+    for backend in available_configs():
         kernels.set_backend(backend)
         tree = build_positive_cover(instance.arity, agree_sets)
-        assert tree.engine == engine
-        assert list(tree.iter_all()) == expected, config
+        assert list(tree.iter_all()) == expected, backend
 
 
 class TestPositiveCoverCampaign:
     """≥25 seeded planted/random instances, both NULL semantics: the
     induction-built positive cover is byte-identical (``iter_all``)
-    across the naive oracle, the legacy engine, and both level-engine
-    backends."""
+    across the naive oracle and both kernel backends."""
 
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("null_equals_null", [True, False])
@@ -414,7 +400,7 @@ class TestPositiveCoverCampaign:
 
 
 # ----------------------------------------------------------------------
-# remove/prune hygiene (the stale rhs_subtree / tombstone fix)
+# remove/prune hygiene (tombstone compaction)
 # ----------------------------------------------------------------------
 def removal_churn(tree, width):
     """Insert a dense level-2 layer, then remove most of it."""
@@ -432,7 +418,7 @@ def removal_churn(tree, width):
 
 class TestPruneShrinksTraversal:
     def test_level_engine_tombstones_compacted(self):
-        tree = build(("level", "python"), 12)
+        tree = build("python", 12)
         removal_churn(tree, 12)
         before = tree.stats()
         assert before["dead"] > 0
@@ -459,7 +445,7 @@ class TestPruneShrinksTraversal:
         assert rows_after < rows_before
 
     def test_level_engine_auto_compacts_heavy_churn(self):
-        tree = build(("level", "python"), 12)
+        tree = build("python", 12)
         for a in range(12):
             for b in range(a + 1, 12):
                 tree.add((1 << a) | (1 << b), 0b1)
@@ -478,28 +464,6 @@ class TestPruneShrinksTraversal:
         assert [lhs for lhs, _ in tree.iter_all()] == sorted(
             survivors, key=bits_of
         )
-
-    def test_legacy_engine_prune_drops_dead_nodes(self):
-        tree = build(("legacy", "python"), 12)
-        removal_churn(tree, 12)
-        before = tree.stats()
-        assert before["dead"] > 0
-        survivors = list(tree.iter_all())
-        tree.prune()
-        after = tree.stats()
-        assert after["nodes"] < before["nodes"]
-        assert after["dead"] < before["dead"]
-        assert list(tree.iter_all()) == survivors
-
-    def test_legacy_prune_tightens_rhs_subtree(self):
-        tree = build(("legacy", "python"), 4)
-        tree.add(0b0011, 0b0100)
-        tree.remove(0b0011, 0b0100)
-        # Stale over-approximation: the root still advertises RHS 2.
-        assert tree._root.rhs_subtree >> 2 & 1
-        tree.prune()
-        assert tree._root.rhs_subtree == 0
-        assert tree._root.children == {}
 
     @pytest.mark.parametrize("config", config_params())
     def test_depth_recomputed_by_prune(self, config):
@@ -522,61 +486,17 @@ class TestPruneShrinksTraversal:
 
 
 # ----------------------------------------------------------------------
-# Engine selection & process plumbing
+# Pickling (pool payloads) & profile counters
 # ----------------------------------------------------------------------
-class TestEngineSelection:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FDTREE", raising=False)
-        fdtree.set_engine(None)
-        assert fdtree.engine_name() == "auto"
-        # auto dispatches on width: trie for narrow, levels for wide.
-        assert isinstance(FDTree(4), LegacyFDTree)
-        assert type(FDTree(fdtree.AUTO_LEGACY_MAX_ATTRIBUTES + 1)) is FDTree
-
-    def test_set_engine_selects_legacy(self):
-        fdtree.set_engine("legacy")
-        tree = FDTree(4)
-        assert isinstance(tree, LegacyFDTree)
-        assert tree.engine == "legacy"
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FDTREE", "legacy")
-        fdtree.set_engine(None)
-        assert fdtree.engine_name() == "legacy"
-        assert isinstance(FDTree(4), LegacyFDTree)
-
-    def test_set_engine_rejects_unknown(self):
-        from repro.runtime.errors import InputError
-
-        with pytest.raises(InputError):
-            fdtree.set_engine("btree")
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        from repro.runtime.errors import InputError
-
-        monkeypatch.setenv("REPRO_FDTREE", "btree")
-        fdtree.set_engine(None)
-        with pytest.raises(InputError):
-            fdtree.engine_name()
-
-    def test_ensure_engine_switches(self):
-        fdtree.set_engine("level")
-        fdtree.ensure_engine("legacy")
-        assert fdtree.engine_name() == "legacy"
-        fdtree.ensure_engine("level")
-        assert fdtree.engine_name() == "level"
-
+class TestPickleAndCounters:
     @pytest.mark.parametrize("config", config_params())
-    def test_pickle_roundtrip_preserves_engine_and_content(self, config):
+    def test_pickle_roundtrip_preserves_content(self, config):
         tree = build(config, 70)
         tree.add(0b1, 0b10)
         tree.add((1 << 69) | 0b1, 1 << 68)
         tree.remove(0b1, 0b10)
-        # Unpickle under the *other* engine selection: saved trees keep
-        # their class; only fresh constructions consult the registry.
-        fdtree.set_engine("legacy" if config[0] == "level" else "level")
         clone = pickle.loads(pickle.dumps(tree))
-        assert type(clone) is type(tree)
+        assert type(clone) is FDTree
         assert list(clone.iter_all()) == list(tree.iter_all())
         assert clone.count_fds() == tree.count_fds()
         clone.add(0b111, 0b1)  # still mutable after the trip
@@ -584,7 +504,7 @@ class TestEngineSelection:
 
     @requires_numpy
     def test_pickle_rebuilds_mirrors_under_receiving_backend(self):
-        tree = build(("level", "numpy"), 8)
+        tree = build("numpy", 8)
         for a in range(8):
             tree.add(1 << a, 0b1 if a else 0b10)
         kernels.set_backend("python")
@@ -596,124 +516,14 @@ class TestEngineSelection:
         assert clone._np is not None
         assert list(clone.iter_all()) == list(tree.iter_all())
 
-    def test_profile_records_engine(self):
+    def test_profile_records_lattice_counters(self):
         from repro.datagen.random_tables import random_instance
         from repro.profiling import profile
 
-        fdtree.set_engine("level")
         kernels.set_backend("python")
         report = profile(random_instance(41, 3, 20, domain_size=2))
-        assert report.counters["fdtree_engine"] == "level"
         assert report.counters["kernel_lattice_generalization_calls"] > 0
         assert report.counters["kernel_lattice_levels_calls"] > 0
-
-    def test_verify_cli_accepts_fdtree_flag(self):
-        from repro.verification.runner import main_verify
-
-        rc = main_verify(
-            ["--seeds", "1", "--rows", "10", "--quiet", "--fdtree", "legacy"]
-        )
-        assert rc == 0
-        assert fdtree.engine_name() == "legacy"
-
-    def test_pool_workers_pin_engine(self):
-        """A 2-worker discovery under the legacy engine matches serial.
-
-        Dispatch ships the resolved engine name with every task tuple
-        and ``_worker_main`` re-pins it, so spawned workers can never
-        resolve ``REPRO_FDTREE`` differently from the parent.
-        """
-        from repro.datagen.random_tables import random_instance
-        from repro.discovery.hyfd.hyfd import HyFD
-
-        instance = random_instance(57, 5, 200, domain_size=2)
-        fdtree.set_engine("legacy")
-        kernels.set_backend("python")
-        serial = sorted(
-            (fd.lhs, fd.rhs) for fd in HyFD().discover(instance)
-        )
-        instance.invalidate_caches()
-        parallel = sorted(
-            (fd.lhs, fd.rhs) for fd in HyFD(workers=2).discover(instance)
-        )
-        assert parallel == serial
-
-
-# ----------------------------------------------------------------------
-# Adaptive engine: REPRO_FDTREE=auto picks per relation width
-# ----------------------------------------------------------------------
-class TestAutoEngine:
-    """``auto`` = trie at ≤ AUTO_LEGACY_MAX_ATTRIBUTES attrs, levels above."""
-
-    @pytest.fixture(autouse=True)
-    def _reset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FDTREE", raising=False)
-        yield
-        fdtree.set_engine(None)
-
-    def test_default_is_auto(self):
-        fdtree.set_engine(None)
-        assert fdtree.engine_name() == "auto"
-
-    def test_auto_dispatches_on_width(self):
-        fdtree.set_engine("auto")
-        assert fdtree.engine_name() == "auto"
-        threshold = fdtree.AUTO_LEGACY_MAX_ATTRIBUTES
-        assert isinstance(FDTree(threshold), LegacyFDTree)
-        assert isinstance(FDTree(1), LegacyFDTree)
-        wide = FDTree(threshold + 1)
-        assert type(wide) is FDTree
-        assert wide.engine == "level"
-
-    def test_resolve_engine_is_pure_in_width(self):
-        fdtree.set_engine("auto")
-        threshold = fdtree.AUTO_LEGACY_MAX_ATTRIBUTES
-        assert fdtree.resolve_engine(threshold) == "legacy"
-        assert fdtree.resolve_engine(threshold + 1) == "level"
-        fdtree.set_engine("legacy")
-        assert fdtree.resolve_engine(threshold + 1) == "legacy"
-        fdtree.set_engine("level")
-        assert fdtree.resolve_engine(1) == "level"
-
-    def test_env_selects_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FDTREE", "auto")
-        fdtree.set_engine(None)
-        assert fdtree.engine_name() == "auto"
-        assert isinstance(FDTree(4), LegacyFDTree)
-
-    def test_ensure_engine_pins_auto_policy(self):
-        """Workers re-pin the *policy*; resolution happens per tree."""
-        fdtree.set_engine("level")
-        fdtree.ensure_engine("auto")
-        assert fdtree.engine_name() == "auto"
-        assert isinstance(FDTree(3), LegacyFDTree)
-        assert type(FDTree(40)) is FDTree
-
-    @pytest.mark.parametrize("width", [5, 13])
-    def test_auto_cover_identical_to_level(self, width):
-        from repro.datagen.random_tables import random_instance
-        from repro.discovery.hyfd.hyfd import HyFD
-
-        instance = random_instance(23, width, 120, domain_size=2)
-        fdtree.set_engine("level")
-        reference = sorted(
-            (fd.lhs, fd.rhs) for fd in HyFD().discover(instance)
-        )
-        instance.invalidate_caches()
-        fdtree.set_engine("auto")
-        adaptive = sorted(
-            (fd.lhs, fd.rhs) for fd in HyFD().discover(instance)
-        )
-        assert adaptive == reference
-
-    def test_verify_cli_accepts_auto(self):
-        from repro.verification.runner import main_verify
-
-        rc = main_verify(
-            ["--seeds", "1", "--rows", "10", "--quiet", "--fdtree", "auto"]
-        )
-        assert rc == 0
-        assert fdtree.engine_name() == "auto"
 
 
 # ----------------------------------------------------------------------
@@ -742,8 +552,7 @@ class TestLatticeKernelOracles:
         rng = random.Random(seed)
         lhs_rows, rhs_rows = self._rows(rng, width, rng.randrange(1, 12))
         full = (1 << width) - 1
-        tree = FDTree.__new__(FDTree)
-        FDTree.__init__(tree, width)
+        tree = FDTree(width)
         for lhs, rhs in zip(lhs_rows, rhs_rows):
             tree.add(lhs, rhs)
         for _ in range(6):
@@ -826,7 +635,7 @@ class TestLatticeFuzz:
         rng = random.Random(seed)
         width = WIDTHS[seed % len(WIDTHS)]
         ops, probes = random_scenario(rng, width, 40 + (seed * 11) % 60)
-        assert_engines_match_naive(width, ops, probes)
+        assert_backends_match_naive(width, ops, probes)
 
     @pytest.mark.parametrize("seed", range(SEEDS))
     def test_positive_covers_identical(self, seed):

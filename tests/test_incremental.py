@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.normalize import normalize
-from repro.extensions.incremental import ConstraintMonitor
+from repro.incremental import ConstraintMonitor
 
 
 @pytest.fixture()

@@ -433,18 +433,6 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Satellite: the old extension import path must keep working
-# ----------------------------------------------------------------------
-class TestExtensionShim:
-    def test_reexports_are_the_same_objects(self):
-        from repro.extensions import incremental as shim
-        from repro.incremental import monitor
-
-        assert shim.ConstraintMonitor is monitor.ConstraintMonitor
-        assert shim.ConstraintViolation is monitor.ConstraintViolation
-
-
-# ----------------------------------------------------------------------
 # Seeded differential campaign (small slice inline; the full matrix is
 # `repro verify --incremental` / `make fuzz-incremental`)
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.datagen.tpch import TPCH_GOLD, TpchScale, denormalized_tpch
 from repro.discovery.ind import verify_foreign_keys
 from repro.evaluation.metrics import evaluate_schema_recovery
 from repro.evaluation.snowflake import schema_tree
-from repro.extensions.incremental import ConstraintMonitor
+from repro.incremental import ConstraintMonitor
 from repro.io.ddl import schema_to_ddl
 from repro.io.serialization import result_to_json, schema_from_json
 

@@ -1,52 +1,44 @@
-"""Engine/backend metamorphic tests: the pipeline is representation-blind.
+"""Kernel-backend metamorphic tests: the pipeline is representation-blind.
 
-The FD-tree engine (``level`` vs ``legacy``) and the kernel backend
-(``python`` vs ``numpy``) are pure representation choices; discovered
-covers, keys, and the final decomposed schema must be byte-identical
-across the whole grid.  This is the end-to-end counterpart of the
-per-operation differential suite in ``test_fdtree_differential.py``.
+The kernel backend (``python`` vs ``numpy``) is a pure representation
+choice, down to the FD-tree's uint64 level mirrors; discovered covers,
+keys, and the final decomposed schema must be byte-identical under
+both.  This is the end-to-end counterpart of the per-operation
+differential suite in ``test_fdtree_differential.py``.
 """
 
 import pytest
 
 from repro import kernels
 from repro.datagen.random_tables import random_instance
-from repro.structures import fdtree
 from repro.verification.planted import plant_instance
 
 NUMPY = kernels.numpy_available()
 
-GRID = [
-    ("level", "python"),
-    ("legacy", "python"),
-    ("level", "numpy"),
-    ("legacy", "numpy"),
-]
+GRID = ["python", "numpy"]
 
 
 def grid():
-    return [g for g in GRID if g[1] != "numpy" or NUMPY]
+    return [backend for backend in GRID if backend != "numpy" or NUMPY]
 
 
 @pytest.fixture(autouse=True)
 def _restore():
     yield
-    fdtree.set_engine(None)
     kernels.set_backend(None)
 
 
 def per_config(fn):
-    """Run ``fn`` once per (engine, backend) config; return the map."""
+    """Run ``fn`` once per kernel backend; return the map."""
     results = {}
-    for engine, backend in grid():
-        fdtree.set_engine(engine)
+    for backend in grid():
         kernels.set_backend(backend)
-        results[(engine, backend)] = fn()
+        results[backend] = fn()
     return results
 
 
 def assert_uniform(results):
-    baseline_key = ("level", "python")
+    baseline_key = "python"
     baseline = results[baseline_key]
     for config, value in results.items():
         assert value == baseline, f"{config} diverges from {baseline_key}"
@@ -122,14 +114,10 @@ class TestPipelineInvariance:
 @pytest.mark.fuzz
 class TestVerifyCampaignInvariance:
     """The seeded end-to-end verification campaign passes under every
-    grid config (nightly; the per-config campaigns also run as
-    dedicated CI legs via ``repro verify --fdtree``)."""
+    kernel backend (nightly)."""
 
-    @pytest.mark.parametrize(
-        "engine,backend",
-        [pytest.param(e, b, id=f"{e}-{b}") for e, b in GRID],
-    )
-    def test_verify_seeds(self, engine, backend):
+    @pytest.mark.parametrize("backend", GRID)
+    def test_verify_seeds(self, backend):
         if backend == "numpy" and not NUMPY:
             pytest.skip("numpy not installed")
         from repro.verification.runner import main_verify
@@ -137,7 +125,7 @@ class TestVerifyCampaignInvariance:
         rc = main_verify(
             [
                 "--seeds", "6", "--rows", "16", "--quiet",
-                "--kernel", backend, "--fdtree", engine,
+                "--kernel", backend,
             ]
         )
         assert rc == 0

@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.model.attributes import bits_of
 from repro.structures.settrie import SetTrie
 
 masks = st.integers(min_value=0, max_value=2**10 - 1)
@@ -103,6 +104,8 @@ class TestProperties:
             trie.insert(mask)
         expected = any(mask & ~query == 0 for mask in stored)
         assert trie.contains_subset_of(query) == expected
+        proper = any(mask & ~query == 0 and mask != query for mask in stored)
+        assert trie.contains_proper_subset_of(query) == proper
 
     @given(mask_lists, masks)
     def test_contains_superset_matches_bruteforce(self, stored, query):
@@ -118,14 +121,14 @@ class TestProperties:
         for mask in stored:
             trie.insert(mask)
         expected = {mask for mask in stored if mask & ~query == 0}
-        assert set(trie.iter_subsets_of(query)) == expected
+        assert list(trie.iter_subsets_of(query)) == sorted(expected, key=bits_of)
 
     @given(mask_lists)
     def test_insert_then_iter_all(self, stored):
         trie = SetTrie()
         for mask in stored:
             trie.insert(mask)
-        assert set(trie.iter_all()) == set(stored)
+        assert list(trie.iter_all()) == sorted(set(stored), key=bits_of)
         assert len(trie) == len(set(stored))
 
     @given(mask_lists, mask_lists)
@@ -136,6 +139,6 @@ class TestProperties:
         for mask in removed:
             trie.remove(mask)
         expected = set(stored) - set(removed)
-        assert set(trie.iter_all()) == expected
+        assert list(trie.iter_all()) == sorted(expected, key=bits_of)
         for mask in expected:
             assert mask in trie

@@ -98,8 +98,6 @@ class TestPolicyRegistry:
     def test_unknown_policy_is_input_error(self):
         with pytest.raises(InputError):
             storage.set_policy("floppy")
-        with pytest.raises(InputError):
-            storage.ensure_policy("floppy")
 
     def test_bad_env_policy_is_input_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORAGE", "floppy")

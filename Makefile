@@ -89,8 +89,8 @@ bench-fdtree:
 bench-incremental:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_incremental.py --benchmark-only -q
 
-# Worker-pool scaling at 1/2/4/8 workers (asserts byte-identity;
-# docs/PARALLEL.md explains why single-CPU hosts report < 1.0x).
+# Per-call-site pool speedup, serial vs 2 workers, identity asserted
+# (writes BENCH_parallel_scaling.json; a speedup needs >= 2 CPUs).
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py --benchmark-only -q
 
@@ -107,9 +107,6 @@ bench-oocore:
 
 # Kernel backend comparison: partition-engine micro-benchmarks under
 # both backends (enforces the ≥5x large-preset gate, writes
-# BENCH_partition_engine.json), then the scaling bench once per
-# backend so BENCH_parallel_scaling.json accumulates both runs.
+# BENCH_partition_engine.json).
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
-	REPRO_KERNEL=python PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py --benchmark-only -q
-	REPRO_KERNEL=numpy PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py --benchmark-only -q

@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for discovery, closure, and decomposition "
-        "fan-out (default: $REPRO_WORKERS or 1 = serial); results are "
+        help="process-pool size for discovery validation levels and "
+        "closure (default: $REPRO_WORKERS or 1 = serial); results are "
         "byte-identical at any worker count",
     )
     parser.add_argument(

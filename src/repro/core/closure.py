@@ -167,27 +167,28 @@ def _run_parallel(
     algorithm: str, pairs: list[list[int]], num_attributes: int, n_workers: int
 ) -> bool:
     """Dispatch the extension to the process pool; False → go serial."""
-    from repro.parallel import get_pool, should_parallelize, split_ranges
+    from repro.parallel import RelationRun
 
-    pool = get_pool(n_workers)
-    if not should_parallelize(len(pairs) * max(num_attributes, 1), n_workers):
-        pool.stats.serial_fallbacks += 1
-        return False
-    data = [(fd[0], fd[1]) for fd in pairs]
-    payloads = [
-        {
-            "algorithm": algorithm,
-            "pairs": data,
-            "start": start,
-            "stop": stop,
-            "num_attributes": num_attributes,
-        }
-        for start, stop in split_ranges(len(pairs), pool.workers)
-    ]
-    pool.stats.shard_items += len(pairs)
-    results = pool.map_tasks(
-        "closure_shard", payloads, stage=f"closure-{algorithm}"
-    )
+    with RelationRun(n_workers) as run:
+        if not run.should(len(pairs) * max(num_attributes, 1)):
+            return False
+        data = [(fd[0], fd[1]) for fd in pairs]
+        payloads = [
+            {
+                "algorithm": algorithm,
+                "pairs": data,
+                "start": start,
+                "stop": stop,
+                "num_attributes": num_attributes,
+            }
+            for start, stop in run.ranges(len(pairs))
+        ]
+        results = run.map(
+            "closure_shard",
+            payloads,
+            stage=f"closure-{algorithm}",
+            items=len(pairs),
+        )
     for payload, rhs_values in zip(payloads, results):
         for index, rhs in enumerate(rhs_values, start=payload["start"]):
             pairs[index][1] = rhs

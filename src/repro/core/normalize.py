@@ -57,7 +57,7 @@ from repro.discovery.ucc import DuccUCC
 from repro.model.attributes import iter_bits
 from repro.model.fd import FD, FDSet
 from repro.model.instance import RelationInstance
-from repro.parallel import RelationRun, resolve_workers
+from repro.parallel import resolve_workers
 from repro.runtime.checkpointing import PipelineState, save_state
 from repro.runtime.degrade import (
     FidelityReport,
@@ -83,11 +83,6 @@ class _WorkItem:
     exact: bool = True
     #: every FD is *known to hold* on the data (may still be incomplete)
     sound: bool = True
-    #: parallel fan-out result: (FD fingerprint, keys, violating FDs).
-    #: Consumed only while the fingerprint still matches ``fds`` — keys
-    #: and violations are pure functions of the FD set and relation
-    #: metadata, so a fresh serial computation would be identical.
-    prefetch: tuple | None = None
 
 
 class Normalizer:
@@ -335,41 +330,29 @@ class Normalizer:
                 timings["violation_detection"] += violation_seconds
                 queue.append(item)
 
-            # Steps 3–6: the decomposition loop.  With workers the
-            # per-relation fan-out (key derivation + violating-FD
-            # detection) of the whole queue is prefetched in parallel;
-            # results are pure functions of each item's FD set, so the
-            # schema produced is byte-identical to the serial loop.
-            parallel = RelationRun(self.workers) if self.workers > 1 else None
+            # Steps 3–6: the decomposition loop.
             final: list[_WorkItem] = []
-            try:
-                while queue:
-                    item = queue.pop()
-                    try:
-                        if parallel is not None:
-                            self._prefetch_queue(item, queue, timings, parallel)
-                        outcome = self._normalize_one(
-                            item, used_names, steps, timings, stopped, state
-                        )
-                    except BudgetExceeded as exc:
-                        final.append(item)
-                        final.extend(queue)
-                        queue.clear()
-                        with suspended():
-                            report.events.append(
-                                "decomposition loop stopped by budget breach "
-                                f"({exc.reason}); {len(final)} relation(s) "
-                                "kept without further decomposition"
-                            )
-                        break
-                    if outcome is None:
-                        final.append(item)
-                    else:
-                        queue.extend(outcome)
-            finally:
-                if parallel is not None:
+            while queue:
+                item = queue.pop()
+                try:
+                    outcome = self._normalize_one(
+                        item, used_names, steps, timings, stopped, state
+                    )
+                except BudgetExceeded as exc:
+                    final.append(item)
+                    final.extend(queue)
+                    queue.clear()
                     with suspended():
-                        parallel.close()
+                        report.events.append(
+                            "decomposition loop stopped by budget breach "
+                            f"({exc.reason}); {len(final)} relation(s) "
+                            "kept without further decomposition"
+                        )
+                    break
+                if outcome is None:
+                    final.append(item)
+                else:
+                    queue.extend(outcome)
 
             # Step 7: primary keys for relations that did not inherit one.
             started = time.perf_counter()
@@ -441,70 +424,6 @@ class Normalizer:
         return fds, fidelity
 
     # ------------------------------------------------------------------
-    # Parallel fan-out over the decomposition queue
-    # ------------------------------------------------------------------
-    def _prefetch_queue(
-        self,
-        item: _WorkItem,
-        queue: list[_WorkItem],
-        timings: dict[str, float],
-        parallel: RelationRun,
-    ) -> None:
-        """Fan the queue's key/violation computations out to the pool.
-
-        Every pending relation (the one about to be processed plus the
-        whole LIFO backlog) gets one ``keys_violations`` task; results
-        are cached on the work items keyed by their FD-set fingerprint,
-        so a later mutation of an item's FDs (degraded-mode refutation)
-        simply invalidates its prefetch.
-        """
-        pending = [
-            entry
-            for entry in [item, *queue]
-            if entry.prefetch is None
-            or entry.prefetch[0] != tuple(entry.fds.items())
-        ]
-        if len(pending) < 2:
-            return
-        units = sum(
-            entry.fds.count_single_rhs() * entry.instance.arity
-            for entry in pending
-        )
-        if not parallel.should(units):
-            return
-        started = time.perf_counter()
-        payloads = []
-        for entry in pending:
-            instance = entry.instance
-            relation = instance.relation
-            payloads.append(
-                {
-                    "num_attributes": instance.arity,
-                    "items": list(entry.fds.items()),
-                    "relation_mask": instance.full_mask(),
-                    "null_mask": self._null_mask(instance),
-                    "primary_key": relation.primary_key_mask,
-                    "foreign_keys": list(relation.foreign_key_masks()),
-                    "target": self.target,
-                }
-            )
-        results = parallel.map(
-            "keys_violations",
-            payloads,
-            stage="decompose-prefetch",
-            items=len(pending),
-        )
-        for entry, payload, (keys, violating) in zip(
-            pending, payloads, results
-        ):
-            entry.prefetch = (
-                tuple(payload["items"]),
-                list(keys),
-                [FD(lhs, rhs) for lhs, rhs in violating],
-            )
-        timings["key_derivation"] += time.perf_counter() - started
-
-    # ------------------------------------------------------------------
     # One iteration of steps 3–6 for a single relation
     # ------------------------------------------------------------------
     def _normalize_one(
@@ -519,25 +438,20 @@ class Normalizer:
         instance = item.instance
         relation = instance.relation
 
-        prefetch = item.prefetch
-        item.prefetch = None
-        if prefetch is not None and prefetch[0] == tuple(item.fds.items()):
-            keys, violating = list(prefetch[1]), list(prefetch[2])
-        else:
-            started = time.perf_counter()
-            keys = derive_keys(item.fds, instance.full_mask())
-            timings["key_derivation"] += time.perf_counter() - started
+        started = time.perf_counter()
+        keys = derive_keys(item.fds, instance.full_mask())
+        timings["key_derivation"] += time.perf_counter() - started
 
-            started = time.perf_counter()
-            violating = find_violating_fds(
-                item.fds,
-                keys,
-                null_mask=self._null_mask(instance),
-                primary_key=relation.primary_key_mask,
-                foreign_keys=relation.foreign_key_masks(),
-                target=self.target,
-            )
-            timings["violation_detection"] += time.perf_counter() - started
+        started = time.perf_counter()
+        violating = find_violating_fds(
+            item.fds,
+            keys,
+            null_mask=self._null_mask(instance),
+            primary_key=relation.primary_key_mask,
+            foreign_keys=relation.foreign_key_masks(),
+            target=self.target,
+        )
+        timings["violation_detection"] += time.perf_counter() - started
         if not violating:
             return None
 

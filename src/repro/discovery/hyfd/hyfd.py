@@ -3,11 +3,10 @@
 See the package docstring for the phase overview: a warm-up sampling
 pass seeds the negative cover, induction builds the positive cover, and
 validation interleaves with further guided sampling until the tree is
-exact.  With ``workers > 1`` the sampling and validation hot loops
-shard over the process pool (:mod:`repro.parallel`) against a
-shared-memory export of the encoded relation; the shard/merge protocol
-keeps the discovered cover byte-identical to a serial run (see
-``docs/PARALLEL.md``).
+exact.  With ``workers > 1`` large validation levels shard over the
+process pool (:mod:`repro.parallel`) against a shared-memory export of
+the encoded relation; the shard/merge protocol keeps the discovered
+cover byte-identical to a serial run (see ``docs/PARALLEL.md``).
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class HyFD(FDAlgorithm):
         )
         tree = None
         try:
-            sampler = Sampler(instance, cache, parallel=parallel)
+            sampler = Sampler(instance, cache)
             sampler.initial_rounds()
             tree = build_positive_cover(
                 arity, sampler.negative_cover, self.max_lhs_size

@@ -25,22 +25,11 @@ __all__ = ["Sampler"]
 
 
 class Sampler:
-    """Progressive cluster-window sampler producing agree-set evidence.
+    """Progressive cluster-window sampler producing agree-set evidence."""
 
-    With ``parallel`` (a :class:`repro.parallel.RelationRun`), large
-    windows ship their record-pair shards to the process pool: workers
-    compute the agree masks against the shared-memory columns, and the
-    parent replays the dedup in the serial pair order — the negative
-    cover and the efficiency queue evolve byte-identically to a serial
-    run.
-    """
-
-    def __init__(
-        self, instance: RelationInstance, cache: PLICache, parallel=None
-    ) -> None:
+    def __init__(self, instance: RelationInstance, cache: PLICache) -> None:
         self.arity = instance.arity
         self.num_rows = instance.num_rows
-        self.parallel = parallel
         self._encoding = cache.encoding
         self._probes = self._encoding.codes
         # Sort each cluster so that neighbouring records are similar.
@@ -82,14 +71,6 @@ class Sampler:
 
     def _run_window(self, attr: int, distance: int) -> tuple[int, list[int]]:
         """Compare all pairs at ``distance`` within ``attr``'s clusters."""
-        if self.parallel is not None:
-            pairs = [
-                (cluster[index], cluster[index + distance])
-                for cluster in self._clusters[attr]
-                for index in range(len(cluster) - distance)
-            ]
-            if self.parallel.should(len(pairs) * self.arity):
-                return len(pairs), self._merge_window(pairs)
         if kernels.backend_name() == "numpy":
             return self._run_window_numpy(attr, distance)
         compared = 0
@@ -141,25 +122,6 @@ class Sampler:
                 self.negative_cover.add(agree)
                 fresh.append(agree)
         return len(masks), fresh
-
-    def _merge_window(self, pairs: list[tuple[int, int]]) -> list[int]:
-        """Shard the agree-mask computation; replay the dedup in order."""
-        handle = self.parallel.handle
-        payloads = [
-            {"handle": handle, "pairs": pairs[start:stop]}
-            for start, stop in self.parallel.ranges(len(pairs))
-        ]
-        shards = self.parallel.map(
-            "agree_pairs", payloads, stage="hyfd-sample", items=len(pairs)
-        )
-        fresh: list[int] = []
-        for masks in shards:
-            for agree in masks:
-                self.comparisons += 1
-                if agree not in self.negative_cover:
-                    self.negative_cover.add(agree)
-                    fresh.append(agree)
-        return fresh
 
     @property
     def exhausted(self) -> bool:

@@ -17,18 +17,18 @@ DESIGN.md §3):
   retry/quarantine logic this makes the layer self-healing (a crashed,
   OOM-killed, or hung worker costs a retry, not the run),
 * :mod:`repro.parallel.tasks` — the worker-side handlers for the hot
-  paths (closure shards, HyFD validation and sampling, TANE level
-  generation, decomposition fan-out, verification campaigns).
+  paths (closure shards, HyFD validation levels, TANE level
+  generation, verification campaigns).
 
 The determinism contract (see ``docs/PARALLEL.md``): results are merged
 in payload order and every handler is a pure function of its payload
 plus the named shared segment, so parallel runs produce byte-identical
 FD covers, key sets, and DDL to serial runs at any worker count.
 
-:class:`RelationRun` below is the small façade the hot paths actually
-use: it owns the lazy shared-memory export of one relation, applies the
-serial-fallback cost model, and snapshots pool counters so each
-algorithm run can report the delta it caused.
+:class:`RelationRun` below is the one façade every hot path uses: it
+owns the lazy shared-memory export of one relation (if the path needs
+one), applies the serial-fallback cost model, and snapshots pool
+counters so each algorithm run can report the delta it caused.
 """
 
 from __future__ import annotations

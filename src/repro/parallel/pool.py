@@ -989,24 +989,6 @@ def shutdown_pool() -> None:
     reap_orphan_spill_dirs()
 
 
-def note_serial_fallback() -> None:
-    """Record that a hot path chose serial execution (cost model/size)."""
-    if _POOL is not None:
-        _POOL.stats.serial_fallbacks += 1
-
-
-def note_export(seconds: float) -> None:
-    """Account one shared-memory export's copy time."""
-    if _POOL is not None:
-        _POOL.stats.export_seconds += seconds
-
-
-def note_shard_items(count: int) -> None:
-    """Account the number of work items spread over one batch."""
-    if _POOL is not None:
-        _POOL.stats.shard_items += count
-
-
 def pool_stats() -> PoolStats | None:
     """The shared pool's cumulative stats (None before first use)."""
     return None if _POOL is None else _POOL.stats

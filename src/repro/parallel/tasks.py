@@ -128,32 +128,6 @@ def _closure_shard(payload: dict) -> list[int]:
     return out
 
 
-def _agree_pairs(payload: dict) -> list[int]:
-    """Agree-set masks for a shard of record pairs (sampler hot path).
-
-    Under the numpy backend the whole shard goes through one batched
-    kernel call (checkpointing once with the shard's unit count);
-    otherwise the pairs are compared one by one.  Both paths return the
-    masks in pair order, so the parent's dedup replay is identical.
-    """
-    from repro import kernels
-    from repro.runtime.governor import checkpoint
-
-    encoding = _attached(payload["handle"])
-    pairs = payload["pairs"]
-    if kernels.backend_name() == "numpy" and len(pairs) > 1:
-        checkpoint("hyfd-sample", units=len(pairs))
-        lefts = [pair[0] for pair in pairs]
-        rights = [pair[1] for pair in pairs]
-        return encoding.agree_sets_batch(lefts, rights)
-    agree_set = encoding.agree_set
-    out = []
-    for left, right in pairs:
-        checkpoint("hyfd-sample")
-        out.append(agree_set(left, right))
-    return out
-
-
 def _hyfd_validate(payload: dict) -> list[list[tuple[int, int]]]:
     """Validate a shard of (lhs, rhs attributes) candidates.
 
@@ -211,32 +185,6 @@ def _tane_generate(payload: dict) -> list[tuple[bytes, bytes, int]]:
             )
         )
     return out
-
-
-def _keys_violations(payload: dict) -> tuple[list[int], list[tuple[int, int]]]:
-    """Key derivation + violating-FD detection for one queued relation.
-
-    Both are pure functions of the extended FD set and the relation
-    metadata masks, so parent- and worker-side evaluation coincide
-    exactly (the decomposition queue's prefetch relies on this).
-    """
-    from repro.core.key_derivation import derive_keys
-    from repro.core.violations import find_violating_fds
-    from repro.model.fd import FDSet
-
-    fds = FDSet(payload["num_attributes"])
-    for lhs, rhs in payload["items"]:
-        fds.add_masks(lhs, rhs)
-    keys = derive_keys(fds, payload["relation_mask"])
-    violating = find_violating_fds(
-        fds,
-        keys,
-        null_mask=payload["null_mask"],
-        primary_key=payload["primary_key"],
-        foreign_keys=tuple(payload["foreign_keys"]),
-        target=payload["target"],
-    )
-    return keys, [(fd.lhs, fd.rhs) for fd in violating]
 
 
 def _verify_chunk(payload: dict) -> tuple[list[int], int, list, int]:
@@ -340,10 +288,8 @@ def _pool_probe(payload: dict) -> dict:
 
 TASK_HANDLERS = {
     "closure_shard": _closure_shard,
-    "agree_pairs": _agree_pairs,
     "hyfd_validate": _hyfd_validate,
     "tane_generate": _tane_generate,
-    "keys_violations": _keys_violations,
     "verify_chunk": _verify_chunk,
     "chaos_probe": _chaos_probe,
     "pool_probe": _pool_probe,

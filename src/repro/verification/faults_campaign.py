@@ -280,10 +280,11 @@ def _run_one_worker_fault(
     reference_ddl = _ddl(_normalizer().run(instance))
 
     mode = WORKER_FAULT_MODES[(seed // 2) % len(WORKER_FAULT_MODES)]
-    # Worker governors count ticks per task, so keep at_tick inside the
-    # handful of checkpoints a small campaign shard actually makes.
+    # Worker governors count ticks per task, and a small campaign's
+    # validation shard may check only one or two candidates, so keep
+    # at_tick within the checkpoints every shard makes.
     rng = random.Random(seed * 0x51ED270 ^ 0xC8A05)
-    plan = FaultPlan(mode=mode, at_tick=rng.randint(1, 12))
+    plan = FaultPlan(mode=mode, at_tick=rng.randint(1, 2))
 
     # Force the pool path on these small campaign tables, and keep hang
     # detection fast enough for a test-sized timeout.

@@ -376,8 +376,8 @@ class TestPoolLifecycle:
         for _ in range(3):
             with RelationRun(2, encoding) as run:
                 run.map(
-                    "agree_pairs",
-                    [{"handle": run.handle, "pairs": [(0, 1)]}],
+                    "hyfd_validate",
+                    [{"handle": run.handle, "items": [(0b1, [1])]}],
                     stage="test",
                 )
             assert not owned_segments()

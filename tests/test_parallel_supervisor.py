@@ -284,7 +284,7 @@ class TestAcceptance:
         instance = plant_instance(7, num_columns=6, num_rows=60).instance
         serial = HyFD().discover(instance)
 
-        plan = FaultPlan(mode="worker_kill", at_tick=3)
+        plan = FaultPlan(mode="worker_kill", at_tick=1)
         governor = Governor(Budget(check_interval=1), fault_plan=plan)
         algorithm = HyFD(workers=2)
         with activate(governor):

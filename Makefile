@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice verify-spill serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-oocore
+.PHONY: verify verify-parallel verify-kernels verify-lattice verify-spill serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-oocore bench-e2e-smoke
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -25,8 +25,8 @@ verify-lattice:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py -m "not fuzz"
 
 # Tier-1 again with every encoded column forced onto the mmap spill
-# tier and chunked ingestion engaged (docs/STORAGE.md): proves the
-# whole pipeline is tier-oblivious, byte for byte.
+# tier (docs/STORAGE.md): proves the whole pipeline is tier-oblivious,
+# byte for byte.
 verify-spill:
 	REPRO_STORAGE=spill PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
@@ -110,3 +110,9 @@ bench-oocore:
 # BENCH_partition_engine.json).
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
+
+# End-to-end benchmark smoke (~15 s at --scale smoke): DDL and
+# migration digests of all four workloads against golden.json, and the
+# tracer's invariants (benchmarks/e2e/README.md).
+bench-e2e-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q

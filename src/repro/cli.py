@@ -217,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=("memory", "auto", "spill"),
         help="column-store residency policy (default: $REPRO_STORAGE or "
-        "memory = encoded columns stay on the heap; auto = stream "
-        "ingestion and spill to disk-backed mmap pages when the "
-        "encoded footprint exceeds $REPRO_SPILL_THRESHOLD, else a "
-        "quarter of --memory-limit, else 64 MiB; spill = always on "
-        "disk); results are byte-identical under every policy",
+        "memory = encoded columns stay on the heap; auto = spill them to "
+        "disk-backed mmap pages when the encoded footprint exceeds "
+        "$REPRO_SPILL_THRESHOLD, else a quarter of --memory-limit, else "
+        "64 MiB; spill = always on disk); results are byte-identical "
+        "under every policy",
     )
     governance = parser.add_argument_group("resource governance")
     governance.add_argument(

@@ -74,7 +74,7 @@ def find_violating_fds(
         violating.append(FD(lhs, rhs))
 
     if target == "3nf":
-        violating = _dependency_preserving_only(violating)
+        violating = _dependency_preserving_only(violating, extended_fds)
     return violating
 
 
@@ -90,7 +90,7 @@ def _breaks_foreign_key(lhs: int, rhs: int, foreign_keys: Sequence[int]) -> bool
     return False
 
 
-def _dependency_preserving_only(violating: list[FD]) -> list[FD]:
+def _dependency_preserving_only(violating: list[FD], fds: FDSet) -> list[FD]:
     """Drop violating FDs whose decomposition splits another one's LHS.
 
     §6: "remove all those groups of violating FDs … that are mutually
@@ -101,13 +101,38 @@ def _dependency_preserving_only(violating: list[FD]) -> list[FD]:
     against the other *violating* FDs (the mutually exclusive
     decomposition options), not against every accidental FD of the
     instance — otherwise spurious FDs would veto almost any split.
+
+    A violating FD vetoes only if its RHS survives left-reduction
+    against ``fds``: RHS attributes that a proper subset of its LHS
+    already determines are dropped first.  An FD left with nothing is
+    not minimal (a projected FD set can keep such FDs), and a split
+    that tears its LHS loses no dependency.
     """
+    lhs_index: SetTrie | None = None
+    essential: dict[FD, bool] = {}
+
+    def is_essential(other: FD) -> bool:
+        nonlocal lhs_index
+        verdict = essential.get(other)
+        if verdict is None:
+            if lhs_index is None:
+                lhs_index = SetTrie()
+                for lhs, _ in fds.items():
+                    lhs_index.insert(lhs)
+            implied = 0
+            for lhs in lhs_index.iter_subsets_of(other.lhs):
+                if lhs != other.lhs:
+                    implied |= fds.rhs_of(lhs)
+            verdict = essential[other] = bool(other.rhs & ~implied)
+        return verdict
+
     kept = []
     for fd in violating:
         splits_some_lhs = any(
             other.lhs != fd.lhs
             and other.lhs & fd.rhs
             and other.lhs & ~(fd.lhs | fd.rhs)
+            and is_essential(other)
             for other in violating
         )
         if not splits_some_lhs:

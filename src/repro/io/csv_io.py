@@ -32,16 +32,16 @@ the input never declared.
 A UTF-8 byte-order mark is always stripped (``utf-8-sig``): it is a
 transparent encoding artifact, not a data defect.
 
-Under a non-``memory`` storage policy (``--storage auto|spill``,
-``REPRO_STORAGE``) :func:`read_csv` switches to **chunked ingestion**:
-rows are parsed in fixed-size chunks (``REPRO_CHUNK_ROWS``, default
-4096) and dictionary-encoded incrementally through a
-:class:`~repro.structures.encoding.ChunkedEncoder`, with finished code
-pages written straight into the backing store — the raw row text is
-never held whole in the Python heap, which is what makes
-larger-than-RAM inputs ingestible (docs/STORAGE.md).  Both paths raise
-the identical :class:`InputError` taxonomy and produce byte-identical
-encodings.
+Every :func:`read_csv` is **chunked ingestion**: rows are parsed in
+fixed-size chunks (``REPRO_CHUNK_ROWS``, default 4096) and
+dictionary-encoded incrementally through a
+:class:`~repro.structures.encoding.ChunkedEncoder`.  The raw row text
+is never held whole in the Python heap: the returned instance keeps one
+``int32`` code per cell plus one decode-table entry per distinct value,
+and decodes cells lazily.  The storage policy (``--storage``,
+``REPRO_STORAGE``) only picks where the code pages live — heap
+``array('i')`` buffers under ``memory``, mmapped page files under
+``spill`` or past the ``auto`` threshold (docs/STORAGE.md).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 from pathlib import Path
 
 from repro.model.instance import RelationInstance
@@ -63,65 +64,6 @@ _POLICIES = ("strict", "pad", "skip")
 #: the type union read_csv accepts; documented rather than enforced —
 #: anything with ``.read()`` counts as a stream
 Source = "str | Path | bytes | bytearray | io.IOBase"
-
-
-def _rows_from_source(
-    source, delimiter: str, errors: str, label: str
-) -> list[list[str]]:
-    """Materialize the CSV rows of any supported source kind."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            # utf-8-sig transparently strips a leading BOM if present.
-            with path.open(
-                newline="", encoding="utf-8-sig", errors=errors
-            ) as handle:
-                return list(csv.reader(handle, delimiter=delimiter))
-        except FileNotFoundError:
-            raise InputError("input file not found", file=label) from None
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"not valid UTF-8 ({exc.reason}); re-encode the file or use "
-                "on_error='pad'/'skip' to substitute replacement characters",
-                file=label,
-                byte_offset=exc.start,
-            ) from None
-        except csv.Error as exc:
-            raise InputError(f"malformed CSV: {exc}", file=label) from None
-
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        # File-like: one .read() drains it.  A text stream yields str
-        # (already decoded by the caller's choice of codec); a binary
-        # stream yields bytes and goes through the same decode path as
-        # on-disk files.
-        try:
-            data = source.read()
-        except AttributeError:
-            raise InputError(
-                f"unsupported CSV source {type(source).__name__!r}; "
-                "expected a path, bytes, or a file-like object"
-            ) from None
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data).decode("utf-8-sig", errors=errors)
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"not valid UTF-8 ({exc.reason}); re-encode the input or "
-                "use on_error='pad'/'skip' to substitute replacement "
-                "characters",
-                file=label,
-                byte_offset=exc.start,
-            ) from None
-    else:
-        # A text stream opened with a default codec still carries the
-        # BOM as a character; strip it like utf-8-sig would.
-        text = data.lstrip("\ufeff")
-    try:
-        return list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
-    except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}", file=label) from None
 
 
 def _source_label(source, name: str | None) -> tuple[str, str]:
@@ -150,151 +92,20 @@ def read_csv(
     ``col_0 … col_{n-1}``.  The relation name defaults to the file stem
     for paths (``relation`` for in-memory sources).  ``on_error``
     selects the malformed-input policy.
+
+    Rows are parsed ``REPRO_CHUNK_ROWS`` at a time and fed to a
+    :class:`~repro.structures.encoding.ChunkedEncoder`; the returned
+    instance decodes its cells lazily from the codes and the per-column
+    decode tables.
     """
+    from repro.structures.encoding import ChunkedEncoder
+
     if on_error not in _POLICIES:
         raise InputError(
             f"unknown on_error policy {on_error!r}; choose from {_POLICIES}"
         )
     errors = "strict" if on_error == "strict" else "replace"
     label, default_name = _source_label(source, name)
-    if storage.policy_name() != "memory":
-        return _read_csv_streaming(
-            source,
-            relation_name=name,
-            delimiter=delimiter,
-            has_header=has_header,
-            empty_as_null=empty_as_null,
-            on_error=on_error,
-            errors=errors,
-            label=label,
-            default_name=default_name,
-        )
-    rows = _rows_from_source(source, delimiter, errors, label)
-    if not rows:
-        raise InputError(
-            "input is empty; cannot infer a schema", file=label
-        )
-    if has_header:
-        header, data_rows = tuple(rows[0]), rows[1:]
-        first_line = 2
-    else:
-        header = tuple(f"col_{index}" for index in range(len(rows[0])))
-        data_rows = rows
-        first_line = 1
-    if not header:
-        raise InputError(
-            "header row has no columns", file=label, row=1
-        )
-    if len(set(header)) != len(header):
-        seen: set[str] = set()
-        duplicates = sorted(
-            {column for column in header if column in seen or seen.add(column)}
-        )
-        raise InputError(
-            "duplicate column names in header; rename the columns so every "
-            "one is unique",
-            file=label,
-            row=1,
-            duplicates=duplicates,
-        )
-    relation = Relation(name or default_name, header)
-    converted = []
-    for line_number, row in enumerate(data_rows, start=first_line):
-        if len(row) != len(header):
-            if on_error == "skip":
-                continue
-            if on_error == "pad":
-                row = _pad(row, len(header))
-            else:
-                raise InputError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    file=label,
-                    row=line_number,
-                    columns=len(header),
-                )
-        if empty_as_null:
-            converted.append(
-                tuple(value if value != "" else None for value in row)
-            )
-        else:
-            converted.append(tuple(row))
-    return RelationInstance.from_rows(relation, converted)
-
-
-def _pad(row: list[str], width: int) -> list[str]:
-    """Repair a ragged row to ``width`` fields (pad with NULLs / truncate)."""
-    if len(row) < width:
-        return row + [""] * (width - len(row))
-    return row[:width]
-
-
-@contextlib.contextmanager
-def _open_rows(source, delimiter: str, errors: str, label: str):
-    """Yield a *lazy* CSV row iterator over any supported source kind.
-
-    The streaming twin of :func:`_rows_from_source`: path sources keep
-    the file handle open and decode as the reader advances (so decode
-    errors surface mid-iteration — the caller maps them), in-memory
-    sources decode eagerly exactly like the classic path.
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            handle = path.open(newline="", encoding="utf-8-sig", errors=errors)
-        except FileNotFoundError:
-            raise InputError("input file not found", file=label) from None
-        try:
-            yield csv.reader(handle, delimiter=delimiter)
-        finally:
-            handle.close()
-        return
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        try:
-            data = source.read()
-        except AttributeError:
-            raise InputError(
-                f"unsupported CSV source {type(source).__name__!r}; "
-                "expected a path, bytes, or a file-like object"
-            ) from None
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data).decode("utf-8-sig", errors=errors)
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"not valid UTF-8 ({exc.reason}); re-encode the input or "
-                "use on_error='pad'/'skip' to substitute replacement "
-                "characters",
-                file=label,
-                byte_offset=exc.start,
-            ) from None
-    else:
-        text = data.lstrip("\ufeff")
-    yield csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-
-
-def _read_csv_streaming(
-    source,
-    relation_name: str | None,
-    delimiter: str,
-    has_header: bool,
-    empty_as_null: bool,
-    on_error: str,
-    errors: str,
-    label: str,
-    default_name: str,
-) -> RelationInstance:
-    """Chunked-ingestion twin of the classic :func:`read_csv` body.
-
-    Parses ``REPRO_CHUNK_ROWS`` rows at a time and feeds them to a
-    :class:`~repro.structures.encoding.ChunkedEncoder`, which pages
-    finished codes into the backing store under the active storage
-    policy.  Error taxonomy and encoding output are byte-identical to
-    the materializing path (asserted by the parity suite).
-    """
-    from repro.structures.encoding import ChunkedEncoder
-
     chunk_rows = storage.chunk_rows()
     try:
         with _open_rows(source, delimiter, errors, label) as reader:
@@ -331,44 +142,31 @@ def _read_csv_streaming(
                     row=1,
                     duplicates=duplicates,
                 )
-            relation = Relation(relation_name or default_name, header)
+            relation = Relation(name or default_name, header)
             width = len(header)
             encoder = ChunkedEncoder(width, null_equals_null=True)
-            batch: list[tuple] = []
-            line_number = first_line - 1
-
-            def _ingest(row) -> None:
-                if len(row) != width:
-                    if on_error == "skip":
-                        return
-                    if on_error == "pad":
-                        row = _pad(row, width)
-                    else:
-                        raise InputError(
-                            f"expected {width} fields, got {len(row)}",
-                            file=label,
-                            row=line_number,
-                            columns=width,
-                        )
-                if empty_as_null:
-                    batch.append(
-                        tuple(value if value != "" else None for value in row)
-                    )
-                else:
-                    batch.append(tuple(row))
-                if len(batch) >= chunk_rows:
-                    encoder.add_rows(batch)
-                    batch.clear()
-
             if carried is not None:
-                line_number += 1
-                _ingest(carried)
-            for row in reader:
-                line_number += 1
-                _ingest(row)
-            if batch:
+                reader = itertools.chain([carried], reader)
+            line_number = first_line - 1
+            while chunk := list(itertools.islice(reader, chunk_rows)):
+                batch = []
+                for row in chunk:
+                    line_number += 1
+                    if len(row) != width:
+                        if on_error == "skip":
+                            continue
+                        if on_error != "pad":
+                            raise InputError(
+                                f"expected {width} fields, got {len(row)}",
+                                file=label,
+                                row=line_number,
+                                columns=width,
+                            )
+                        row = _pad(row, width)
+                    if empty_as_null and "" in row:
+                        row = [value if value != "" else None for value in row]
+                    batch.append(row)
                 encoder.add_rows(batch)
-                batch.clear()
     except UnicodeDecodeError as exc:
         raise InputError(
             f"not valid UTF-8 ({exc.reason}); re-encode the file or use "
@@ -382,6 +180,65 @@ def _read_csv_streaming(
     return RelationInstance.from_encoded(
         relation, encoding, encoder.decode_tables()
     )
+
+
+def _pad(row: list[str], width: int) -> list[str]:
+    """Repair a ragged row to ``width`` fields (pad with NULLs / truncate)."""
+    if len(row) < width:
+        return row + [""] * (width - len(row))
+    return row[:width]
+
+
+@contextlib.contextmanager
+def _open_rows(source, delimiter: str, errors: str, label: str):
+    """Yield a *lazy* CSV row iterator over any supported source kind.
+
+    Path sources keep the file handle open and decode as the reader
+    advances (so decode errors surface mid-iteration — the caller maps
+    them); in-memory sources are decoded in one piece up front.
+    """
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        try:
+            # utf-8-sig transparently strips a leading BOM if present.
+            handle = path.open(newline="", encoding="utf-8-sig", errors=errors)
+        except FileNotFoundError:
+            raise InputError("input file not found", file=label) from None
+        try:
+            yield csv.reader(handle, delimiter=delimiter)
+        finally:
+            handle.close()
+        return
+    if isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
+        # File-like: one .read() drains it.  A text stream yields str
+        # (already decoded by the caller's choice of codec); a binary
+        # stream yields bytes and goes through the same decode path as
+        # on-disk files.
+        try:
+            data = source.read()
+        except AttributeError:
+            raise InputError(
+                f"unsupported CSV source {type(source).__name__!r}; "
+                "expected a path, bytes, or a file-like object"
+            ) from None
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = bytes(data).decode("utf-8-sig", errors=errors)
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"not valid UTF-8 ({exc.reason}); re-encode the input or "
+                "use on_error='pad'/'skip' to substitute replacement "
+                "characters",
+                file=label,
+                byte_offset=exc.start,
+            ) from None
+    else:
+        # A text stream opened with a default codec still carries the
+        # BOM as a character; strip it like utf-8-sig would.
+        text = data.lstrip("\ufeff")
+    yield csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
 
 
 def write_csv(

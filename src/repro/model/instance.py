@@ -107,7 +107,8 @@ class RelationInstance:
     def from_encoded(
         cls, relation: Relation, encoding: Any, decode_tables: Sequence[list]
     ) -> "RelationInstance":
-        """Build an instance around an existing encoding (chunked ingestion).
+        """Build an instance around an existing encoding (what
+        :func:`~repro.io.csv_io.read_csv` returns).
 
         ``columns_data`` becomes lazy
         :class:`~repro.structures.encoding.DecodedColumn` views over the

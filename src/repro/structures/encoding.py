@@ -493,48 +493,45 @@ class ChunkedEncoder:
             self._store = storage.ColumnStore(arity)
 
     def add_rows(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Encode one chunk of rows (each row ``arity`` values wide)."""
-        ids_per_attr = self._ids
-        next_ids = self._next_ids
-        null_codes = self._null_codes
-        buffers = self._buffers
-        tables = self._tables
+        """Encode one chunk of rows (each row ``arity`` values wide).
+
+        Works column by column over the chunk, so each column's ids are
+        still assigned in first-occurrence order.
+        """
         null_equals_null = self.null_equals_null
-        for row in rows:
-            for attr, value in enumerate(row):
-                if value is None:
-                    if null_equals_null:
-                        null_code = null_codes[attr]
-                        if null_code is None:
-                            null_code = next_ids[attr]
-                            null_codes[attr] = null_code
-                            next_ids[attr] += 1
-                            tables[attr].append(None)
-                        buffers[attr].append(null_code)
+        for attr, column in enumerate(zip(*rows)):
+            ids = self._ids[attr]
+            get = ids.get
+            table = self._tables[attr]
+            append = self._buffers[attr].append
+            next_id = self._next_ids[attr]
+            for value in column:
+                code = get(value)
+                if code is None:
+                    if value is None and null_equals_null:
+                        code = self._null_codes[attr]
+                        if code is None:
+                            code = self._null_codes[attr] = next_id
+                            next_id += 1
+                            table.append(None)
                     else:
-                        buffers[attr].append(next_ids[attr])
-                        next_ids[attr] += 1
-                        tables[attr].append(None)
-                    continue
-                ids = ids_per_attr[attr]
-                assigned = ids.get(value)
-                if assigned is None:
-                    assigned = next_ids[attr]
-                    ids[value] = assigned
-                    next_ids[attr] += 1
-                    tables[attr].append(value)
-                buffers[attr].append(assigned)
+                        code = next_id
+                        next_id += 1
+                        if value is not None:
+                            ids[value] = code
+                        table.append(value)
+                append(code)
+            self._next_ids[attr] = next_id
         self.num_rows += len(rows)
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
-        if not self.arity:
+        if not self.arity or (self._store is None and not self._auto):
+            # memory policy: the buffers are the final columns, not staging
             return
         buffered_rows = len(self._buffers[0])
         storage.note_buffered(buffered_rows * self.arity)
         if self._store is None:
-            if not self._auto:
-                return
             footprint = 4 * self.num_rows * self.arity
             if footprint < self._threshold:
                 return

@@ -1,8 +1,12 @@
 """Component-level tests for HyFD's sampler, induction, and validation."""
 
+import heapq
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import distinct_agree_sets
 from repro.discovery.hyfd.induction import (
@@ -12,8 +16,12 @@ from repro.discovery.hyfd.induction import (
 )
 from repro.discovery.hyfd.sampler import Sampler
 from repro.discovery.hyfd.validation import validate_tree
+from repro.model.instance import RelationInstance
+from repro.model.schema import Relation
+from repro.runtime.governor import Governor, activate, checkpoint
 from repro.structures.fdtree import FDTree
 from repro.structures.partitions import PLICache
+from repro.verification.planted import plant_instance
 
 
 class TestSampler:
@@ -51,6 +59,178 @@ class TestSampler:
         sampler = Sampler(instance, PLICache(instance))
         sampler.initial_rounds()
         assert sampler.comparisons > 0
+
+
+class _ListSampler:
+    """The list-of-lists sampler the CSR one replaced, kept as its oracle.
+
+    Clusters are Python lists sorted by the full record; the numpy path
+    copies them into per-cluster arrays on the first window.
+    """
+
+    def __init__(self, instance, cache):
+        self.arity = instance.arity
+        self._encoding = cache.encoding
+        self._probes = self._encoding.codes
+        self._clusters = [
+            [
+                sorted(cluster, key=self._record_key)
+                for cluster in cache.get(1 << attr).iter_clusters()
+            ]
+            for attr in range(self.arity)
+        ]
+        self._np_clusters = {}
+        self.negative_cover = set()
+        self._distances = [0] * self.arity
+        self._queue = [(-1.0, attr) for attr in range(self.arity)]
+        heapq.heapify(self._queue)
+        self.comparisons = 0
+
+    def _record_key(self, row):
+        return tuple(probe[row] for probe in self._probes)
+
+    def compare(self, left, right):
+        self.comparisons += 1
+        agree = self._encoding.agree_set(left, right)
+        if agree in self.negative_cover:
+            return None
+        self.negative_cover.add(agree)
+        return agree
+
+    def _run_window(self, attr, distance):
+        if kernels.backend_name() == "numpy":
+            return self._run_window_numpy(attr, distance)
+        compared = 0
+        fresh = []
+        for cluster in self._clusters[attr]:
+            checkpoint("hyfd-sample", units=max(len(cluster) - distance, 1))
+            for index in range(len(cluster) - distance):
+                compared += 1
+                agree = self.compare(cluster[index], cluster[index + distance])
+                if agree is not None:
+                    fresh.append(agree)
+        return compared, fresh
+
+    def _run_window_numpy(self, attr, distance):
+        np = kernels.numpy_module()
+        arrays = self._np_clusters.get(attr)
+        if arrays is None:
+            arrays = [
+                np.asarray(cluster, dtype=np.intp)
+                for cluster in self._clusters[attr]
+            ]
+            self._np_clusters[attr] = arrays
+        lefts = []
+        rights = []
+        for cluster in arrays:
+            width = len(cluster) - distance
+            checkpoint("hyfd-sample", units=max(width, 1))
+            if width > 0:
+                lefts.append(cluster[:width])
+                rights.append(cluster[distance:])
+        if not lefts:
+            return 0, []
+        masks = self._encoding.agree_sets_batch(
+            np.concatenate(lefts), np.concatenate(rights)
+        )
+        self.comparisons += len(masks)
+        fresh = []
+        for agree in masks:
+            if agree not in self.negative_cover:
+                self.negative_cover.add(agree)
+                fresh.append(agree)
+        return len(masks), fresh
+
+    @property
+    def exhausted(self):
+        return not self._queue
+
+    def next_round(self):
+        if not self._queue:
+            return []
+        _, attr = heapq.heappop(self._queue)
+        self._distances[attr] += 1
+        distance = self._distances[attr]
+        largest = max((len(c) for c in self._clusters[attr]), default=0)
+        compared, fresh = self._run_window(attr, distance)
+        if distance < largest - 1:
+            efficiency = len(fresh) / compared if compared else 0.0
+            heapq.heappush(self._queue, (-efficiency, attr))
+        return fresh
+
+
+class _TickLog:
+    """Fault-plan hook that records every governor tick."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_tick(self, governor, stage):
+        self.calls.append((stage, governor.ticks))
+
+
+def _unique_and_constant():
+    rows = [(index, "k", index % 3) for index in range(12)]
+    return RelationInstance.from_rows(Relation("t", ("id", "k", "v")), rows)
+
+
+ORACLE_CASES = {
+    "planted_3": lambda: plant_instance(3, 6, 60, null_rate=0.1).instance,
+    "planted_8": lambda: plant_instance(
+        8, 5, 90, null_rate=0.2, max_domain=6
+    ).instance,
+    "zero_rows": lambda: random_instance(1, 3, 0),
+    "one_row": lambda: random_instance(1, 3, 1),
+    "unique_and_constant": _unique_and_constant,
+    "wide_70": lambda: random_instance(5, 70, 40, domain_size=3, null_rate=0.1),
+}
+
+#: rounds compared per case (the small cases exhaust long before)
+MAX_ORACLE_ROUNDS = 150
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("null_equals_null", [True, False])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_csr_sampler_matches_list_sampler(
+    monkeypatch, backend, null_equals_null, case
+):
+    if backend == "numpy":
+        if not kernels.numpy_available():
+            pytest.skip("numpy not installed")
+        from repro.kernels import npbackend
+
+        # Vectorize even the small windows, or the numpy path would
+        # delegate them to the python kernel.
+        monkeypatch.setattr(npbackend, "SMALL_INPUT_THRESHOLD", 0)
+    kernels.set_backend(backend)
+    try:
+        instance = ORACLE_CASES[case]()
+        cache = PLICache(instance, null_equals_null=null_equals_null)
+        sides = []
+        for cls in (_ListSampler, Sampler):
+            log = _TickLog()
+            governor = Governor(fault_plan=log)
+            with activate(governor):
+                sides.append((cls(instance, cache), governor, log))
+        (expected, expected_gov, expected_log), (got, got_gov, got_log) = sides
+        for _ in range(MAX_ORACLE_ROUNDS):
+            with activate(expected_gov):
+                fresh_expected = expected.next_round()
+            with activate(got_gov):
+                fresh_got = got.next_round()
+            assert fresh_got == fresh_expected
+            assert got.negative_cover == expected.negative_cover
+            assert got.comparisons == expected.comparisons
+            assert got._distances == expected._distances
+            assert got._queue == expected._queue
+            assert got_gov.ticks == expected_gov.ticks
+            assert got_log.calls == expected_log.calls
+            if expected.exhausted:
+                break
+        assert got.exhausted == expected.exhausted
+    finally:
+        kernels.set_backend(None)
 
 
 class TestInduction:

@@ -216,6 +216,73 @@ class TestCsvInMemorySources:
             read_csv(12345)
 
 
+def _source(kind, data, tmp_path):
+    """``data`` (bytes) as a path, a bytes object or a binary stream."""
+    import io
+
+    if kind == "path":
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        return path
+    if kind == "bytes":
+        return data
+    return io.BytesIO(data)
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+class TestTaxonomyAcrossSources:
+    """Every source kind goes through the same chunked reader, so each
+    defect gets the same error or repair whatever the source is."""
+
+    def test_ragged_rows_under_each_policy(self, tmp_path, monkeypatch, kind):
+        from repro.runtime.errors import InputError
+
+        # Two rows per chunk: the defects straddle chunk boundaries.
+        monkeypatch.setenv("REPRO_CHUNK_ROWS", "2")
+        data = b"a,b\n1,2\n3,4\n5\n6,7,8\n9,10\n"
+        with pytest.raises(InputError) as info:
+            read_csv(_source(kind, data, tmp_path))
+        assert info.value.context["row"] == 4
+        assert info.value.context["columns"] == 2
+        padded = read_csv(_source(kind, data, tmp_path), on_error="pad")
+        assert list(padded.iter_rows()) == [
+            ("1", "2"),
+            ("3", "4"),
+            ("5", None),
+            ("6", "7"),
+            ("9", "10"),
+        ]
+        skipped = read_csv(_source(kind, data, tmp_path), on_error="skip")
+        assert list(skipped.iter_rows()) == [("1", "2"), ("3", "4"), ("9", "10")]
+
+    def test_bom_stripped(self, tmp_path, kind):
+        instance = read_csv(_source(kind, b"\xef\xbb\xbfa,b\n1,2\n", tmp_path))
+        assert instance.columns == ("a", "b")
+
+    def test_undecodable_bytes(self, tmp_path, kind):
+        from repro.runtime.errors import InputError
+
+        data = b"a,b\nx,caf\xe9\n"
+        with pytest.raises(InputError, match="not valid UTF-8"):
+            read_csv(_source(kind, data, tmp_path))
+        for policy in ("pad", "skip"):
+            repaired = read_csv(_source(kind, data, tmp_path), on_error=policy)
+            assert list(repaired.iter_rows()) == [("x", "caf\ufffd")]
+
+    def test_duplicate_header(self, tmp_path, kind):
+        from repro.runtime.errors import InputError
+
+        with pytest.raises(InputError, match="duplicate column names") as info:
+            read_csv(_source(kind, b"x,y,x\n1,2,3\n", tmp_path))
+        assert info.value.context["duplicates"] == ["x"]
+
+    def test_empty_input(self, tmp_path, kind):
+        from repro.runtime.errors import InputError
+
+        with pytest.raises(InputError, match="empty"):
+            read_csv(_source(kind, b"", tmp_path))
+
+
 class TestDuplicateHeader:
     """Duplicate column names are an InputError, never silently renamed."""
 

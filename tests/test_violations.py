@@ -98,6 +98,41 @@ class Test3NFMode:
         with pytest.raises(ValueError, match="unknown target"):
             find_violating_fds(fdset(2, (0b1, 0b10)), keys=[], target="5nf")
 
+    def test_non_minimal_fd_cannot_veto(self):
+        # A=0 B=1 C=2 D=3.  {A,B} -> D is not minimal ({B} -> D holds),
+        # so splitting on {C,D} -> A may tear {A,B} apart.
+        fds = fdset(4, (0b0010, 0b1000), (0b0011, 0b1000), (0b1100, 0b0001))
+        tnf = find_violating_fds(fds, keys=[], target="3nf")
+        assert FD(0b1100, 0b0001) in tnf
+
+    def test_partly_reduced_fd_still_vetoes(self):
+        # {A,B} -> {D,E}: only D follows from {B}; E keeps the veto.
+        fds = fdset(
+            5, (0b00010, 0b01000), (0b00011, 0b11000), (0b01100, 0b00001)
+        )
+        tnf = find_violating_fds(fds, keys=[], target="3nf")
+        assert FD(0b01100, 0b00001) not in tnf
+
+    def test_shrunk_verify_seed_278(self):
+        # `repro verify --start 278 --seeds 1`, pipeline[planted, 3nf],
+        # shrunk: the projected FDs keep c1,c2 -> c4 although c2 -> c4
+        # holds, and it must not veto the split on c3,c4 -> c1.
+        from repro.model.instance import RelationInstance
+        from repro.model.schema import Relation
+        from repro.verification.metamorphic import check_pipeline_properties
+
+        instance = RelationInstance(
+            Relation("planted", ("c1", "c2", "c3", "c4", "c5")),
+            [
+                [1, 0, 0, 0, 0, 1, 1],
+                [0, 2, 2, 0, 1, 2, 3],
+                [0, 0, 1, 2, 2, 2, 2],
+                [2, 1, 1, 2, 3, 1, 1],
+                [1, 1, 1, 1, 1, 0, 0],
+            ],
+        )
+        assert not check_pipeline_properties(instance, target="3nf")[0]
+
 
 class TestCombined:
     def test_paper_example_pipeline(self, address):

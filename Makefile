@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice verify-spill serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-oocore bench-e2e-smoke
+.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-e2e-smoke
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -12,23 +12,16 @@ verify:
 verify-parallel:
 	REPRO_WORKERS=2 PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Tier-1 pinned to each kernel backend, then the kernel-differential
-# file under the pure-Python oracle (docs/KERNELS.md).  Requires numpy
-# (pip install -e .[perf]); without it REPRO_KERNEL=numpy errors out.
+# The kernel-differential files, which pin each backend themselves
+# and compare numpy against the pure-Python oracle (docs/KERNELS.md).
+# Without numpy (pip install -e .[perf]) the numpy cases skip.
 verify-kernels:
-	REPRO_KERNEL=numpy PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	REPRO_KERNEL=python PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_differential.py
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_differential.py tests/test_fdtree_differential.py
 
 # The lattice differential + metamorphic suites, which sweep both
 # kernel backends themselves (docs/ALGORITHMS.md).
 verify-lattice:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py -m "not fuzz"
-
-# Tier-1 again with every encoded column forced onto the mmap spill
-# tier (docs/STORAGE.md): proves the whole pipeline is tier-oblivious,
-# byte for byte.
-verify-spill:
-	REPRO_STORAGE=spill PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # Daemon end-to-end smoke: real `repro serve` subprocess, upload →
 # batches → DDL via `repro submit`, byte-diffed against the offline
@@ -61,10 +54,11 @@ fuzz-incremental:
 	PYTHONPATH=src $(PYTHON) -m repro verify --incremental --seeds 25 --batches 10
 
 # Kernel-differential campaign: numpy vs python identity on the full
-# kernel surface, plus the verification harness pinned to numpy.
+# kernel surface, plus the verification harness on the default
+# backend (numpy when installed).
 fuzz-kernels:
 	KERNEL_FUZZ_SEEDS=50 PYTHONPATH=src $(PYTHON) -m pytest -q -m fuzz tests/test_kernels_differential.py
-	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25 --kernel numpy
+	PYTHONPATH=src $(PYTHON) -m repro verify --seeds 25
 
 # Lattice fuzz campaign: seeded op-sequence/cover equivalence vs the
 # naive oracle.
@@ -98,12 +92,6 @@ bench-parallel:
 # 1/4/16-tenant interleaved throughput (writes BENCH_serve.json).
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_serve_latency.py --benchmark-only -q
-
-# Out-of-core scaling: peak RSS + wall-clock, memory tier vs spill
-# tier, at 1x/4x/16x of a notional budget, with DDL byte-identity
-# asserted at every scale (writes BENCH_oocore.json).
-bench-oocore:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_oocore.py --benchmark-only -q
 
 # Kernel backend comparison: partition-engine micro-benchmarks under
 # both backends (enforces the ≥5x large-preset gate, writes

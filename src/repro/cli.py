@@ -89,12 +89,6 @@ def _graceful_shutdown() -> None:
         release_owned_segments()
     except Exception:  # pragma: no cover - teardown best effort
         pass
-    try:
-        from repro.structures.storage import release_process_spill
-
-        release_process_spill()
-    except Exception:  # pragma: no cover - teardown best effort
-        pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,25 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for discovery validation levels and "
         "closure (default: $REPRO_WORKERS or 1 = serial); results are "
         "byte-identical at any worker count",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("python", "numpy", "auto"),
-        help="kernel backend for the partition/agree-set hot paths "
-        "(default: $REPRO_KERNEL or auto = numpy when installed); "
-        "results are byte-identical under either backend",
-    )
-    parser.add_argument(
-        "--storage",
-        default=None,
-        choices=("memory", "auto", "spill"),
-        help="column-store residency policy (default: $REPRO_STORAGE or "
-        "memory = encoded columns stay on the heap; auto = spill them to "
-        "disk-backed mmap pages when the encoded footprint exceeds "
-        "$REPRO_SPILL_THRESHOLD, else a quarter of --memory-limit, else "
-        "64 MiB; spill = always on disk); results are byte-identical "
-        "under every policy",
     )
     governance = parser.add_argument_group("resource governance")
     governance.add_argument(
@@ -393,32 +368,8 @@ def main(argv: list[str] | None = None) -> int:
                 pass
 
 
-def _select_kernel(name: str | None) -> None:
-    """Apply ``--kernel`` and resolve eagerly.
-
-    Eager resolution surfaces "numpy requested but not installed" as an
-    :class:`InputError` at the CLI boundary (exit 2) instead of deep
-    inside discovery.
-    """
-    if name is not None:
-        from repro import kernels
-
-        kernels.set_backend(name)
-        kernels.backend_name()
-
-
-def _select_storage(name: str | None) -> None:
-    """Apply ``--storage`` (validated eagerly, exit 2 on a bad name)."""
-    if name is not None:
-        from repro.structures import storage
-
-        storage.set_policy(name)
-
-
 def _main_normalize(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    _select_kernel(args.kernel)
-    _select_storage(args.storage)
 
     budget = None
     if args.deadline or args.memory_limit or args.max_candidates:
@@ -432,21 +383,15 @@ def _main_normalize(argv: list[str]) -> int:
             max_candidates=args.max_candidates,
         )
 
-    # Ingestion runs before the governor exists, so hand --memory-limit
-    # to the storage layer directly: under --storage auto it is the
-    # spill threshold that keeps the encoded footprint off the heap.
-    from repro.structures import storage as _storage
-
-    with _storage.memory_budget(budget.max_memory_bytes if budget else None):
-        instances = [
-            read_csv(
-                path,
-                delimiter=args.delimiter,
-                has_header=not args.no_header,
-                on_error=args.csv_errors,
-            )
-            for path in args.files
-        ]
+    instances = [
+        read_csv(
+            path,
+            delimiter=args.delimiter,
+            has_header=not args.no_header,
+            on_error=args.csv_errors,
+        )
+        for path in args.files
+    ]
 
     sampled = None
     if args.approximate:
@@ -661,20 +606,6 @@ def build_apply_batch_parser(watch: bool = False) -> argparse.ArgumentParser:
         help="how to treat malformed CSV rows (default: strict)",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("python", "numpy", "auto"),
-        help="kernel backend for the partition/agree-set hot paths "
-        "(default: $REPRO_KERNEL or auto)",
-    )
-    parser.add_argument(
-        "--storage",
-        default=None,
-        choices=("memory", "auto", "spill"),
-        help="column-store residency policy "
-        "(default: $REPRO_STORAGE or memory)",
-    )
-    parser.add_argument(
         "--ddl",
         metavar="FILE",
         help="write the final schema's CREATE TABLE statements here",
@@ -749,8 +680,6 @@ def _main_apply_batch(argv: list[str], watch: bool) -> int:
     from repro.io.serialization import load_changelog
 
     args = build_apply_batch_parser(watch=watch).parse_args(argv)
-    _select_kernel(args.kernel)
-    _select_storage(args.storage)
 
     budget = None
     if args.deadline or args.memory_limit or args.max_candidates:
@@ -764,18 +693,15 @@ def _main_apply_batch(argv: list[str], watch: bool) -> int:
             max_candidates=args.max_candidates,
         )
 
-    from repro.structures import storage as _storage
-
-    with _storage.memory_budget(budget.max_memory_bytes if budget else None):
-        instances = [
-            read_csv(
-                path,
-                delimiter=args.delimiter,
-                has_header=not args.no_header,
-                on_error=args.csv_errors,
-            )
-            for path in args.files
-        ]
+    instances = [
+        read_csv(
+            path,
+            delimiter=args.delimiter,
+            has_header=not args.no_header,
+            on_error=args.csv_errors,
+        )
+        for path in args.files
+    ]
 
     if args.resume and not args.journal:
         raise InputError("--resume requires --journal FILE")
@@ -934,27 +860,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="worker-pool size for discovery fan-out (default: "
         "$REPRO_WORKERS or 1 = serial)",
     )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("python", "numpy", "auto"),
-        help="kernel backend for the partition/agree-set hot paths",
-    )
-    parser.add_argument(
-        "--storage",
-        default=None,
-        choices=("memory", "auto", "spill"),
-        help="column-store residency policy for uploaded datasets "
-        "(default: $REPRO_STORAGE or memory; spilled sessions keep "
-        "their pages under the session's --resume-dir entry)",
-    )
     return parser
 
 
 def _main_serve(argv: list[str]) -> int:
     args = build_serve_parser().parse_args(argv)
-    _select_kernel(args.kernel)
-    _select_storage(args.storage)
     if args.workers is not None:
         import os
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.model.attributes import bits_of, count_bits
+from repro.model.attributes import count_bits
 from repro.model.fd import FD
 from repro.model.instance import RelationInstance
 from repro.structures.bloom import BloomFilter
@@ -241,8 +241,3 @@ def shared_rhs_attributes(fd: FD, others: list[FD]) -> int:
         if other.lhs != fd.lhs or other.rhs != fd.rhs:
             shared |= fd.rhs & other.rhs
     return shared
-
-
-def positions_of(mask: int) -> tuple[int, ...]:
-    """Expose bit positions for reporting (thin wrapper over bits_of)."""
-    return bits_of(mask)

@@ -3,8 +3,8 @@
 This is the degradation ladder's "sampled + g3-verified" rung
 (:mod:`repro.runtime.degrade`, rung 3) promoted to a first-class
 algorithm so callers can *opt in* to approximate discovery up front —
-``repro --approximate`` on the CLI — instead of only reaching it after
-two budget breaches.
+``repro --approximate`` on the CLI, with an example in README.md —
+instead of only reaching it after two budget breaches.
 
 The procedure follows TANE's error measure [Huhtala et al. 1999] and
 the approximate-discovery framing of the paper's §9 discussion:

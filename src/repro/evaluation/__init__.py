@@ -1,4 +1,4 @@
-"""Evaluation harness: schema-recovery metrics, timing, report tables."""
+"""Evaluation harness: schema-recovery metrics and report tables."""
 
 from repro.evaluation.metrics import (
     GoldRelation,
@@ -8,12 +8,10 @@ from repro.evaluation.metrics import (
 from repro.evaluation.redundancy import redundancy_report
 from repro.evaluation.reporting import format_table
 from repro.evaluation.snowflake import schema_tree
-from repro.evaluation.timing import Stopwatch
 
 __all__ = [
     "GoldRelation",
     "SchemaRecoveryReport",
-    "Stopwatch",
     "evaluate_schema_recovery",
     "format_table",
     "redundancy_report",

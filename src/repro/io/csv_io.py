@@ -33,15 +33,12 @@ A UTF-8 byte-order mark is always stripped (``utf-8-sig``): it is a
 transparent encoding artifact, not a data defect.
 
 Every :func:`read_csv` is **chunked ingestion**: rows are parsed in
-fixed-size chunks (``REPRO_CHUNK_ROWS``, default 4096) and
-dictionary-encoded incrementally through a
+fixed-size chunks of :data:`CHUNK_ROWS` and dictionary-encoded
+incrementally through a
 :class:`~repro.structures.encoding.ChunkedEncoder`.  The raw row text
 is never held whole in the Python heap: the returned instance keeps one
 ``int32`` code per cell plus one decode-table entry per distinct value,
-and decodes cells lazily.  The storage policy (``--storage``,
-``REPRO_STORAGE``) only picks where the code pages live — heap
-``array('i')`` buffers under ``memory``, mmapped page files under
-``spill`` or past the ``auto`` threshold (docs/STORAGE.md).
+and decodes cells lazily.
 """
 
 from __future__ import annotations
@@ -55,11 +52,13 @@ from pathlib import Path
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from repro.runtime.errors import InputError
-from repro.structures import storage
 
-__all__ = ["read_csv", "write_csv"]
+__all__ = ["CHUNK_ROWS", "read_csv", "write_csv"]
 
 _POLICIES = ("strict", "pad", "skip")
+
+#: rows parsed and encoded per ingestion chunk
+CHUNK_ROWS = 4096
 
 #: the type union read_csv accepts; documented rather than enforced —
 #: anything with ``.read()`` counts as a stream
@@ -93,7 +92,7 @@ def read_csv(
     for paths (``relation`` for in-memory sources).  ``on_error``
     selects the malformed-input policy.
 
-    Rows are parsed ``REPRO_CHUNK_ROWS`` at a time and fed to a
+    Rows are parsed :data:`CHUNK_ROWS` at a time and fed to a
     :class:`~repro.structures.encoding.ChunkedEncoder`; the returned
     instance decodes its cells lazily from the codes and the per-column
     decode tables.
@@ -106,7 +105,6 @@ def read_csv(
         )
     errors = "strict" if on_error == "strict" else "replace"
     label, default_name = _source_label(source, name)
-    chunk_rows = storage.chunk_rows()
     try:
         with _open_rows(source, delimiter, errors, label) as reader:
             first = next(reader, None)
@@ -148,7 +146,7 @@ def read_csv(
             if carried is not None:
                 reader = itertools.chain([carried], reader)
             line_number = first_line - 1
-            while chunk := list(itertools.islice(reader, chunk_rows)):
+            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
                 batch = []
                 for row in chunk:
                     line_number += 1

@@ -15,11 +15,12 @@ two interchangeable backends:
   extra (``pip install -e .[test,perf]``).
 
 Backend selection is lazy and process-wide: the first kernel call
-resolves ``set_backend()`` (programmatic, e.g. the ``--kernel`` CLI
-flag) or the ``REPRO_KERNEL`` environment variable (``python`` /
-``numpy`` / ``auto``).  ``auto`` — the default — picks numpy when it is
-importable and silently falls back to pure Python otherwise, so a plain
-``pip install`` without numpy keeps the full test suite green.
+picks numpy when it is importable and falls back to pure Python
+otherwise, so a plain ``pip install`` without numpy keeps the full test
+suite green.  Small inputs take the python loops inside the numpy
+backend itself (``npbackend.SMALL_INPUT_THRESHOLD``,
+``fdtree.SMALL_LEVEL_THRESHOLD``).  :func:`set_backend` pins one
+backend in-process; tests and micro-benchmarks use it to run both.
 
 Both backends honour the same determinism contract (docs/KERNELS.md):
 identical CSR bytes for every partition, the identical violating row
@@ -33,19 +34,16 @@ backend name.
 
 from __future__ import annotations
 
-import os
 from types import ModuleType
 
 from repro.runtime.errors import InputError
 
 __all__ = [
-    "BACKEND_CHOICES",
     "active",
     "backend_name",
     "bump",
     "counters_delta",
     "counters_snapshot",
-    "ensure_backend",
     "numpy_available",
     "numpy_module",
     "record",
@@ -54,9 +52,9 @@ __all__ = [
     "set_backend",
 ]
 
-BACKEND_CHOICES = ("python", "numpy", "auto")
+_BACKENDS = ("python", "numpy")
 
-# Programmatic override (set_backend); None means "consult REPRO_KERNEL".
+# Programmatic override (set_backend); None means "numpy when importable".
 _requested: str | None = None
 # Resolved backend module + name; None until the first kernel dispatch.
 _active: ModuleType | None = None
@@ -88,31 +86,17 @@ def numpy_module():
     return numpy
 
 
-def _requested_name() -> str:
-    if _requested is not None:
-        return _requested
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if not raw:
-        return "auto"
-    if raw not in BACKEND_CHOICES:
-        raise InputError(
-            f"REPRO_KERNEL={raw!r} is not a valid kernel backend; "
-            f"choose one of {', '.join(BACKEND_CHOICES)}"
-        )
-    return raw
-
-
 def _resolve() -> None:
     global _active, _active_name
-    name = _requested_name()
-    if name == "auto":
+    name = _requested
+    if name is None:
         name = "numpy" if numpy_available() else "python"
     if name == "numpy":
         if not numpy_available():
             raise InputError(
                 "kernel backend 'numpy' requested but numpy is not "
                 "importable; install the [perf] extra "
-                "(pip install -e .[perf]) or use --kernel python"
+                "(pip install -e .[perf])"
             )
         from repro.kernels import npbackend as module
     else:
@@ -136,36 +120,22 @@ def backend_name() -> str:
 
 
 def set_backend(name: str | None) -> None:
-    """Select the kernel backend programmatically.
+    """Pin the kernel backend in-process (tests, micro-benchmarks).
 
-    ``name`` is one of ``python`` / ``numpy`` / ``auto``, or ``None`` to
-    drop the override and fall back to ``REPRO_KERNEL``.  Resolution is
-    re-done lazily, so selecting ``numpy`` on an install without numpy
-    only fails once a kernel is actually needed (or eagerly via
-    :func:`backend_name`).
+    ``name`` is ``python`` or ``numpy``, or ``None`` to drop the pin and
+    pick numpy when it is importable.  Resolution is re-done lazily, so
+    pinning ``numpy`` on an install without numpy only fails once a
+    kernel is actually needed (or eagerly via :func:`backend_name`).
     """
     global _requested, _active, _active_name
-    if name is not None:
-        name = name.strip().lower()
-        if name not in BACKEND_CHOICES:
-            raise InputError(
-                f"unknown kernel backend {name!r}; "
-                f"choose one of {', '.join(BACKEND_CHOICES)}"
-            )
+    if name is not None and name not in _BACKENDS:
+        raise InputError(
+            f"unknown kernel backend {name!r}; "
+            f"choose one of {', '.join(_BACKENDS)}"
+        )
     _requested = name
     _active = None
     _active_name = None
-
-
-def ensure_backend(name: str) -> None:
-    """Pin this process to an already-resolved backend name.
-
-    Pool workers call this per task batch with the parent's resolved
-    backend so spawned (non-fork) workers never re-resolve ``auto``
-    differently from the parent.  A no-op when already matching.
-    """
-    if name != backend_name():
-        set_backend(name)
 
 
 # ----------------------------------------------------------------------

@@ -400,16 +400,12 @@ def _worker_main(
     heartbeats,
     fault_flag,
 ) -> None:
-    """Worker loop: pull ``(epoch, index, kind, payload, budget, kernel,
-    fault)`` from this worker's private queue.
+    """Worker loop: pull ``(epoch, index, kind, payload, budget, fault)``
+    from this worker's private queue.
 
-    ``kernel`` is the parent's *resolved* kernel backend name; pinning
-    it per task keeps spawned (non-fork) workers from re-resolving
-    ``auto`` differently from the parent, so shard results stay
-    byte-identical to serial runs under either backend.  ``fault`` is
-    the optional worker-level fault descriptor (mode/at_tick/stage); it
-    is armed with the shared once-only flag so exactly one worker per
-    plan actually misbehaves.
+    ``fault`` is the optional worker-level fault descriptor
+    (mode/at_tick/stage); it is armed with the shared once-only flag so
+    exactly one worker per plan actually misbehaves.
 
     Results go back as ``(worker_id, epoch, index, status, value)``
     frames over this worker's private result pipe; the heartbeat slot
@@ -417,19 +413,17 @@ def _worker_main(
     at every probe).
     """
     _reset_worker_state()
-    from repro import kernels
     from repro.parallel.tasks import TASK_HANDLERS, worker_attach_seconds
 
     while True:
         item = tasks_queue.get()
         if item is None:
             break
-        epoch, index, kind, payload, budget_snapshot, kernel, fault = item
+        epoch, index, kind, payload, budget_snapshot, fault = item
         heartbeats[worker_id] = time.monotonic()
         if epoch < epoch_value.value or cancel_flag.is_set():
             _post_result(result_writer, (worker_id, epoch, index, "cancelled", None))
             continue
-        kernels.ensure_backend(kernel)
         governor = _budget_from_snapshot(
             budget_snapshot, cancel_flag, heartbeats, worker_id
         )
@@ -586,10 +580,8 @@ class WorkerPool:
             self._reap_dead()
             return
         from repro.parallel.shm import reap_orphan_segments
-        from repro.structures.storage import reap_orphan_spill_dirs
 
         reap_orphan_segments()
-        reap_orphan_spill_dirs()
         self._cancel = _RawFlag(self._ctx)
         # Raw (lock-free) on purpose: the parent is the only writer and
         # a synchronized Value's lock could be stranded by worker death.
@@ -673,13 +665,10 @@ class WorkerPool:
         self._epoch_value.value = epoch
         self._cancel.clear()
 
-        from repro import kernels
-
         governor = current_governor()
         snapshot = _governor_snapshot(governor)
         plan = governor.fault_plan if governor is not None else None
         fault = self._worker_fault_descriptor(plan)
-        kernel = kernels.backend_name()
 
         self.stats.batches += 1
         self.stats.tasks_dispatched += len(payloads)
@@ -694,7 +683,6 @@ class WorkerPool:
                 kind,
                 payloads[index],
                 snapshot,
-                kernel,
                 fault,
             )
 
@@ -970,23 +958,17 @@ def shutdown_pool() -> None:
     """Close the shared pool (idempotent; registered atexit).
 
     Also releases any shared-memory segments this process still owns
-    and reaps segments *and spill directories* orphaned by dead
-    processes, so a full teardown leaves ``/dev/shm`` and the spill
-    base directory clean.  This process's own spill directory is *not*
-    released here — live spilled encodings may outlast the pool; the
-    storage module's ``atexit`` hook and the CLI signal boundary cover
-    it.
+    and reaps segments orphaned by dead processes, so a full teardown
+    leaves ``/dev/shm`` clean.
     """
     global _POOL
     if _POOL is not None:
         _POOL.close()
         _POOL = None
     from repro.parallel.shm import reap_orphan_segments, release_owned_segments
-    from repro.structures.storage import reap_orphan_spill_dirs
 
     release_owned_segments()
     reap_orphan_segments()
-    reap_orphan_spill_dirs()
 
 
 def pool_stats() -> PoolStats | None:

@@ -47,7 +47,6 @@ from array import array
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
-from repro.structures import storage
 from repro.structures.encoding import EncodedRelation
 
 __all__ = [
@@ -216,23 +215,16 @@ class SharedRelation:
         self.close()
 
 
-def export_encoding(encoding: EncodedRelation):
-    """Export an encoding's code vectors for worker attachment.
+def export_encoding(encoding: EncodedRelation) -> SharedRelation:
+    """Copy an encoding's code vectors into a fresh shared segment.
 
-    Memory-resident encodings are copied into a fresh shared segment:
-    column ``a`` occupies the half-open int32 range
+    Column ``a`` occupies the half-open int32 range
     ``[a * num_rows, (a + 1) * num_rows)``, and that one memcpy per
     column is the only copy the parallel backend ever makes of row
-    data.  *Spilled* encodings need no copy at all — their columns are
-    already files every worker can map, so the export is just a
-    :class:`~repro.structures.storage.FileHandle` wrapped in a
-    zero-cost :class:`~repro.structures.storage.SpilledRelation`.
+    data.
     """
     import time
 
-    store = getattr(encoding, "store", None)
-    if store is not None:
-        return storage.SpilledRelation(store.handle(encoding))
     started = time.perf_counter()
     num_rows = encoding.num_rows
     arity = encoding.arity
@@ -255,14 +247,11 @@ def export_encoding(encoding: EncodedRelation):
     return SharedRelation(handle, shm, time.perf_counter() - started)
 
 
-def attach_encoding(handle):
+def attach_encoding(handle: ShmHandle):
     """Worker-side: map the exported columns as an ``EncodedRelation``.
 
-    Dispatches on the handle kind: a
-    :class:`~repro.structures.storage.FileHandle` maps the spill
-    tier's column files, a :class:`ShmHandle` maps the shared segment.
-    Either way the returned encoding's ``codes`` are zero-copy
-    ``memoryview`` casts into the mapping; every consumer
+    The returned encoding's ``codes`` are zero-copy ``memoryview``
+    casts into the shared segment; every consumer
     (``PLICache``, ``StrippedPartition.from_value_ids`` /
     ``intersect_ids``, ``agree_set``) only indexes and iterates them,
     which memoryviews support.  The caller must keep the returned
@@ -270,8 +259,6 @@ def attach_encoding(handle):
     ``close()`` it when done (the pool's per-worker attachment cache
     handles both).
     """
-    if isinstance(handle, storage.FileHandle):
-        return storage.attach_file_handle(handle)
     shm = shared_memory.SharedMemory(name=handle.segment)
     num_rows = handle.num_rows
     codes: list = []

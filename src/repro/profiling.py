@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro import kernels
-from repro.structures import storage
 from repro.discovery.base import FDAlgorithm, resolve_fd_algorithm
 from repro.discovery.ind import IND, discover_unary_inds
 from repro.discovery.ucc import resolve_ucc_algorithm
@@ -153,7 +152,6 @@ def profile(
     timings: dict[str, float] = {}
     counters: dict[str, int | str] = {}
     kernel_mark = kernels.counters_snapshot()
-    storage_mark = storage.counters_snapshot()
 
     started = time.perf_counter()
     columns = _column_stats(instance)
@@ -185,11 +183,7 @@ def profile(
     _collect_cache_counters(counters, "ucc_", ucc)
 
     counters["kernel_backend"] = kernels.backend_name()
-    counters["storage_policy"] = storage.policy_name()
-    counters["storage_tier"] = _storage_tier(instance)
     counters.update(kernels.counters_delta(kernel_mark))
-    counters.update(storage.counters_delta(storage_mark))
-    _collect_spill_stats(counters, instance)
 
     return DataProfile(
         relation=instance.name,
@@ -202,42 +196,6 @@ def profile(
         counters=counters,
         approx_bounds=approx_bounds,
     )
-
-
-def _storage_tier(instance: RelationInstance) -> str:
-    """The residency tier of the relation's cached encodings.
-
-    All columns of one encoding share a store, so this is also the
-    per-column tier; ``"memory"`` when nothing was encoded (or nothing
-    spilled), ``"spill"`` when any cached encoding lives on disk.
-    """
-    tiers = {
-        getattr(encoding, "tier", "memory")
-        for _, encoding in instance._encodings.values()
-    }
-    return "spill" if "spill" in tiers else "memory"
-
-
-def _collect_spill_stats(
-    counters: dict[str, object], instance: RelationInstance
-) -> None:
-    """Fold the relation's own store counters into the profile.
-
-    The process-global delta only covers spilling that happened *during*
-    profiling; columns spilled at ingest time (the common case) are
-    accounted by their :class:`~repro.structures.storage.ColumnStore`'s
-    lifetime ``stats``, which travel with the encoding.
-    """
-    totals: dict[str, int] = {}
-    for _, encoding in instance._encodings.values():
-        store = getattr(encoding, "store", None)
-        stats = getattr(store, "stats", None)
-        if stats:
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-    for key, value in totals.items():
-        if value > int(counters.get(key, 0) or 0):
-            counters[key] = value
 
 
 def _collect_cache_counters(counters: dict[str, int], prefix: str, algorithm) -> None:

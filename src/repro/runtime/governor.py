@@ -116,7 +116,6 @@ class Governor:
         "deadline_at",
         "ticks",
         "candidates",
-        "spills",
         "breach",
         "_clock",
         "_next_probe",
@@ -140,7 +139,6 @@ class Governor:
         )
         self.ticks = 0
         self.candidates = 0
-        self.spills = 0
         self.breach: BudgetExceeded | None = None
         self._next_probe = self.budget.check_interval
         self._suspended = 0
@@ -243,7 +241,6 @@ class Governor:
         """Fold a sub-governor's counters back into this one."""
         self.ticks += sub.ticks
         self.candidates = max(self.candidates, sub.candidates)
-        self.spills += sub.spills
 
 
 # ----------------------------------------------------------------------
@@ -271,19 +268,6 @@ def add_candidates(count: int, stage: str = "") -> None:
     governor = _ACTIVE
     if governor is not None:
         governor.add_candidates(count, stage)
-
-
-def note_spill() -> None:
-    """Record that an encoding spilled to disk under memory pressure.
-
-    Called by :class:`repro.structures.storage.ColumnStore` when a
-    store is opened, so a governed run's fidelity/profile output can
-    report how many relations the spill tier absorbed instead of the
-    memory probe tripping a breach.
-    """
-    governor = _ACTIVE
-    if governor is not None:
-        governor.spills += 1
 
 
 @contextmanager

@@ -571,9 +571,6 @@ class ReproServer:
     def _release_resources() -> None:
         shutdown_pool()
         release_owned_segments()
-        from repro.structures.storage import release_process_spill
-
-        release_process_spill()
 
     async def run_until_shutdown(self, ready: asyncio.Event | None = None) -> None:
         """start() → announce → sweep idle sessions → drain on signal."""

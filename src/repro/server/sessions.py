@@ -60,8 +60,6 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from contextlib import ExitStack
-
 from repro.incremental.changes import ChangeBatch
 from repro.incremental.engine import BatchOutcome, IncrementalNormalizer
 from repro.incremental.journal import resume_engine
@@ -69,7 +67,6 @@ from repro.io.csv_io import read_csv
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import CheckpointError, InputError
 from repro.runtime.governor import Budget, parse_duration, parse_memory
-from repro.structures import storage
 
 __all__ = [
     "Session",
@@ -122,9 +119,6 @@ class SessionOptions:
     deadline: str | None = None
     memory_limit: str | None = None
     max_candidates: int | None = None
-    #: column-store residency policy for this session's encodings;
-    #: ``None`` inherits the daemon-wide policy (--storage / env)
-    storage: str | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("hyfd", "tane", "dfd", "bruteforce"):
@@ -138,11 +132,6 @@ class SessionOptions:
             raise InputError(f"unknown closure algorithm {self.closure!r}")
         if self.csv_errors not in ("strict", "pad", "skip"):
             raise InputError(f"unknown csv_errors policy {self.csv_errors!r}")
-        if self.storage is not None and self.storage not in storage.POLICY_CHOICES:
-            raise InputError(
-                f"unknown storage policy {self.storage!r}; choose from "
-                f"{storage.POLICY_CHOICES}"
-            )
         # Parse eagerly so a bad budget string is a 400 at session
         # creation, not a surprise inside the first governed batch.
         self.budget()
@@ -184,7 +173,6 @@ class SessionOptions:
             "deadline": self.deadline,
             "memory_limit": self.memory_limit,
             "max_candidates": self.max_candidates,
-            "storage": self.storage,
         }
 
     @classmethod
@@ -197,7 +185,7 @@ class SessionOptions:
         """Build options from query parameters (all strings)."""
         kwargs: dict = {}
         for key in ("algorithm", "target", "closure", "delimiter",
-                    "deadline", "memory_limit", "csv_errors", "storage"):
+                    "deadline", "memory_limit", "csv_errors"):
             value = params.get(key)
             if value:
                 kwargs[key] = value
@@ -481,19 +469,18 @@ class SessionRegistry:
             journal_path = directory / _JOURNAL_FILE
 
         try:
-            with self._session_storage(directory, options):
-                instance = read_csv(
-                    source_path if source_path is not None else csv_source,
-                    name=relation_name,
-                    delimiter=options.delimiter,
-                    has_header=options.has_header,
-                    on_error=options.csv_errors,
-                )
-                engine = IncrementalNormalizer(
-                    instance,
-                    journal_path=journal_path,
-                    **options.engine_kwargs(),
-                )
+            instance = read_csv(
+                source_path if source_path is not None else csv_source,
+                name=relation_name,
+                delimiter=options.delimiter,
+                has_header=options.has_header,
+                on_error=options.csv_errors,
+            )
+            engine = IncrementalNormalizer(
+                instance,
+                journal_path=journal_path,
+                **options.engine_kwargs(),
+            )
         except BaseException:
             # The dataset was moved in but the session never came to
             # exist (bad CSV, budget breach, ...); leave no half-made
@@ -519,25 +506,6 @@ class SessionRegistry:
         self._register(session)
         self.counters["sessions_created"] += 1
         return session
-
-    @staticmethod
-    def _session_storage(
-        directory: Path | None, options: SessionOptions
-    ) -> ExitStack:
-        """The storage context for one session's heavy work.
-
-        Applies the session's residency policy override (if any) and —
-        for persisted sessions — routes spill pages into the session's
-        own ``spill/`` subdirectory so ``DELETE`` and daemon restarts
-        reclaim them with the directory.
-        """
-        stack = ExitStack()
-        stack.enter_context(storage.policy_override(options.storage))
-        if directory is not None:
-            stack.enter_context(
-                storage.spill_dir_override(directory / "spill")
-            )
-        return stack
 
     # ------------------------------------------------------------------
     # Revival (runs in a worker thread — restores without rediscovery)
@@ -573,34 +541,30 @@ class SessionRegistry:
         journal_path = directory / _JOURNAL_FILE
 
         resumed = False
-        with self._session_storage(directory, options):
-            # The dataset is parsed off its on-disk path (not slurped
-            # into bytes first); under a spill policy the revived
-            # encodings land back in this session's spill/ directory.
-            source = read_csv(
-                directory / _DATASET_FILE,
-                name=relation_name,
-                delimiter=options.delimiter,
-                has_header=options.has_header,
-                on_error=options.csv_errors,
+        source = read_csv(
+            directory / _DATASET_FILE,
+            name=relation_name,
+            delimiter=options.delimiter,
+            has_header=options.has_header,
+            on_error=options.csv_errors,
+        )
+        if journal_path.exists():
+            engine = resume_engine(
+                [source],
+                batches,
+                journal_path,
+                **options.engine_kwargs(),
             )
-            if journal_path.exists():
-                engine = resume_engine(
-                    [source],
-                    batches,
-                    journal_path,
-                    **options.engine_kwargs(),
-                )
-                self.counters["journal_hits"] += 1
-                resumed = True
-            else:
-                # The process died before the first journal write (or the
-                # journal was lost); discovery is unavoidable exactly once.
-                engine = IncrementalNormalizer(
-                    source, journal_path=journal_path, **options.engine_kwargs()
-                )
-                self.counters["journal_misses"] += 1
-                self.counters["discovery_runs"] += 1
+            self.counters["journal_hits"] += 1
+            resumed = True
+        else:
+            # The process died before the first journal write (or the
+            # journal was lost); discovery is unavoidable exactly once.
+            engine = IncrementalNormalizer(
+                source, journal_path=journal_path, **options.engine_kwargs()
+            )
+            self.counters["journal_misses"] += 1
+            self.counters["discovery_runs"] += 1
 
         session = Session(
             tenant,
@@ -621,15 +585,14 @@ class SessionRegistry:
             session.migration_log = []
 
         # Converge: apply the changelog tail the journal never saw.
-        with self._session_storage(directory, options):
-            for batch in batches[engine.applied_batches:]:
-                outcome = engine.apply_batch(batch)
-                if outcome.schema_changed:
-                    session.migration_log.append(
-                        f"-- batch {outcome.batch_index} "
-                        f"({outcome.relation})\n" + outcome.migration.to_sql()
-                    )
-                self.counters["batches_applied"] += 1
+        for batch in batches[engine.applied_batches:]:
+            outcome = engine.apply_batch(batch)
+            if outcome.schema_changed:
+                session.migration_log.append(
+                    f"-- batch {outcome.batch_index} "
+                    f"({outcome.relation})\n" + outcome.migration.to_sql()
+                )
+            self.counters["batches_applied"] += 1
         session._write_migrations()
 
         self._register(session)
@@ -655,8 +618,7 @@ class SessionRegistry:
 
         applied_before = session.engine.applied_batches
         try:
-            with self._session_storage(session.directory, session.options):
-                outcome = session.apply_batch(batch)
+            outcome = session.apply_batch(batch)
         except BudgetExceeded:
             session.rollback_changelog(applied_before)
             self.discard(session)

@@ -20,16 +20,10 @@ Encoding rules (identical to the classic ``column_value_ids`` helper):
 The module deliberately imports nothing from :mod:`repro.model` so the
 model layer can depend on it without cycles.
 
-Where the code vectors *live* is delegated to
-:mod:`repro.structures.storage`: under the ``memory`` policy they are
-plain ``array('i')`` buffers exactly as before; under ``spill`` (or
-``auto`` past the memory-budget threshold) they are ``memoryview``
-casts over mmapped per-column files owned by a
-:class:`~repro.structures.storage.ColumnStore`.  Both satisfy the same
-buffer/sequence protocol, so every consumer below this line is
-tier-oblivious.  :class:`ChunkedEncoder` is the streaming construction
-path: callers feed row chunks, finished code pages go straight to the
-backing store, and per-column *decode tables* (id → value) let
+The code vectors are in-heap ``array('i')`` buffers.
+:class:`ChunkedEncoder` is the streaming construction path: callers
+feed row chunks, codes are appended to the column buffers, and
+per-column *decode tables* (id → value) let
 :class:`~repro.model.instance.RelationInstance` expose the raw values
 lazily via :class:`DecodedColumn` without ever holding the source rows
 whole in the heap.
@@ -52,7 +46,6 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro import kernels
-from repro.structures import storage
 
 __all__ = [
     "ChunkedEncoder",
@@ -125,7 +118,6 @@ class EncodedRelation:
         "arity",
         "null_equals_null",
         "value_ids",
-        "store",
     )
 
     def __init__(
@@ -136,7 +128,6 @@ class EncodedRelation:
         num_rows: int,
         null_equals_null: bool,
         value_ids: list[dict[Any, int]] | None = None,
-        store: storage.ColumnStore | None = None,
     ) -> None:
         self.codes = codes
         self.cardinalities = cardinalities
@@ -145,30 +136,13 @@ class EncodedRelation:
         self.arity = len(codes)
         self.null_equals_null = null_equals_null
         self.value_ids = value_ids
-        self.store = store
-
-    @property
-    def tier(self) -> str:
-        """Where the code vectors live: ``"memory"`` or ``"spill"``."""
-        return "spill" if self.store is not None else "memory"
 
     @classmethod
     def encode(
         cls, columns_data: Sequence[Sequence[Any]], null_equals_null: bool = True
     ) -> "EncodedRelation":
-        """Encode every column of a column-major table.
-
-        The storage policy decides where the resulting code vectors
-        live: in-heap ``array('i')`` buffers, or — when the projected
-        ``4 * rows * arity`` footprint would breach the spill threshold
-        (or the policy is ``spill`` outright) — page files under a
-        :class:`~repro.structures.storage.ColumnStore`, encoded one
-        page at a time so the staging heap stays O(page) per column.
-        """
+        """Encode every column of a column-major table."""
         num_rows = len(columns_data[0]) if columns_data else 0
-        arity = len(columns_data)
-        if arity and storage.resolve_tier(4 * num_rows * arity) == "spill":
-            return cls._encode_spilled(columns_data, null_equals_null, num_rows)
         codes: list[array] = []
         cardinalities: list[int] = []
         null_codes: list[int | None] = []
@@ -183,62 +157,6 @@ class EncodedRelation:
             value_ids.append(ids)
         return cls(
             codes, cardinalities, null_codes, num_rows, null_equals_null, value_ids
-        )
-
-    @classmethod
-    def _encode_spilled(
-        cls,
-        columns_data: Sequence[Sequence[Any]],
-        null_equals_null: bool,
-        num_rows: int,
-    ) -> "EncodedRelation":
-        """Encode straight into a spill store, one page at a time."""
-        store = storage.ColumnStore(len(columns_data))
-        cardinalities: list[int] = []
-        null_codes: list[int | None] = []
-        value_ids: list[dict[Any, int]] = []
-        page_rows = storage.PAGE_ROWS
-        for attr, column in enumerate(columns_data):
-            ids: dict[Any, int] = {}
-            next_id = 0
-            null_code: int | None = None
-            page = array("i")
-            for value in column:
-                if value is None:
-                    if null_equals_null:
-                        if null_code is None:
-                            null_code = next_id
-                            next_id += 1
-                        page.append(null_code)
-                    else:
-                        page.append(next_id)
-                        next_id += 1
-                else:
-                    assigned = ids.get(value)
-                    if assigned is None:
-                        assigned = next_id
-                        ids[value] = assigned
-                        next_id += 1
-                    page.append(assigned)
-                if len(page) >= page_rows:
-                    storage.note_buffered(len(page))
-                    store.append_page(attr, page)
-                    page = array("i")
-            if len(page):
-                storage.note_buffered(len(page))
-                store.append_page(attr, page)
-            cardinalities.append(next_id)
-            null_codes.append(null_code)
-            value_ids.append(ids)
-        store.finalize(num_rows)
-        return cls(
-            store.views(),
-            cardinalities,
-            null_codes,
-            num_rows,
-            null_equals_null,
-            value_ids,
-            store=store,
         )
 
     # ------------------------------------------------------------------
@@ -263,12 +181,9 @@ class EncodedRelation:
                 f"expected {self.arity} columns, got {len(new_columns)}"
             )
         delta = len(new_columns[0]) if new_columns else 0
-        if self.store is not None:
-            self._extend_spilled(new_columns, delta)
-            return
+        if any(len(column) != delta for column in new_columns):
+            raise ValueError("ragged appended columns")
         for attr, column in enumerate(new_columns):
-            if len(column) != delta:
-                raise ValueError("ragged appended columns")
             codes = self.codes[attr]
             ids = self.value_ids[attr]
             next_id = self.cardinalities[attr]
@@ -294,47 +209,6 @@ class EncodedRelation:
             self.null_codes[attr] = null_code
         self.num_rows += delta
 
-    def _extend_spilled(
-        self, new_columns: Sequence[Sequence[Any]], delta: int
-    ) -> None:
-        """Append rows to store-backed columns (page append + remap).
-
-        Lengths are validated *before* any file write so a ragged batch
-        cannot leave the store's columns at different lengths.
-        """
-        for column in new_columns:
-            if len(column) != delta:
-                raise ValueError("ragged appended columns")
-        for attr, column in enumerate(new_columns):
-            ids = self.value_ids[attr]
-            next_id = self.cardinalities[attr]
-            null_code = self.null_codes[attr]
-            page = array("i")
-            for value in column:
-                if value is None:
-                    if self.null_equals_null:
-                        if null_code is None:
-                            null_code = next_id
-                            next_id += 1
-                        page.append(null_code)
-                    else:
-                        page.append(next_id)
-                        next_id += 1
-                    continue
-                assigned = ids.get(value)
-                if assigned is None:
-                    assigned = next_id
-                    ids[value] = assigned
-                    next_id += 1
-                page.append(assigned)
-            storage.note_buffered(len(page))
-            self.store.append_column(attr, page)
-            self.cardinalities[attr] = next_id
-            self.null_codes[attr] = null_code
-        self.num_rows += delta
-        self.store.remap(self.num_rows)
-        self.codes = self.store.views()
-
     def remove_rows(self, positions: Sequence[int]) -> None:
         """Compact the code vectors, dropping the given row positions.
 
@@ -348,14 +222,6 @@ class EncodedRelation:
         if any(pos < 0 or pos >= self.num_rows for pos in doomed):
             raise ValueError("row position out of range")
         keep = [row for row in range(self.num_rows) if row not in doomed]
-        if self.store is not None:
-            compacted = [
-                array("i", (codes[row] for row in keep)) for codes in self.codes
-            ]
-            self.store.rewrite_all(compacted, len(keep))
-            self.codes = self.store.views()
-            self.num_rows = len(keep)
-            return
         for attr, codes in enumerate(self.codes):
             self.codes[attr] = array("i", (codes[row] for row in keep))
         self.num_rows = len(keep)
@@ -402,8 +268,7 @@ class EncodedRelation:
 class DecodedColumn(Sequence):
     """A lazily-decoded view of one encoded column.
 
-    Backed by the column's code vector (possibly an mmapped spill page)
-    and its decode table (``table[code]`` is the original value, ``None``
+    Backed by the column's code vector and its decode table (``table[code]`` is the original value, ``None``
     for NULL codes).  Supports exactly what the read paths of
     :class:`~repro.model.instance.RelationInstance` need — ``len``,
     indexing, iteration — so a chunk-ingested instance never needs the
@@ -443,17 +308,9 @@ class ChunkedEncoder:
 
     Callers feed row-major chunks via :meth:`add_rows`; each value runs
     through the same append-only dictionary progression as
-    :func:`_encode_column_state` (parity by construction), codes land in
-    per-column staging buffers, and — once a backing store is active —
-    full pages are flushed to disk so the staging heap stays bounded by
-    the chunk size, never the dataset.
-
-    Tier behavior follows the storage policy captured at construction:
-    ``spill`` opens a :class:`~repro.structures.storage.ColumnStore`
-    up front; ``auto`` starts buffering in-process and converts to a
-    store the moment the accumulated encoded footprint crosses the
-    spill threshold (the row count is unknown mid-stream, so the
-    *observed* footprint is the trigger); ``memory`` never spills.
+    :func:`_encode_column_state` (parity by construction) and its code
+    is appended to the column's buffer.  The buffers *are* the finished
+    columns: :meth:`finish` hands them over without a copy.
 
     Per-column decode tables (id → value) are maintained alongside so
     :meth:`~repro.model.instance.RelationInstance.from_encoded` can
@@ -469,9 +326,6 @@ class ChunkedEncoder:
         "_null_codes",
         "_buffers",
         "_tables",
-        "_store",
-        "_auto",
-        "_threshold",
         "_finished",
     )
 
@@ -484,13 +338,7 @@ class ChunkedEncoder:
         self._null_codes: list[int | None] = [None] * arity
         self._buffers = [array("i") for _ in range(arity)]
         self._tables: list[list] = [[] for _ in range(arity)]
-        self._store: storage.ColumnStore | None = None
         self._finished = False
-        policy = storage.policy_name()
-        self._auto = policy == "auto"
-        self._threshold = storage.spill_threshold_bytes() if self._auto else 0
-        if policy == "spill" and arity:
-            self._store = storage.ColumnStore(arity)
 
     def add_rows(self, rows: Sequence[Sequence[Any]]) -> None:
         """Encode one chunk of rows (each row ``arity`` values wide).
@@ -523,51 +371,19 @@ class ChunkedEncoder:
                 append(code)
             self._next_ids[attr] = next_id
         self.num_rows += len(rows)
-        self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if not self.arity or (self._store is None and not self._auto):
-            # memory policy: the buffers are the final columns, not staging
-            return
-        buffered_rows = len(self._buffers[0])
-        storage.note_buffered(buffered_rows * self.arity)
-        if self._store is None:
-            footprint = 4 * self.num_rows * self.arity
-            if footprint < self._threshold:
-                return
-            # Crossed the budget-derived threshold mid-stream: convert
-            # to the spill tier and evacuate everything staged so far.
-            self._store = storage.ColumnStore(self.arity)
-            self._flush_buffers()
-            return
-        if buffered_rows >= storage.PAGE_ROWS:
-            self._flush_buffers()
-
-    def _flush_buffers(self) -> None:
-        for attr, buffer in enumerate(self._buffers):
-            if len(buffer):
-                self._store.append_page(attr, buffer)
-        self._buffers = [array("i") for _ in range(self.arity)]
 
     def finish(self) -> EncodedRelation:
         """Seal the stream and hand back the finished encoding."""
         if self._finished:
             raise ValueError("ChunkedEncoder.finish() called twice")
         self._finished = True
-        if self._store is not None:
-            self._flush_buffers()
-            self._store.finalize(self.num_rows)
-            codes = self._store.views()
-        else:
-            codes = self._buffers
         return EncodedRelation(
-            codes,
+            self._buffers,
             self._next_ids,
             self._null_codes,
             self.num_rows,
             self.null_equals_null,
             value_ids=self._ids,
-            store=self._store,
         )
 
     def decode_tables(self) -> list[list]:

@@ -22,8 +22,8 @@ implemented here: every operation dispatches through the
 :mod:`repro.kernels` backend layer, which provides an interpreted
 pure-Python implementation (always available, the reference) and a
 vectorized numpy implementation (optional ``[perf]`` extra).  Both
-produce byte-identical CSR output; selection is via ``--kernel`` /
-``REPRO_KERNEL`` (see docs/KERNELS.md).
+produce byte-identical CSR output; numpy is used whenever it is
+importable (see docs/KERNELS.md).
 
 NULL handling is configurable: with ``null_equals_null=True`` (the
 Metanome/paper default) all NULLs land in one cluster; otherwise each
@@ -398,10 +398,6 @@ class PLICache:
             else self.instance.encoded(self.null_equals_null),
             singles,
         )
-
-    def invalidate(self) -> None:
-        """Drop cached partitions and re-derive from the instance data."""
-        self.refresh()
 
     @property
     def encoding(self):

@@ -555,29 +555,11 @@ def build_verify_parser() -> argparse.ArgumentParser:
         default=10,
         help="batches per seed for --incremental (default: 10)",
     )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("python", "numpy", "auto"),
-        help="kernel backend for the partition/agree-set hot paths "
-        "(default: $REPRO_KERNEL or auto); the campaign's oracles and "
-        "subjects all run under the selected backend",
-    )
     return parser
 
 
 def main_verify(argv: Sequence[str] | None = None) -> int:
     args = build_verify_parser().parse_args(argv)
-    if args.kernel is not None:
-        from repro import kernels
-        from repro.runtime.errors import InputError
-
-        try:
-            kernels.set_backend(args.kernel)
-            kernels.backend_name()  # resolve eagerly; fail at the boundary
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     progress = None
     if not args.quiet:
         progress = lambda msg: print(f"  {msg}", end="\r", flush=True)  # noqa: E731

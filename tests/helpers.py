@@ -5,9 +5,16 @@ from __future__ import annotations
 from repro.model.attributes import iter_bits
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
+from repro.structures.encoding import EncodedRelation
 from repro.structures.partitions import column_value_ids
 
-__all__ = ["canon_fds", "fd_holds", "is_minimal_fd", "semantic_closure_of_set"]
+__all__ = [
+    "assert_encodings_identical",
+    "canon_fds",
+    "fd_holds",
+    "is_minimal_fd",
+    "semantic_closure_of_set",
+]
 
 
 def fd_holds(
@@ -72,3 +79,14 @@ def semantic_closure_of_set(
         if fd_holds(instance, lhs, bit, null_equals_null):
             closure |= bit
     return closure
+
+
+def assert_encodings_identical(left: EncodedRelation, right: EncodedRelation) -> None:
+    """Codes, cardinalities, NULL codes and shape all equal."""
+    assert [list(column) for column in left.codes] == [
+        list(column) for column in right.codes
+    ]
+    assert left.cardinalities == right.cardinalities
+    assert left.null_codes == right.null_codes
+    assert left.num_rows == right.num_rows
+    assert left.null_equals_null == right.null_equals_null

@@ -30,6 +30,25 @@ class TestParser:
         args = build_parser().parse_args(["a.csv", "b.csv"])
         assert args.files == ["a.csv", "b.csv"]
 
+    @pytest.mark.parametrize("flag", ["--kernel", "--storage"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["data.csv"],
+            ["apply-batch", "data.csv", "--changes", "c.json"],
+            ["watch", "data.csv", "--changes", "c.json"],
+            ["serve"],
+            ["submit"],
+            ["verify"],
+        ],
+        ids=["normalize", "apply-batch", "watch", "serve", "submit", "verify"],
+    )
+    def test_selector_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, "python"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestMain:
     def test_normalizes_and_prints_schema(self, address_csv, capsys):

@@ -1,10 +1,9 @@
-"""Tests for the schema-recovery metrics, timing, and table rendering."""
+"""Tests for the schema-recovery metrics and table rendering."""
 
 import pytest
 
 from repro.evaluation.metrics import GoldRelation, evaluate_schema_recovery
 from repro.evaluation.reporting import format_table
-from repro.evaluation.timing import Stopwatch
 from repro.model.schema import ForeignKey, Relation, Schema
 
 
@@ -107,20 +106,6 @@ class TestImperfectRecovery:
         assert report.pair_precision == 1.0
         assert report.pair_recall == 1.0
         assert report.mean_jaccard == 1.0
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch.lap("x"):
-            pass
-        with watch.lap("x"):
-            pass
-        assert watch.seconds("x") >= 0.0
-        assert set(watch.as_dict()) == {"x"}
-
-    def test_unknown_lap_is_zero(self):
-        assert Stopwatch().seconds("nope") == 0.0
 
 
 class TestFormatTable:

@@ -1,7 +1,10 @@
 """Tests for CSV I/O, bundled datasets, and DDL export."""
 
+import csv
+
 import pytest
 
+from repro.io import csv_io
 from repro.io.csv_io import read_csv, write_csv
 from repro.io.datasets import (
     address_example,
@@ -11,6 +14,7 @@ from repro.io.datasets import (
 from repro.io.ddl import schema_to_ddl
 from repro.model.instance import RelationInstance
 from repro.model.schema import ForeignKey, Relation, Schema
+from tests.helpers import assert_encodings_identical
 
 
 class TestCsvRoundTrip:
@@ -66,6 +70,34 @@ class TestCsvRoundTrip:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match="empty"):
             read_csv(path)
+
+
+class TestChunkedIngest:
+    def test_streaming_read_csv_matches_classic(self, tmp_path, monkeypatch):
+        base = denormalized_university()
+        columns = [list(column) for column in base.columns_data]
+        columns[1][2] = columns[1][5] = columns[4][0] = None
+        path = tmp_path / "u.csv"
+        write_csv(RelationInstance(base.relation, columns), path)
+        # Oracle independent of the chunked encoder: parse every row up
+        # front, then build the instance from one tuple per row.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header, *rows = csv.reader(handle)
+        classic = RelationInstance.from_rows(
+            Relation(path.stem, tuple(header)),
+            [tuple(value or None for value in row) for row in rows],
+        )
+        # Three rows per chunk: the 8 rows and their NULLs span chunks.
+        monkeypatch.setattr(csv_io, "CHUNK_ROWS", 3)
+        streamed = read_csv(path)
+        assert streamed.columns == classic.columns
+        assert [list(c) for c in streamed.columns_data] == [
+            list(c) for c in classic.columns_data
+        ]
+        for semantics in (True, False):
+            assert_encodings_identical(
+                classic.encoded(semantics), streamed.encoded(semantics)
+            )
 
 
 class TestCsvHardening:
@@ -238,7 +270,7 @@ class TestTaxonomyAcrossSources:
         from repro.runtime.errors import InputError
 
         # Two rows per chunk: the defects straddle chunk boundaries.
-        monkeypatch.setenv("REPRO_CHUNK_ROWS", "2")
+        monkeypatch.setattr(csv_io, "CHUNK_ROWS", 2)
         data = b"a,b\n1,2\n3,4\n5\n6,7,8\n9,10\n"
         with pytest.raises(InputError) as info:
             read_csv(_source(kind, data, tmp_path))

@@ -234,40 +234,17 @@ class TestCacheAndDiscovery:
 
 
 class TestBackendSelection:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_default_is_auto(self):
+        """Unpinned, the registry picks numpy whenever it is importable."""
         kernels.set_backend(None)
         expected = "numpy" if NUMPY else "python"
         assert kernels.backend_name() == expected
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        kernels.set_backend(None)
-        assert kernels.backend_name() == "python"
-        assert kernels.active().name == "python"
-
-    def test_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fortran")
-        kernels.set_backend(None)
-        with pytest.raises(InputError):
-            kernels.backend_name()
+        assert kernels.active().name == expected
 
     def test_set_backend_rejects_unknown(self):
-        with pytest.raises(InputError):
-            kernels.set_backend("cuda")
-
-    def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        kernels.set_backend("auto")
-        expected = "numpy" if NUMPY else "python"
-        assert kernels.backend_name() == expected
-
-    @requires_numpy
-    def test_ensure_backend_switches(self):
-        kernels.set_backend("python")
-        assert kernels.backend_name() == "python"
-        kernels.ensure_backend("numpy")
-        assert kernels.backend_name() == "numpy"
+        for name in ("cuda", "auto"):
+            with pytest.raises(InputError):
+                kernels.set_backend(name)
 
     def test_counters_record_calls_and_rows(self):
         kernels.set_backend("python")
@@ -285,15 +262,6 @@ class TestBackendSelection:
         report = profile(instance)
         assert report.counters["kernel_backend"] == "python"
         assert report.counters["kernel_pli_from_ids_calls"] > 0
-
-    def test_verify_cli_accepts_kernel_flag(self, capsys):
-        from repro.verification.runner import main_verify
-
-        rc = main_verify(
-            ["--seeds", "2", "--rows", "10", "--quiet", "--kernel", "python"]
-        )
-        assert rc == 0
-        assert kernels.backend_name() == "python"
 
 
 @requires_numpy

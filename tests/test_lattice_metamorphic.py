@@ -122,10 +122,6 @@ class TestVerifyCampaignInvariance:
             pytest.skip("numpy not installed")
         from repro.verification.runner import main_verify
 
-        rc = main_verify(
-            [
-                "--seeds", "6", "--rows", "16", "--quiet",
-                "--kernel", backend,
-            ]
-        )
+        kernels.set_backend(backend)
+        rc = main_verify(["--seeds", "6", "--rows", "16", "--quiet"])
         assert rc == 0

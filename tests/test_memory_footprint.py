@@ -70,8 +70,7 @@ def test_sampler_clusters_stay_int32(tall_instance, backend):
     assert peak <= SAMPLER_BUDGET[1]
 
 
-def test_read_csv_keeps_codes_not_cells(tall_instance, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CHUNK_ROWS", raising=False)
+def test_read_csv_keeps_codes_not_cells(tall_instance, tmp_path):
     path = tmp_path / "tall.csv"
     write_csv(tall_instance, path)
     retained, peak = _traced_per_cell(lambda: read_csv(path), ROWS * COLUMNS)

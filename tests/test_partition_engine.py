@@ -12,17 +12,41 @@ from hypothesis import strategies as st
 from repro.datagen.random_tables import random_instance
 from repro.discovery.hyfd.induction import build_positive_cover
 from repro.discovery.hyfd.validation import validate_tree
+from repro.io.datasets import (
+    address_example,
+    denormalized_university,
+    planets_example,
+)
 from repro.model.attributes import iter_bits
-from repro.structures.encoding import EncodedRelation, encode_column
+from repro.model.instance import RelationInstance
+from repro.structures.encoding import ChunkedEncoder, EncodedRelation, encode_column
 from repro.structures.partitions import (
     PLICache,
     StrippedPartition,
     column_value_ids,
 )
+from tests.helpers import assert_encodings_identical
 
 
 def signature(partition):
     return {frozenset(cluster) for cluster in partition.clusters}
+
+
+def _nullable_instance() -> RelationInstance:
+    base = address_example()
+    columns = [list(column) for column in base.columns_data]
+    columns[0][1] = None
+    columns[2][0] = None
+    columns[2][3] = None
+    return RelationInstance(base.relation, columns)
+
+
+FIXTURES = {
+    "address": address_example,
+    "nullable": _nullable_instance,
+    "planets": planets_example,
+    "university": denormalized_university,
+}
 
 
 class TestCSRLayout:
@@ -134,6 +158,40 @@ class TestEncoding:
                         if probes[attr][left] == probes[attr][right]:
                             expected |= 1 << attr
                     assert encoding.agree_set(left, right) == expected
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    def test_chunked_encoder_matches_encode(self, fixture, null_equals_null):
+        instance = FIXTURES[fixture]()
+        whole = EncodedRelation.encode(instance.columns_data, null_equals_null)
+        rows = list(zip(*instance.columns_data))
+        encoder = ChunkedEncoder(instance.arity, null_equals_null=null_equals_null)
+        for start in range(0, len(rows), 3):
+            encoder.add_rows(rows[start : start + 3])
+        chunked = encoder.finish()
+        assert_encodings_identical(whole, chunked)
+        # The decode tables invert the dictionaries exactly.
+        tables = encoder.decode_tables()
+        for attr, column in enumerate(instance.columns_data):
+            decoded = [tables[attr][code] for code in chunked.codes[attr]]
+            if null_equals_null:
+                assert decoded == list(column)
+
+    def test_finish_twice_raises(self):
+        encoder = ChunkedEncoder(2)
+        encoder.add_rows([("x", "y")])
+        encoder.finish()
+        with pytest.raises(ValueError):
+            encoder.finish()
+
+    def test_ragged_extend_rejected_before_any_write(self):
+        instance = address_example()
+        encoding = EncodedRelation.encode(instance.columns_data, True)
+        untouched = EncodedRelation.encode(instance.columns_data, True)
+        bad = [["a"], ["b", "extra"]] + [["c"]] * (encoding.arity - 2)
+        with pytest.raises(ValueError):
+            encoding.extend(bad)
+        assert_encodings_identical(untouched, encoding)
 
 
 class TestIntersectIds:

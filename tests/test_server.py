@@ -561,6 +561,71 @@ class TestEndpoints:
             assert info["rows"] == 3
             assert len(info["columns"]) == 3
 
+    def test_spooled_upload_matches_buffered_upload(self, tmp_path):
+        payload = _emp_csv(300)
+        with ServerThread(
+            resume_dir=str(tmp_path / "state"), spool_threshold_bytes=64
+        ) as harness:
+            client = harness.client("alice")
+            info = client.create_session(payload, name="emp", session="s1")
+            assert info["rows"] == 300
+            ddl_spooled = client.ddl("s1")
+            # The upload was streamed to disk, then *moved* into the
+            # session directory — bytes intact.
+            dataset = tmp_path / "state" / "alice" / "s1" / "dataset.csv"
+            assert dataset.read_bytes() == payload
+            # No spool file leaks behind.
+            spool = tmp_path / "state" / ".spool"
+            assert not any(spool.glob("*")) if spool.exists() else True
+        with ServerThread(resume_dir=str(tmp_path / "state2")) as harness:
+            client = harness.client("alice")
+            client.create_session(payload, name="emp", session="s1")
+            ddl_buffered = client.ddl("s1")
+        assert ddl_spooled == ddl_buffered
+
+    def test_failed_upload_leaves_no_session_directory(self, tmp_path):
+        bad = b"a,a\n1,2\n" + b"x" * 128  # duplicate header -> 400
+        with ServerThread(
+            resume_dir=str(tmp_path / "state"), spool_threshold_bytes=64
+        ) as harness:
+            client = harness.client("carol")
+            with pytest.raises(ServerError):
+                client.create_session(bad, name="emp", session="broken")
+            assert not (tmp_path / "state" / "carol" / "broken").exists()
+
+    def test_session_persisted_with_storage_option_revives(self, tmp_path):
+        """Sessions written when sessions took a ``storage`` option (and
+        kept mmap pages under ``spill/``) still revive from their journal,
+        and a create request that still sends ``storage=`` is served."""
+        state = tmp_path / "state"
+        batch = {"inserts": [["4", "eng", "zed"]], "deletes": [0]}
+        with ServerThread(resume_dir=str(state)) as harness:
+            client = harness.client("dora")
+            client.create_session(CSV, name="emp", session="s1")
+            client.apply_batch("s1", batch)
+            ddl, migration = client.ddl("s1"), client.migration("s1")
+        assert migration
+        directory = state / "dora" / "s1"
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["options"]["storage"] = "spill"
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        pages = directory / "spill" / "store-0"
+        pages.mkdir(parents=True)
+        (pages / "col0-g0.i32").write_bytes(b"\0" * 16)
+
+        with ServerThread(resume_dir=str(state)) as harness:
+            client = harness.client("dora")
+            assert client.ddl("s1") == ddl
+            assert client.migration("s1") == migration
+            stats = client.stats()["sessions"]
+            assert stats["journal_hits"] == 1
+            assert stats["discovery_runs"] == 0
+            client.create_session(CSV, name="emp", session="s2", storage="spill")
+            client.apply_batch("s2", batch)
+            assert client.ddl("s2") == ddl
+            assert client.migration("s2") == migration
+
     def test_stats_and_health(self, tmp_path):
         with ServerThread(resume_dir=str(tmp_path / "state")) as harness:
             client = harness.client()
@@ -568,6 +633,13 @@ class TestEndpoints:
             stats = client.stats()
             assert stats["server"]["requests_total"] >= 1
             assert stats["sessions"]["live_sessions"] == 0
+
+
+def _emp_csv(rows: int) -> bytes:
+    lines = ["emp,dept,mgr"]
+    for i in range(rows):
+        lines.append(f"{i},{i % 5},m{i % 5}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _serial_ddl(csv_bytes: bytes, name: str, batches) -> str:

@@ -78,16 +78,11 @@ def check_normal_form(
     extended = optimized_closure(fds)
     keys = derive_keys(extended, instance.full_mask())
 
-    null_mask = 0
-    for index in range(instance.arity):
-        if any(v is None for v in instance.columns_data[index]):
-            null_mask |= 1 << index
-
     fd_target = "3nf" if target == "3nf" else "bcnf"
     violating = find_violating_fds(
         extended,
         keys,
-        null_mask=null_mask,
+        null_mask=instance.null_mask(),
         primary_key=instance.relation.primary_key_mask,
         foreign_keys=instance.relation.foreign_key_masks(),
         target=fd_target,

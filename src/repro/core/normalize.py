@@ -193,6 +193,14 @@ class Normalizer:
         :func:`repro.runtime.checkpointing.load_state`) to continue a
         killed run: recorded discoveries and decisions are replayed,
         everything after the recorded prefix is recomputed.
+
+        The inputs are never modified, but the result's instances may
+        share column storage and encodings with them: an input that is
+        already conform comes back as a renamed view of it, and every
+        ``R1`` of a split is a column subset of its parent.  The
+        pipeline never writes column storage in place;
+        :meth:`~repro.model.instance.RelationInstance.append_rows`
+        copies on first write.
         """
         inputs = [data] if isinstance(data, RelationInstance) else list(data)
         if not inputs:
@@ -232,7 +240,7 @@ class Normalizer:
             discovered: dict[str, FDSet] = {}
             for instance in inputs:
                 # Work on a fresh Relation object so callers' schemas
-                # are never mutated.
+                # are never mutated; the columns and encodings are shared.
                 instance = instance.rename(instance.name)
                 started = time.perf_counter()
                 fds, fidelity = self._discover(instance, state, governor)
@@ -285,7 +293,7 @@ class Normalizer:
                         find_violating_fds(
                             extended,
                             keys,
-                            null_mask=self._null_mask(instance),
+                            null_mask=instance.null_mask(),
                             primary_key=instance.relation.primary_key_mask,
                             foreign_keys=instance.relation.foreign_key_masks(),
                             target=self.target,
@@ -446,7 +454,7 @@ class Normalizer:
         violating = find_violating_fds(
             item.fds,
             keys,
-            null_mask=self._null_mask(instance),
+            null_mask=instance.null_mask(),
             primary_key=relation.primary_key_mask,
             foreign_keys=relation.foreign_key_masks(),
             target=self.target,
@@ -614,7 +622,7 @@ class Normalizer:
                     f"{len(uccs)} salvaged key candidate(s)"
                 )
         with suspended():
-            null_mask = self._null_mask(item.instance)
+            null_mask = item.instance.null_mask()
             candidates = [key for key in uccs if key and not key & null_mask]
             key_names = None
             if candidates:
@@ -672,14 +680,6 @@ class Normalizer:
             return
         with suspended():
             save_state(state, self.checkpoint_path)
-
-    @staticmethod
-    def _null_mask(instance: RelationInstance) -> int:
-        mask = 0
-        for index in range(instance.arity):
-            if any(value is None for value in instance.columns_data[index]):
-                mask |= 1 << index
-        return mask
 
 
 def _fresh_name(base: str, used_names: set[str]) -> str:

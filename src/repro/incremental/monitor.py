@@ -20,6 +20,11 @@ functional dependencies that were promoted to keys.
   (i.e. where the data-driven constraint turns out to be semantically
   false for the evolving data),
 * :meth:`apply` — ingest previously validated rows.
+
+Result instances may share column storage with the pipeline's inputs
+(see :meth:`~repro.core.normalize.Normalizer.run`), so every write goes
+through :meth:`~repro.model.instance.RelationInstance.append_rows`,
+which copies on first write.
 """
 
 from __future__ import annotations
@@ -143,9 +148,7 @@ class ConstraintMonitor:
                 + "; ".join(v.to_str() for v in violations)
             )
         instance = self._instances[relation_name]
-        for row in rows:
-            for index, value in enumerate(row):
-                instance.columns_data[index].append(value)
+        instance.append_rows(rows)
         pk = instance.relation.primary_key
         if pk:
             self._pk_index[relation_name].update(
@@ -205,8 +208,7 @@ class ConstraintMonitor:
         if apply and not violations:
             for name, projected in pending:
                 instance = self._instances[name]
-                for index, value in enumerate(projected):
-                    instance.columns_data[index].append(value)
+                instance.append_rows([projected])
                 pk = instance.relation.primary_key
                 if pk:
                     self._pk_index[name].add(

@@ -123,7 +123,10 @@ def _infer_type(
 ) -> str:
     if instance is None:
         return text_type
-    values = [value for value in instance.column(column) if value is not None]
+    cells = instance.column(column)
+    # Lazy decoded columns list each value that occurs once.
+    cells = getattr(cells, "distinct_values", cells)
+    values = [value for value in cells if value is not None]
     if values and all(_is_int(value) for value in values):
         return "INTEGER"
     return text_type

@@ -27,7 +27,13 @@ Row = tuple[Any, ...]
 class RelationInstance:
     """A relation schema plus its data, stored column-major."""
 
-    __slots__ = ("relation", "columns_data", "_encodings", "_data_version")
+    __slots__ = (
+        "relation",
+        "columns_data",
+        "_encodings",
+        "_data_version",
+        "_owns_columns",
+    )
 
     def __init__(self, relation: Relation, columns_data: Sequence[list]) -> None:
         if len(columns_data) != relation.arity:
@@ -42,6 +48,23 @@ class RelationInstance:
         self.columns_data: list[list] = [list(column) for column in columns_data]
         self._encodings: dict[bool, Any] = {}
         self._data_version = 0
+        self._owns_columns = True
+
+    @classmethod
+    def _sharing(
+        cls, relation: Relation, columns_data: list, encodings: dict[bool, Any]
+    ) -> "RelationInstance":
+        """An instance over existing column objects and encodings, uncopied.
+
+        The columns stay shared until :meth:`append_rows` copies them.
+        """
+        self = cls.__new__(cls)
+        self.relation = relation
+        self.columns_data = columns_data
+        self._encodings = {nen: (0, encoding) for nen, encoding in encodings.items()}
+        self._data_version = 0
+        self._owns_columns = False
+        return self
 
     # ------------------------------------------------------------------
     # Columnar value encoding (the PLI hot path's substrate)
@@ -70,6 +93,15 @@ class RelationInstance:
         encoding = EncodedRelation.encode(self.columns_data, null_equals_null)
         self._encodings[null_equals_null] = (self._data_version, encoding)
         return encoding
+
+    def _shared_encodings(self, indices: Sequence[int]) -> dict[bool, Any]:
+        """Column subsets of the memoized encodings that still describe the
+        data, over the same code vectors (see ``EncodedRelation.project``)."""
+        return {
+            nen: encoding.project(indices)
+            for nen, (version, encoding) in self._encodings.items()
+            if version == self._data_version and encoding.num_rows == self.num_rows
+        }
 
     def invalidate_caches(self) -> None:
         """Drop memoized encodings after an in-place data mutation."""
@@ -121,9 +153,8 @@ class RelationInstance:
         list-backed instance would.
 
         Bypasses ``__init__`` deliberately: its ``list(column)`` copy
-        would defeat the laziness (mutating callers always re-wrap via
-        ``__init__``/``from_rows``, which still materializes — see
-        ``LiveRelation``).
+        would defeat the laziness.  The views are read-only;
+        :meth:`append_rows` replaces them with lists on the first write.
         """
         from repro.structures.encoding import DecodedColumn
 
@@ -132,16 +163,13 @@ class RelationInstance:
                 f"relation {relation.name!r} has {relation.arity} columns but "
                 f"the encoding has {encoding.arity}"
             )
-        self = cls.__new__(cls)
-        self.relation = relation
-        self.columns_data = [
+        columns = [
             DecodedColumn(codes, table)
             for codes, table in zip(encoding.codes, decode_tables)
         ]
-        self._encodings = {}
-        self._data_version = 0
-        self.install_encoding(encoding.null_equals_null, encoding)
-        return self
+        return cls._sharing(
+            relation, columns, {encoding.null_equals_null: encoding}
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -191,13 +219,18 @@ class RelationInstance:
 
         Column order is preserved.  ``dedup=True`` produces the paper's
         ``R2`` side of a decomposition (distinct ``X ∪ Y`` rows).
+        Without ``dedup`` the projection has this instance's rows (the
+        paper's ``R1``), so it shares the column objects and a column
+        subset of each memoized encoding instead of copying them.
         """
         indices = bits_of(mask)
         new_columns = tuple(self.columns[i] for i in indices)
         new_relation = Relation(name or self.name, new_columns)
         source = [self.columns_data[i] for i in indices]
         if not dedup:
-            return RelationInstance(new_relation, [list(col) for col in source])
+            return RelationInstance._sharing(
+                new_relation, source, self._shared_encodings(indices)
+            )
         seen: set[Row] = set()
         kept: list[Row] = []
         for row in zip(*source) if source else ():
@@ -221,6 +254,14 @@ class RelationInstance:
             if flag:
                 return True
         return False
+
+    def null_mask(self) -> int:
+        """Bitmask of the columns that contain a NULL (see :meth:`has_null_in`)."""
+        mask = 0
+        for index in range(self.arity):
+            if self.has_null_in(1 << index):
+                mask |= 1 << index
+        return mask
 
     def max_value_length(self, mask: int) -> int:
         """Longest value in the (concatenated) columns of ``mask``.
@@ -258,14 +299,49 @@ class RelationInstance:
         return full_mask(self.arity)
 
     def rename(self, name: str) -> "RelationInstance":
-        """Return a shallow copy with a new relation name (same constraints)."""
+        """Return a shallow copy with a new relation name (same constraints).
+
+        The copy gets its own :class:`~repro.model.schema.Relation` but
+        shares this instance's column objects and memoized encodings, so
+        nothing is copied or encoded again.  The encodings are carried as
+        full-width :meth:`~repro.structures.encoding.EncodedRelation.project`
+        views, which refuse ``extend``.
+        """
         relation = Relation(
             name,
             self.relation.columns,
             primary_key=self.relation.primary_key,
             foreign_keys=list(self.relation.foreign_keys),
         )
-        return RelationInstance(relation, self.columns_data)
+        return RelationInstance._sharing(
+            relation,
+            list(self.columns_data),
+            self._shared_encodings(range(self.arity)),
+        )
+
+    def append_rows(self, rows: Sequence[Row]) -> None:
+        """Append rows in place, copying shared column storage first.
+
+        Instances made by :meth:`rename`, :meth:`project` without
+        ``dedup`` and :meth:`from_encoded` share their columns with
+        another instance (or hold read-only lazy views).  The first
+        append gives this instance private lists, so the instance it was
+        derived from never changes.  Memoized encodings are dropped.
+        """
+        for row in rows:
+            if len(row) != self.arity:
+                raise ValueError(
+                    f"row width {len(row)} does not match arity {self.arity}"
+                )
+        if not rows:
+            return
+        if not self._owns_columns:
+            self.columns_data = [list(column) for column in self.columns_data]
+            self._owns_columns = True
+        for row in rows:
+            for column, value in zip(self.columns_data, row):
+                column.append(value)
+        self.invalidate_caches()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

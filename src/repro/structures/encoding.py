@@ -106,8 +106,10 @@ class EncodedRelation:
     """All columns of one relation instance, dictionary-encoded.
 
     ``codes[attr][row]`` is the dense value id of cell ``(row, attr)``.
-    Instances are built via :meth:`encode` and cached on the owning
-    :class:`~repro.model.instance.RelationInstance`.
+    Instances are built via :meth:`encode` (or streamed by
+    :class:`ChunkedEncoder`) and cached on the owning
+    :class:`~repro.model.instance.RelationInstance`; instances derived
+    from it with the same rows share a :meth:`project` of it.
     """
 
     __slots__ = (
@@ -157,6 +159,23 @@ class EncodedRelation:
             value_ids.append(ids)
         return cls(
             codes, cardinalities, null_codes, num_rows, null_equals_null, value_ids
+        )
+
+    def project(self, indices: Sequence[int]) -> "EncodedRelation":
+        """The encoding of the columns at ``indices`` over the same rows.
+
+        The result shares this encoding's code vectors instead of
+        copying them.  It is built without value dictionaries, so
+        :meth:`extend` refuses it: appending to it would grow vectors
+        that this encoding still reads.
+        """
+        return EncodedRelation(
+            [self.codes[i] for i in indices],
+            [self.cardinalities[i] for i in indices],
+            [self.null_codes[i] for i in indices],
+            self.num_rows,
+            self.null_equals_null,
+            value_ids=None,
         )
 
     # ------------------------------------------------------------------
@@ -293,14 +312,17 @@ class DecodedColumn(Sequence):
         return self._table[self._codes[index]]
 
     def __iter__(self):
-        table = self._table
-        for code in self._codes:
-            yield table[code]
+        return map(self._table.__getitem__, self._codes)
 
     @property
     def has_null(self) -> bool:
         """True iff any cell is NULL (answered from the decode table)."""
         return any(value is None for value in self._table)
+
+    @property
+    def distinct_values(self) -> list:
+        """Every value that occurs, once: the decode table (``None`` for NULL)."""
+        return self._table
 
 
 class ChunkedEncoder:

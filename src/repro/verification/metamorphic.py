@@ -19,14 +19,19 @@ input — the algebraic guarantees the paper proves:
   BCNF decomposition legitimately loses dependencies (the paper accepts
   this; the classical counterexamples cannot be avoided), so losses are
   reported as accounting only; asserting emptiness is opt-in for
-  callers that construct synthesis-style inputs.
+  callers that construct synthesis-style inputs,
+* **storage parity** — a list-backed instance and its
+  ``write_csv`` → ``read_csv`` round trip (lazy, code-backed columns)
+  normalize to byte-identical DDL, and neither run changes its input.
 """
 
 from __future__ import annotations
 
+import tempfile
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core.closure import improved_closure, naive_closure, optimized_closure
 from repro.core.nf_check import check_normal_form
@@ -34,6 +39,8 @@ from repro.core.normalize import Normalizer
 from repro.core.result import NormalizationResult
 from repro.core.selection import AutoDecider
 from repro.discovery.base import discover_fds
+from repro.io.csv_io import read_csv, write_csv
+from repro.io.ddl import schema_to_ddl
 from repro.model.attributes import mask_of_names, names_of
 from repro.model.fd import FD, FDSet
 from repro.model.instance import RelationInstance
@@ -42,8 +49,10 @@ from repro.verification.differential import attribute_closure, canonical_fds
 
 __all__ = [
     "PropertyViolation",
+    "as_text",
     "check_closure_properties",
     "check_pipeline_properties",
+    "check_storage_parity",
     "lost_dependencies",
 ]
 
@@ -206,6 +215,70 @@ def check_pipeline_properties(
             PropertyViolation("dependency-preservation", f"lost FDs: {rendered}")
         )
     return violations, result
+
+
+def as_text(instance: RelationInstance) -> RelationInstance:
+    """A bare copy of ``instance`` with every non-NULL cell as ``str``.
+
+    ``read_csv`` reads every value back as ``str``, and the Bloom
+    estimator hashes ``repr(row)`` (``repr(12) != repr('12')``), so only
+    text cells survive a CSV round trip with the same scores.
+    """
+    return RelationInstance(
+        Relation(instance.name, instance.columns),
+        [
+            [None if value is None else str(value) for value in column]
+            for column in instance.columns_data
+        ],
+    )
+
+
+def check_storage_parity(
+    instance: RelationInstance, target: str = "bcnf"
+) -> list[PropertyViolation]:
+    """Normalize ``instance`` and its CSV round trip; compare the DDL.
+
+    ``instance`` should hold text cells (:func:`as_text`).  The round
+    trip comes back as lazy views over int32 codes with the encoding
+    memoized, the list-backed instance as plain lists: the two storage
+    paths must give byte-identical DDL, and neither run may change the
+    columns, row count or constraints of its input.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "relation.csv"
+        write_csv(instance, path)
+        round_trip = read_csv(path, name=instance.name)
+    violations: list[PropertyViolation] = []
+    ddl = {}
+    for label, source in (("lists", instance), ("csv", round_trip)):
+        before = _state(source)
+        result = Normalizer(target=target).run(source)
+        ddl[label] = schema_to_ddl(result.schema, result.instances)
+        if _state(source) != before:
+            violations.append(
+                PropertyViolation(
+                    "storage-input", f"normalizing the {label} input changed it"
+                )
+            )
+    if ddl["lists"] != ddl["csv"]:
+        violations.append(
+            PropertyViolation(
+                "storage-ddl",
+                f"{target} DDL of the CSV round trip differs from the "
+                "list-backed instance's",
+            )
+        )
+    return violations
+
+
+def _state(instance: RelationInstance) -> tuple:
+    relation = instance.relation
+    return (
+        [list(column) for column in instance.columns_data],
+        instance.num_rows,
+        relation.primary_key,
+        list(relation.foreign_keys),
+    )
 
 
 class _RecordingDecider(AutoDecider):

@@ -10,7 +10,9 @@ ground truth, pushed through every check the subsystem offers —
   containment of the planted cover,
 * closure metamorphics (agreement + idempotence),
 * whole-pipeline metamorphics for BCNF and 3NF (normal-form compliance,
-  lossless join, dependency-preservation accounting).
+  lossless join, dependency-preservation accounting),
+* storage parity for BCNF and 3NF: the planted table as text, normalized
+  from lists and from its CSV round trip, gives byte-identical DDL.
 
 Every failure is minimized with the shrinker and rendered as a
 ready-to-paste pytest module, so a red fuzz run in CI hands the next
@@ -43,8 +45,10 @@ from repro.verification.differential import (
     semantic_fd_errors,
 )
 from repro.verification.metamorphic import (
+    as_text,
     check_closure_properties,
     check_pipeline_properties,
+    check_storage_parity,
     lost_dependencies,
 )
 from repro.verification.planted import plant_instance
@@ -432,6 +436,31 @@ def _verify_one_seed(
                 failure_expr=None,
                 imports=(),
                 shrink=False,
+            )
+
+    # 6. Storage parity: lists vs the lazy columns read_csv returns.
+    text = as_text(planted.instance)
+    for target in ("bcnf", "3nf"):
+        report.checks_run += 1
+        storage_violations = check_storage_parity(text, target=target)
+        if storage_violations:
+            detail = "; ".join(v.describe() for v in storage_violations)
+            predicate = lambda inst, target=target: bool(  # noqa: E731
+                check_storage_parity(inst, target=target)
+            )
+            _record(
+                report,
+                seed,
+                f"storage[csv, {target}]",
+                detail,
+                text,
+                predicate,
+                f"check_storage_parity(instance, target={target!r})",
+                (
+                    "from repro.verification.metamorphic import"
+                    " check_storage_parity",
+                ),
+                shrink,
             )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.normalize import normalize
 from repro.incremental import ConstraintMonitor
+from repro.io.csv_io import read_csv
 
 
 @pytest.fixture()
@@ -167,3 +168,42 @@ class TestMultiOriginalRouting:
         monitor = ConstraintMonitor(result)
         row = ("Lovelace", "INF9", "Informatics", "90000", "H9", "Fri")
         assert monitor.route_universal_row("university", row) == []
+
+
+class TestCopyOnWrite:
+    """Result instances share storage with the input; writes must not."""
+
+    @staticmethod
+    def _snapshot(instance):
+        return [list(column) for column in instance.columns_data], instance.num_rows
+
+    def test_conform_csv_input_is_never_written(self):
+        source = read_csv(b"k,v\n1,a\n2,b\n3,a\n", name="kv")
+        before = self._snapshot(source)
+        result = normalize(source)
+        assert not result.steps  # already BCNF: the result is the input, renamed
+        monitor = ConstraintMonitor(result)
+        monitor.apply("kv", [("4", "c")])
+        assert monitor.route_universal_row("kv", ("5", "d"), apply=True) == []
+        assert result.instances["kv"].num_rows == 5
+        assert self._snapshot(source) == before
+
+    def test_decomposed_list_input_is_never_written(self, address):
+        before = self._snapshot(address)
+        result = normalize(address, algorithm="bruteforce")
+        r1 = result.instances["address"]  # R1 keeps the parent's name
+        assert result.steps and r1.arity < address.arity
+        monitor = ConstraintMonitor(result)
+        monitor.apply("address", [("New", "Person", "14482")])
+        row = ("Nora", "Klein", "10115", "Berlin", "Giffey")
+        assert monitor.route_universal_row("address", row, apply=True) == []
+        assert r1.num_rows == address.num_rows + 2
+        assert self._snapshot(address) == before
+
+    def test_shared_encodings_refuse_extend(self, address):
+        address.encoded()
+        for view in (address.project(0b00111), address.rename("copy")):
+            encoding = view.encoded()
+            with pytest.raises(ValueError, match="dictionaries"):
+                encoding.extend([["x"]] * view.arity)
+        assert address.encoded().num_rows == address.num_rows

@@ -399,6 +399,30 @@ class TestDDL:
         assert '"n" INTEGER' in ddl
         assert '"s" TEXT' in ddl
 
+    def test_type_inference_same_for_lazy_columns(self):
+        # NULL first, mixed, all NULL, ints, negative ints, text.
+        rows = [
+            (None, "1", None, "7", "-3", "a"),
+            ("2", "x", None, "8", "4", "b"),
+            ("3", "2", None, "7", "-3", "a"),
+        ]
+        relation = Relation("t", ("a", "b", "c", "d", "e", "f"))
+        lists = RelationInstance.from_rows(relation, rows)
+        text = "\n".join(
+            ",".join("" if v is None else v for v in row)
+            for row in [relation.columns, *rows]
+        )
+        lazy = read_csv(text.encode(), name="t")
+        expected = schema_to_ddl(Schema([relation]), {"t": lists})
+        assert schema_to_ddl(Schema([relation]), {"t": lazy}) == expected
+        assert '"a" INTEGER' in expected and '"b" TEXT' in expected
+        assert '"c" TEXT' in expected and '"e" INTEGER' in expected
+        # An R1-style projection shares the lazy columns.
+        part = lazy.project(0b110110)
+        assert schema_to_ddl(Schema([part.relation]), {"t": part}) == (
+            schema_to_ddl(Schema([part.relation]), {"t": lists.project(0b110110)})
+        )
+
     def test_without_instances_text_type(self):
         ddl = schema_to_ddl(Schema([Relation("t", ("a",))]))
         assert '"a" TEXT' in ddl

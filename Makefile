@@ -12,14 +12,15 @@ verify:
 verify-parallel:
 	REPRO_WORKERS=2 PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# The kernel-differential files, which pin each backend themselves
-# and compare numpy against the pure-Python oracle (docs/KERNELS.md).
-# Without numpy (pip install -e .[perf]) the numpy cases skip.
+# The kernel differential file pins each backend and compares numpy
+# against the pure-Python oracle (docs/KERNELS.md); the FD-tree file
+# pins the tree against its naive oracle.  Without numpy
+# (pip install -e .[perf]) the numpy cases skip.
 verify-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_differential.py tests/test_fdtree_differential.py
 
-# The lattice differential + metamorphic suites, which sweep both
-# kernel backends themselves (docs/ALGORITHMS.md).
+# The FD-tree differential suite plus the metamorphic suite, which runs
+# the pipeline under both kernel backends (docs/ALGORITHMS.md).
 verify-lattice:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_fdtree_differential.py tests/test_lattice_metamorphic.py -m "not fuzz"
 
@@ -73,9 +74,8 @@ bench:
 bench-engine:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
 
-# FD-tree lattice-engine micro-benchmarks: level vs recursive baseline
-# (enforces the ≥5x wide-lattice generalization gate, writes
-# BENCH_fdtree.json).
+# FD-tree micro-benchmarks: wide-lattice sweeps and induction on the
+# level-indexed tree (asserts no gate, writes BENCH_fdtree.json).
 bench-fdtree:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fdtree.py --benchmark-only -q
 

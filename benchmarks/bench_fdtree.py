@@ -1,8 +1,7 @@
 """Micro-benchmarks for the FD-tree (induction hot path).
 
-Every workload runs once per kernel backend — the level-indexed tree
-under the ``python`` backend and (when installed) under the ``numpy``
-uint64-mirror backend:
+The level-indexed tree is pure Python under every kernel backend, so
+each workload runs once:
 
 * **generalization batch (wide lattice)** — a 36-attribute lattice
   holding ~4.1k stored LHSs on levels 2 and 4, probed with 200
@@ -15,8 +14,7 @@ uint64-mirror backend:
 * **any_violated screen** — 2 000 agree sets through the batched
   screening entry point (the ``apply_agree_sets`` pre-filter);
 * **induction end-to-end** — ``build_positive_cover`` over 8 000
-  sampled agree sets of a 12-attribute planted instance, with the
-  resulting covers asserted byte-identical across backends.
+  sampled agree sets of a 12-attribute planted instance.
 
 The table is persisted to ``benchmarks/results/fdtree.txt`` and
 machine-readable timings to ``benchmarks/results/BENCH_fdtree.json``.
@@ -29,18 +27,11 @@ import random
 import pytest
 
 from _util import emit, emit_json
-from repro import kernels
 from repro.evaluation.reporting import format_table
 from repro.structures.fdtree import FDTree
 
-#: kernel backends, the interpreted oracle first
-BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-
-#: (operation, backend) → seconds (best of the measured rounds)
-_ROWS: dict[tuple[str, str], float] = {}
-
-#: covers built by the end-to-end workload, compared at teardown
-_COVERS: dict[str, list[tuple[int, int]]] = {}
+#: operation → seconds (best of the measured rounds)
+_ROWS: dict[str, float] = {}
 
 WIDTH = 36
 EXCLUDED = WIDTH - 1  # every stored LHS contains it; no query does
@@ -69,32 +60,17 @@ DATASET_SIZES = {
 }
 
 
-@pytest.fixture(params=BACKENDS)
-def kernel_backend(request):
-    """Pin the kernel backend (and so the tree's representation)."""
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(None)
-
-
 @pytest.fixture(scope="module", autouse=True)
-def _backend_report(request):
+def _report(request):
     yield
     if not _ROWS:
         return
-    if len({tuple(cover) for cover in _COVERS.values()}) > 1:
-        raise AssertionError(
-            f"covers diverge across backends: {sorted(_COVERS)}"
-        )
-    operations = list(dict.fromkeys(op for op, _ in _ROWS))
     emit(
         format_table(
-            ["operation", "backend", "time (ms)"],
+            ["operation", "time (ms)"],
             [
-                [operation, backend, f"{_ROWS[(operation, backend)] * 1e3:.2f}"]
-                for operation in operations
-                for backend in BACKENDS
-                if (operation, backend) in _ROWS
+                [operation, f"{seconds * 1e3:.2f}"]
+                for operation, seconds in _ROWS.items()
             ],
             title="FD-tree micro-benchmarks",
         ),
@@ -103,22 +79,7 @@ def _backend_report(request):
     )
     emit_json(
         "fdtree",
-        {
-            "backends": [
-                backend
-                for backend in BACKENDS
-                if any(key[1] == backend for key in _ROWS)
-            ],
-            "dataset_sizes": DATASET_SIZES,
-            "timings_seconds": {
-                operation: {
-                    backend: _ROWS[(operation, backend)]
-                    for backend in BACKENDS
-                    if (operation, backend) in _ROWS
-                }
-                for operation in operations
-            },
-        },
+        {"dataset_sizes": DATASET_SIZES, "timings_seconds": dict(_ROWS)},
     )
 
 
@@ -155,7 +116,7 @@ def _wide_queries(
     return out
 
 
-def test_generalization_batch_wide(benchmark, kernel_backend):
+def test_generalization_batch_wide(benchmark):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     # RHS attributes drawn from the stored RHS range (0..11), so the
@@ -171,12 +132,10 @@ def test_generalization_batch_wide(benchmark, kernel_backend):
         rounds=5, iterations=1,
     )
     assert hits == [False] * len(pairs)  # full sweeps: nothing matches
-    _ROWS[
-        ("generalization batch (wide lattice)", kernel_backend)
-    ] = benchmark.stats.stats.min
+    _ROWS["generalization batch (wide lattice)"] = benchmark.stats.stats.min
 
 
-def test_collect_violated_sweep_wide(benchmark, kernel_backend):
+def test_collect_violated_sweep_wide(benchmark):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     agree_sets = _wide_queries(100, 23, include_excluded=True)
@@ -186,12 +145,10 @@ def test_collect_violated_sweep_wide(benchmark, kernel_backend):
         rounds=5, iterations=1,
     )
     assert sum(len(v) for v in violated) > 0
-    _ROWS[
-        ("collect_violated sweep (wide lattice)", kernel_backend)
-    ] = benchmark.stats.stats.min
+    _ROWS["collect_violated sweep (wide lattice)"] = benchmark.stats.stats.min
 
 
-def test_any_violated_screen_wide(benchmark, kernel_backend):
+def test_any_violated_screen_wide(benchmark):
     tree = FDTree(WIDTH)
     _populate_wide_lattice(tree)
     agree_sets = _wide_queries(2_000, 29, include_excluded=True)
@@ -201,9 +158,7 @@ def test_any_violated_screen_wide(benchmark, kernel_backend):
         rounds=3, iterations=1,
     )
     assert any(flags)
-    _ROWS[
-        ("any_violated screen (wide lattice)", kernel_backend)
-    ] = benchmark.stats.stats.min
+    _ROWS["any_violated screen (wide lattice)"] = benchmark.stats.stats.min
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +179,11 @@ def induction_agree_sets():
             if left != right and mask != full]
 
 
-def test_induction_end_to_end(benchmark, kernel_backend, induction_agree_sets):
+def test_induction_end_to_end(benchmark, induction_agree_sets):
     from repro.discovery.hyfd.induction import build_positive_cover
 
-    cover = benchmark.pedantic(
+    benchmark.pedantic(
         build_positive_cover, args=(12, induction_agree_sets),
         rounds=3, iterations=1,
     )
-    _COVERS[kernel_backend] = list(cover.iter_all())
-    _ROWS[
-        ("induction end-to-end (12 attrs)", kernel_backend)
-    ] = benchmark.stats.stats.min
+    _ROWS["induction end-to-end (12 attrs)"] = benchmark.stats.stats.min

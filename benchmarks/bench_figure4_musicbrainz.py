@@ -25,11 +25,8 @@ from repro.evaluation.snowflake import schema_tree
 
 _REPORT: list[str] = []
 
-#: operation → config (kernel backend or "auto") → seconds
-_TIMINGS: dict[str, dict[str, float]] = {}
-
-#: per-backend sorted FD covers, asserted identical across backends
-_COVERS: dict[str, list] = {}
+#: operation → seconds
+_TIMINGS: dict[str, float] = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -40,9 +37,6 @@ def _figure4_report(request, datasets):
     if not _TIMINGS:
         return
     universal = datasets["musicbrainz"]
-    discovery = _TIMINGS.get("hyfd_discovery", {})
-    python_s = discovery.get("python")
-    numpy_s = discovery.get("numpy")
     emit_json(
         "figure4_musicbrainz",
         {
@@ -54,41 +48,32 @@ def _figure4_report(request, datasets):
                 }
             },
             "timings_seconds": _TIMINGS,
-            "hyfd_speedup_numpy_over_python": (
-                python_s / numpy_s if python_s and numpy_s else None
-            ),
-            "covers_identical_across_configs": (
-                len(set(map(str, _COVERS.values()))) == 1
-                if len(_COVERS) > 1
-                else None
-            ),
         },
     )
 
 
-def test_hyfd_discovery_per_backend(benchmark, datasets, kernel):
-    """End-to-end FD discovery on the denormalized MusicBrainz table,
-    once per kernel backend — the Figure 4 pipeline's dominant cost.
+def test_hyfd_discovery(benchmark, datasets, discovery):
+    """End-to-end FD discovery on the denormalized MusicBrainz table —
+    the Figure 4 pipeline's dominant cost.
 
-    Beyond the timing, the discovered cover must be byte-identical
-    across backends: a faster-but-different cover is a failure.
+    Every kernel call on these 213 rows is below
+    ``kernels.SMALL_INPUT_THRESHOLD``, so one run covers every backend
+    pin.  Beyond the timing, the cover must be byte-identical to the
+    one the normalize benchmark below is given: a faster-but-different
+    cover is a failure.
     """
     universal = datasets["musicbrainz"]
     universal.invalidate_caches()
-    config = kernel
 
     cover = benchmark.pedantic(
         lambda: HyFD().discover(universal), rounds=1, iterations=1
     )
-    _TIMINGS.setdefault("hyfd_discovery", {})[config] = (
-        benchmark.stats.stats.min
-    )
-    _COVERS[config] = sorted((fd.lhs, fd.rhs) for fd in cover)
+    _TIMINGS["hyfd_discovery"] = benchmark.stats.stats.min
     assert cover, "MusicBrainz universal relation must yield FDs"
-    for other, other_cover in _COVERS.items():
-        assert other_cover == _COVERS[config], (
-            f"FD cover differs between configs {other} and {config}"
-        )
+    given = discovery.fds("musicbrainz")
+    assert sorted((fd.lhs, fd.rhs) for fd in cover) == sorted(
+        (fd.lhs, fd.rhs) for fd in given
+    ), "FD cover differs between two HyFD runs"
 
 
 def test_normalize_musicbrainz_universal(benchmark, datasets, discovery):
@@ -100,7 +85,7 @@ def test_normalize_musicbrainz_universal(benchmark, datasets, discovery):
     result = benchmark.pedantic(
         normalizer.run, args=(universal,), rounds=1, iterations=1
     )
-    _TIMINGS.setdefault("normalize", {})["auto"] = benchmark.stats.stats.min
+    _TIMINGS["normalize"] = benchmark.stats.stats.min
 
     report = evaluate_schema_recovery(result.schema, MUSICBRAINZ_GOLD)
     # the root relation (kept name) is the fact-table-like top relation

@@ -31,15 +31,17 @@ class Sampler:
     Each attribute's sorted clusters are one CSR: the attribute's PLI
     ``offsets`` plus one ``int32`` vector of its rows, each cluster's
     slice sorted by the full record (stably, so equal records keep
-    their PLI order).  The numpy backend ranks every record with one
-    stable ``np.lexsort`` over all columns, sorts each attribute's rows
-    by (cluster id, rank) and runs a window as one gather of the
-    positions whose partner ``d`` places on is still in the cluster;
-    the python backend sorts cluster by cluster into an ``array('i')``
-    and walks the same pairs.  Both visit the pairs in the same order
-    (clusters in PLI order, positions ascending) and make one
-    ``checkpoint`` per cluster, so the negative cover, the efficiency
-    queue and governor tick counts never depend on the backend.
+    their PLI order).  When the kernel registry picks numpy for a
+    relation's row count (``kernels.for_size(num_rows)``, so at least
+    ``kernels.SMALL_INPUT_THRESHOLD`` rows), the sampler ranks every
+    record with one stable ``np.lexsort`` over all columns, sorts each
+    attribute's rows by (cluster id, rank) and runs a window as one
+    gather of the positions whose partner ``d`` places on is still in
+    the cluster; otherwise it sorts cluster by cluster into an
+    ``array('i')`` and walks the same pairs.  Both visit the pairs in
+    the same order (clusters in PLI order, positions ascending) and
+    make one ``checkpoint`` per cluster, so the negative cover, the
+    efficiency queue and governor tick counts never depend on the path.
     """
 
     def __init__(self, instance: RelationInstance, cache: PLICache) -> None:
@@ -47,9 +49,8 @@ class Sampler:
         self.num_rows = instance.num_rows
         self._encoding = cache.encoding
         self._probes = self._encoding.codes
-        np = self._np = (
-            kernels.numpy_module() if kernels.backend_name() == "numpy" else None
-        )
+        vectorized = kernels.for_size(self.num_rows).name == "numpy"
+        np = self._np = kernels.numpy_module() if vectorized else None
         # Per attribute: cluster offsets, sorted rows, largest cluster.
         self._offsets: list = []
         self._rows: list = []

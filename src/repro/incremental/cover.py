@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro import kernels
 from repro.discovery.hyfd.induction import build_positive_cover
 from repro.model.attributes import full_mask, iter_bits
 from repro.model.fd import FDSet
@@ -152,27 +151,16 @@ class IncrementalCover:
         before_uccs = set(self._uccs.iter_all())
 
         num_rows = encoding.num_rows
-        batched = kernels.backend_name() == "numpy"
         agree_sets: set[int] = set()
         new_pairs = 0
         for left in range(first_new_position, num_rows):
             checkpoint("incremental-pairs")
-            if batched:
-                agree_sets.update(encoding.agree_sets_vs(left, range(left)))
-                new_pairs += left
-            else:
-                for right in range(left):
-                    agree_sets.add(encoding.agree_set(left, right))
-                    new_pairs += 1
+            agree_sets.update(encoding.agree_sets_vs(left, range(left)))
+            new_pairs += left
         delta.pairs_examined = new_pairs
         if self.pair_counts is not None:
             for left in range(first_new_position, num_rows):
-                counts = self.pair_counts
-                if batched:
-                    counts.update(encoding.agree_sets_vs(left, range(left)))
-                else:
-                    for right in range(left):
-                        counts[encoding.agree_set(left, right)] += 1
+                self.pair_counts.update(encoding.agree_sets_vs(left, range(left)))
 
         dirty_fds: set[tuple[int, int]] = set()
         dirty_uccs: set[int] = set()
@@ -227,21 +215,15 @@ class IncrementalCover:
                 pos for pos in range(encoding_before.num_rows)
                 if pos not in doomed
             ]
-            batched = kernels.backend_name() == "numpy"
             counts: Counter[int] = Counter()
             for index, left in enumerate(survivors):
                 checkpoint("incremental-pairs")
-                if batched:
-                    counts.update(
-                        encoding_before.agree_sets_vs(left, survivors[:index])
-                    )
-                else:
-                    for right in survivors[:index]:
-                        counts[encoding_before.agree_set(left, right)] += 1
+                counts.update(
+                    encoding_before.agree_sets_vs(left, survivors[:index])
+                )
             self.pair_counts = counts
             delta.pairs_examined = len(survivors) * (len(survivors) - 1) // 2
         else:
-            batched = kernels.backend_name() == "numpy"
             counts = self.pair_counts
             for left in deleted_positions:
                 checkpoint("incremental-pairs")
@@ -250,14 +232,7 @@ class IncrementalCover:
                     for right in range(encoding_before.num_rows)
                     if right != left and not (right in doomed and right < left)
                 ]  # count each doomed-doomed pair once
-                if batched:
-                    masks = encoding_before.agree_sets_vs(left, partners)
-                else:
-                    masks = [
-                        encoding_before.agree_set(left, right)
-                        for right in partners
-                    ]
-                for agree in masks:
+                for agree in encoding_before.agree_sets_vs(left, partners):
                     counts[agree] -= 1
                     if counts[agree] <= 0:
                         del counts[agree]

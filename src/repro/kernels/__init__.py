@@ -14,13 +14,14 @@ two interchangeable backends:
   :mod:`repro.kernels.npbackend`.  Requires the optional ``[perf]``
   extra (``pip install -e .[test,perf]``).
 
-Backend selection is lazy and process-wide: the first kernel call
-picks numpy when it is importable and falls back to pure Python
-otherwise, so a plain ``pip install`` without numpy keeps the full test
-suite green.  Small inputs take the python loops inside the numpy
-backend itself (``npbackend.SMALL_INPUT_THRESHOLD``,
-``fdtree.SMALL_LEVEL_THRESHOLD``).  :func:`set_backend` pins one
-backend in-process; tests and micro-benchmarks use it to run both.
+Selection is by input size: every call site passes its driving element
+count to :func:`for_size`, which returns the python backend below
+:data:`SMALL_INPUT_THRESHOLD` and otherwise the resolved large-input
+backend — numpy when it is importable, python when it is not.  Per-call
+numpy overhead exceeds the interpreted loop on small inputs, so a run
+whose kernel calls all stay below the threshold never imports numpy.
+:func:`set_backend` pins the large-input backend in-process; tests and
+micro-benchmarks use it to run both.
 
 Both backends honour the same determinism contract (docs/KERNELS.md):
 identical CSR bytes for every partition, the identical violating row
@@ -28,22 +29,25 @@ pair for every refuted FD, and identical agree masks — so parallel
 numpy runs stay byte-identical to serial pure-Python runs.
 
 Every dispatch records per-kernel call/row counters; ``profile()``
-snapshots them into ``DataProfile.counters`` together with the active
-backend name.
+snapshots them into ``DataProfile.counters`` together with the
+large-input backend name.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
 
+from repro.kernels import pybackend
 from repro.runtime.errors import InputError
 
 __all__ = [
+    "SMALL_INPUT_THRESHOLD",
     "active",
     "backend_name",
     "bump",
     "counters_delta",
     "counters_snapshot",
+    "for_size",
     "numpy_available",
     "numpy_module",
     "record",
@@ -54,9 +58,14 @@ __all__ = [
 
 _BACKENDS = ("python", "numpy")
 
+#: below this many driving elements a kernel call runs the python
+#: backend whatever the large-input backend is; tests set it to 0 to
+#: force the vectorized paths on small fixtures
+SMALL_INPUT_THRESHOLD = 512
+
 # Programmatic override (set_backend); None means "numpy when importable".
 _requested: str | None = None
-# Resolved backend module + name; None until the first kernel dispatch.
+# Resolved large-input backend module + name; None until first needed.
 _active: ModuleType | None = None
 _active_name: str | None = None
 
@@ -100,32 +109,46 @@ def _resolve() -> None:
             )
         from repro.kernels import npbackend as module
     else:
-        from repro.kernels import pybackend as module
+        module = pybackend
     _active = module
     _active_name = name
 
 
 def active() -> ModuleType:
-    """The resolved backend module (resolving lazily on first use)."""
+    """The large-input backend module (resolving lazily on first use)."""
     if _active is None:
         _resolve()
     return _active
 
 
+def for_size(n: int) -> ModuleType:
+    """The backend for one kernel call driven by ``n`` elements.
+
+    Below :data:`SMALL_INPUT_THRESHOLD` this is always the python
+    backend and nothing is resolved or imported; otherwise it is
+    :func:`active`.  Identity holds either way: the backends are
+    byte-identical (docs/KERNELS.md).
+    """
+    if n < SMALL_INPUT_THRESHOLD:
+        return pybackend
+    return active()
+
+
 def backend_name() -> str:
-    """The resolved backend name: ``"python"`` or ``"numpy"``."""
+    """The large-input backend name: ``"python"`` or ``"numpy"``."""
     if _active is None:
         _resolve()
     return _active_name
 
 
 def set_backend(name: str | None) -> None:
-    """Pin the kernel backend in-process (tests, micro-benchmarks).
+    """Pin the large-input kernel backend in-process (tests, benchmarks).
 
     ``name`` is ``python`` or ``numpy``, or ``None`` to drop the pin and
     pick numpy when it is importable.  Resolution is re-done lazily, so
     pinning ``numpy`` on an install without numpy only fails once a
-    kernel is actually needed (or eagerly via :func:`backend_name`).
+    kernel call of :data:`SMALL_INPUT_THRESHOLD` or more elements is
+    made (or eagerly via :func:`backend_name`).
     """
     global _requested, _active, _active_name
     if name is not None and name not in _BACKENDS:
@@ -187,6 +210,4 @@ def reset_process_state() -> None:
     parent's counter totals or a probe buffer with live entries.
     """
     reset_counters()
-    from repro.kernels import pybackend
-
     pybackend.reset_scratch()

@@ -25,12 +25,11 @@ the shm segment without ``BufferError``.  Outputs are converted back to
 ``array('i')`` so the CSR byte protocol (e.g. TANE's shipped
 ``tobytes()`` prefixes) is identical across backends.
 
-Hybrid dispatch: below :data:`SMALL_INPUT_THRESHOLD` driving elements
-every kernel delegates to the interpreted loop — per-call numpy
-overhead (buffer wrapping, argsort setup) exceeds the loop cost on tiny
-partitions, which would otherwise make the numpy backend *slower* than
-python on narrow discovery workloads that issue tens of thousands of
-small calls.  Identity is unaffected (the delegate *is* the oracle).
+The registry only calls this module for inputs of at least
+``repro.kernels.SMALL_INPUT_THRESHOLD`` driving elements
+(:func:`repro.kernels.for_size`): below that, per-call numpy overhead
+(buffer wrapping, argsort setup) exceeds the interpreted loop's cost,
+and a run made only of small calls never imports numpy at all.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.kernels import pybackend as _py
-
-#: below this many driving elements a kernel call delegates to the
-#: interpreted loop (see module docstring); tests set it to 0 to force
-#: the vectorized paths on small fixtures
-SMALL_INPUT_THRESHOLD = 512
-
 __all__ = [
     "agree_one_to_many",
     "agree_pairs",
@@ -55,11 +47,7 @@ __all__ = [
     "from_value_ids",
     "intersect",
     "intersect_ids",
-    "lattice_any_violation",
-    "lattice_find_generalization",
-    "lattice_violations",
     "name",
-    "pack_masks",
     "refines_column",
 ]
 
@@ -135,8 +123,6 @@ def from_value_ids(
     codes: Sequence[int], null_code: int | None
 ) -> tuple[array, array]:
     """Group rows by value id into stripped CSR (NULL cluster last)."""
-    if len(codes) < SMALL_INPUT_THRESHOLD:
-        return _py.from_value_ids(codes, null_code)
     code_vec = _as_np(codes)
     if len(code_vec) == 0:
         return _empty_csr()
@@ -187,8 +173,6 @@ def intersect(
     other_offsets: array,
 ) -> tuple[array, array]:
     """Stripped product of two CSR partitions (scatter + sort/groupby)."""
-    if len(row_data) < SMALL_INPUT_THRESHOLD:
-        return _py.intersect(row_data, offsets, num_rows, other_rows, other_offsets)
     rows = _as_np(row_data)
     o_rows = _as_np(other_rows)
     if len(rows) == 0 or len(o_rows) == 0:
@@ -208,8 +192,6 @@ def intersect_ids(
     row_data: array, offsets: array, num_rows: int, codes: Sequence[int]
 ) -> tuple[array, array]:
     """Product with a single attribute given as its value-id vector."""
-    if len(row_data) < SMALL_INPUT_THRESHOLD:
-        return _py.intersect_ids(row_data, offsets, num_rows, codes)
     rows = _as_np(row_data)
     if len(rows) == 0:
         return _empty_csr()
@@ -229,8 +211,6 @@ def _mismatch_mask(
 
 
 def refines_column(row_data: array, offsets: array, probe: Sequence[int]) -> bool:
-    if len(row_data) < SMALL_INPUT_THRESHOLD:
-        return _py.refines_column(row_data, offsets, probe)
     rows = _as_np(row_data)
     if len(rows) == 0:
         return True
@@ -253,8 +233,6 @@ def _first_violation(
 def find_violating_pair(
     row_data: array, offsets: array, probe: Sequence[int]
 ) -> tuple[int, int] | None:
-    if len(row_data) < SMALL_INPUT_THRESHOLD:
-        return _py.find_violating_pair(row_data, offsets, probe)
     rows = _as_np(row_data)
     if len(rows) == 0:
         return None
@@ -278,8 +256,6 @@ def find_violations(
     stops at each cluster's first mismatch, so "first in CSR order" is
     the same pair).
     """
-    if len(row_data) < SMALL_INPUT_THRESHOLD:
-        return _py.find_violations(row_data, offsets, rhs_attrs, probes)
     violations: dict[int, tuple[int, int]] = {}
     rows = _as_np(row_data)
     if len(rows) == 0 or not rhs_attrs:
@@ -335,8 +311,6 @@ def agree_pairs(
     rights: Sequence[int],
 ) -> list[int]:
     """Attribute-agreement bitmask per ``(lefts[i], rights[i])`` pair."""
-    if len(lefts) < SMALL_INPUT_THRESHOLD:
-        return _py.agree_pairs(codes, lefts, rights)
     left_idx = np.asarray(lefts, dtype=np.intp)
     right_idx = np.asarray(rights, dtype=np.intp)
     return _masks_from_words(_packed_words(codes, left_idx, right_idx))
@@ -346,8 +320,6 @@ def agree_one_to_many(
     codes: Sequence[Sequence[int]], left: int, rights: Sequence[int]
 ) -> list[int]:
     """Agreement bitmask of row ``left`` against each row in ``rights``."""
-    if len(rights) < SMALL_INPUT_THRESHOLD:
-        return _py.agree_one_to_many(codes, left, rights)
     right_idx = np.asarray(rights, dtype=np.intp)
     count = len(right_idx)
     words = []
@@ -359,97 +331,3 @@ def agree_one_to_many(
             acc |= agree << np.uint64(bit)
         words.append(acc)
     return _masks_from_words(words)
-
-
-# ----------------------------------------------------------------------
-# FD-tree lattice sweeps (repro.structures.fdtree)
-# ----------------------------------------------------------------------
-# The level-indexed FDTree maintains, per popcount level, uint64 mirror
-# arrays of shape ``(entries, words)`` in the agree-set bitset layout
-# (bit ``b`` of word ``w`` covers attribute ``64*w + b``).  These
-# kernels sweep one such level per call; there is no small-input
-# delegate here because the tree itself sweeps small levels with the
-# interpreted loops (``fdtree.SMALL_LEVEL_THRESHOLD``) — the query
-# masks would have to be packed per call either way.
-
-_ONE = np.uint64(1)
-_WORD_MASK = (1 << 64) - 1
-
-
-def pack_masks(masks: Sequence[int], words: int) -> np.ndarray:
-    """Pack Python-int attribute masks into ``(len(masks), words)`` uint64."""
-    count = len(masks)
-    out = np.zeros((count, words), dtype=np.uint64)
-    for word in range(words):
-        shift = 64 * word
-        out[:, word] = np.fromiter(
-            ((mask >> shift) & _WORD_MASK for mask in masks),
-            dtype=np.uint64,
-            count=count,
-        )
-    return out
-
-
-def lattice_find_generalization(
-    lhs_words: np.ndarray,
-    rhs_words: np.ndarray,
-    inv_query: np.ndarray,
-    rhs_attr: int,
-) -> bool:
-    """True iff some entry has ``lhs ⊆ query`` and bit ``rhs_attr`` set.
-
-    ``inv_query`` is the bitwise complement of the packed query mask;
-    bits at or above ``num_attributes`` are set in it, but stored LHS
-    rows never have them, so the subset test ``lhs & ~query == 0``
-    survives the complement's high garbage.
-    """
-    subset = ~(lhs_words & inv_query).any(axis=1)
-    hit = (rhs_words[:, rhs_attr >> 6] >> np.uint64(rhs_attr & 63)) & _ONE
-    return bool((subset & (hit != 0)).any())
-
-
-def lattice_violations(
-    lhs_words: np.ndarray,
-    rhs_words: np.ndarray,
-    inv_agree: np.ndarray,
-    disagree_words: np.ndarray,
-) -> list[int]:
-    """Positions with ``lhs ⊆ agree`` and ``rhs & disagree`` non-empty.
-
-    Ascending position order — identical to the interpreted sweep, so
-    the tree's violation output is backend-independent.
-    """
-    subset = ~(lhs_words & inv_agree).any(axis=1)
-    violated = (rhs_words & disagree_words).any(axis=1)
-    return np.flatnonzero(subset & violated).tolist()
-
-
-def lattice_any_violation(
-    lhs_words: np.ndarray,
-    rhs_words: np.ndarray,
-    inv_agree: np.ndarray,
-    disagree_words: np.ndarray,
-) -> bool:
-    """Screening form of :func:`lattice_violations`."""
-    subset = ~(lhs_words & inv_agree).any(axis=1)
-    violated = (rhs_words & disagree_words).any(axis=1)
-    return bool((subset & violated).any())
-
-
-def lattice_specialization_screen(
-    lhs_words: np.ndarray,
-    rhs_words: np.ndarray,
-    allowed_words: np.ndarray,
-    rhs_attr: int,
-) -> list[int]:
-    """Positions with ``lhs ⊆ allowed`` and bit ``rhs_attr`` set.
-
-    The batched minimal-specialization prefilter: ``allowed`` is the
-    base LHS unioned with every candidate extension bit, so any stored
-    generalization of any candidate passes; the caller applies the
-    exact empty-or-single-extension test to the surviving rows.
-    Ascending position order.
-    """
-    outside = (lhs_words & ~allowed_words).any(axis=1)
-    hit = (rhs_words[:, rhs_attr >> 6] >> np.uint64(rhs_attr & 63)) & _ONE
-    return np.flatnonzero(~outside & (hit != 0)).tolist()

@@ -3,8 +3,10 @@
 These are the original interpreted hot loops of the partition engine,
 moved here verbatim from :mod:`repro.structures.partitions` and
 :mod:`repro.structures.encoding` so both backends sit behind one
-dispatch seam.  This backend is always available (no dependencies) and
-doubles as the differential oracle the numpy backend is tested against.
+dispatch seam.  This backend is always available (no dependencies),
+runs every kernel call below ``repro.kernels.SMALL_INPUT_THRESHOLD``
+driving elements, and doubles as the differential oracle the numpy
+backend is tested against.
 
 All kernels operate on raw buffers — ``array('i')`` CSR pairs
 (``row_data``, ``offsets``), value-id code vectors, and row-index
@@ -255,12 +257,11 @@ def agree_one_to_many(
 # ----------------------------------------------------------------------
 # FD-tree lattice sweeps (repro.structures.fdtree)
 # ----------------------------------------------------------------------
-# Unlike the partition kernels above, the lattice kernel surface is
-# representation-specific: the level-indexed FDTree owns the per-level
-# entry arrays and hands them over directly.  Here they are plain
-# Python-int lists; the numpy backend sweeps the tree's uint64-packed
-# mirrors instead.  These loops are the normative oracle for the
-# vectorized sweeps (tests/test_fdtree_differential.py).
+# The level-indexed FDTree owns its per-level entry arrays (plain
+# Python-int lists) and inlines these sweeps for speed; they are not
+# dispatched through the registry.  These loops are the normative
+# oracles the tree's inlined copies are pinned against
+# (tests/test_fdtree_differential.py).
 
 
 def lattice_find_generalization(
@@ -300,8 +301,10 @@ def lattice_specialization_screen(
 ) -> list[int]:
     """Positions with ``lhs_rows[i] ⊆ allowed`` and ``rhs & rhs_bit``.
 
-    Oracle for the batched minimal-specialization prefilter; see the
-    numpy twin for the screening contract.
+    Oracle for the minimal-specialization prefilter: ``allowed`` is the
+    base LHS unioned with every candidate extension bit, so any stored
+    generalization of any candidate passes; the caller applies the
+    exact empty-or-single-extension test to the surviving rows.
     """
     outside = ~allowed
     return [

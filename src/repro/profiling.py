@@ -144,8 +144,9 @@ def profile(
     attach/export times, serial fallbacks, plus the self-healing
     totals — respawns, retries, quarantined shards, heartbeat misses,
     in-process fallback tasks, and whether the pool degraded to serial
-    entirely).  It also records the active
-    kernel backend (``kernel_backend``) and this profile run's
+    entirely).  It also records the kernel
+    backend of calls with at least ``kernels.SMALL_INPUT_THRESHOLD``
+    elements (``kernel_backend``) and this profile run's
     per-kernel call/row totals (``kernel_*_calls`` / ``kernel_*_rows``;
     parent process only — worker-side kernel calls are not folded back).
     """

@@ -265,17 +265,20 @@ class EncodedRelation:
     ) -> list[int]:
         """Agree masks for many row pairs in one kernel dispatch.
 
-        ``masks[i]`` equals ``agree_set(lefts[i], rights[i])``; under the
-        numpy backend the comparison runs column-at-a-time over the whole
+        ``masks[i]`` equals ``agree_set(lefts[i], rights[i])``; on the
+        numpy backend (batches of ``kernels.SMALL_INPUT_THRESHOLD`` pairs
+        or more) the comparison runs column-at-a-time over the whole
         batch with the masks packed into uint64 bitset words.
         """
         kernels.record("agree_pairs", len(lefts))
-        return kernels.active().agree_pairs(self.codes, lefts, rights)
+        return kernels.for_size(len(lefts)).agree_pairs(self.codes, lefts, rights)
 
     def agree_sets_vs(self, left: int, rights: Sequence[int]) -> list[int]:
         """Agree masks of one row against many others (incremental engine)."""
         kernels.record("agree_pairs", len(rights))
-        return kernels.active().agree_one_to_many(self.codes, left, rights)
+        return kernels.for_size(len(rights)).agree_one_to_many(
+            self.codes, left, rights
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,15 +17,12 @@ prefix tree of per-node dicts; here the store is a **level index**:
 * ``collect_violated`` is the same sweep with the violation predicate
   ``stored ⊆ agree and rhs & ~agree``.
 
-The sweeps dispatch through the kernel backends (docs/KERNELS.md):
-under the pure-Python backend the entry arrays are Python ints and the
-sweep is :func:`repro.kernels.pybackend.lattice_find_generalization`
-(the normative oracle); under numpy every level additionally maintains
-an incrementally-appended uint64 mirror (64 attributes per word, the
-kernel bitset layout) and large levels are swept with one broadcast
-(:mod:`repro.kernels.npbackend`).  The representation is pinned per
-tree at construction from the resolved kernel backend, so a tree never
-mixes representations mid-life.
+The tree is the same pure-Python structure under every kernel
+backend: each sweep is an inlined copy of its oracle in
+:mod:`repro.kernels.pybackend` (``lattice_find_generalization``,
+``lattice_violations``, ``lattice_any_violation``,
+``lattice_specialization_screen``; docs/KERNELS.md), so building or
+querying a tree never imports numpy.
 
 ``remove`` tombstones an entry (RHS mask → 0); a level auto-compacts
 when tombstones dominate, and :meth:`prune` compacts everything and
@@ -46,16 +43,9 @@ from repro.model.attributes import bits_of, iter_bits
 
 __all__ = ["FDTree"]
 
-#: below this many entries a mirrored level is swept with the
-#: interpreted loop anyway — per-call numpy overhead beats the loop on
-#: tiny levels, exactly like ``npbackend.SMALL_INPUT_THRESHOLD``
-SMALL_LEVEL_THRESHOLD = 32
-
 #: a level auto-compacts when it holds more than this many tombstones
 #: and they are at least half of its entries
 COMPACT_MIN_DEAD = 16
-
-_WORD_MASK = (1 << 64) - 1
 
 # The kernel counter store, referenced directly: it is cleared in
 # place and never rebound, and these sweeps run millions of times per
@@ -77,13 +67,10 @@ class _Level:
 
     ``index`` maps every stored LHS (live or tombstoned) to its array
     position; ``union`` over-approximates the OR of all live RHS masks
-    (refreshed by compaction); ``dead`` counts tombstones.  ``np_lhs``
-    / ``np_rhs`` are the uint64 mirrors, allocated lazily with doubling
-    capacity — rows beyond the logical size are garbage, so every sweep
-    slices ``[:len(lhs)]``.
+    (refreshed by compaction); ``dead`` counts tombstones.
     """
 
-    __slots__ = ("lhs", "rhs", "index", "union", "dead", "np_lhs", "np_rhs")
+    __slots__ = ("lhs", "rhs", "index", "union", "dead")
 
     def __init__(self) -> None:
         self.lhs: list[int] = []
@@ -91,8 +78,6 @@ class _Level:
         self.index: dict[int, int] = {}
         self.union = 0
         self.dead = 0
-        self.np_lhs = None
-        self.np_rhs = None
 
 
 def _path_key(entry: tuple[int, int]) -> tuple[int, ...]:
@@ -102,54 +87,12 @@ def _path_key(entry: tuple[int, int]) -> tuple[int, ...]:
 class FDTree:
     """Level-indexed positive cover over FD left-hand sides."""
 
-    __slots__ = ("num_attributes", "_levels", "_words", "_np", "_depth_hint")
+    __slots__ = ("num_attributes", "_levels", "_depth_hint")
 
     def __init__(self, num_attributes: int | None = None) -> None:
         self.num_attributes = int(num_attributes or 0)
         self._levels: list[_Level] = []
-        self._words = max(1, (self.num_attributes + 63) // 64)
-        self._np = (
-            kernels.numpy_module() if kernels.backend_name() == "numpy" else None
-        )
         self._depth_hint = 0
-
-    # ------------------------------------------------------------------
-    # Pickling: the numpy module handle and the per-level uint64
-    # mirrors are representation caches pinned to *this* process's
-    # kernel backend; strip them on save and rebuild on load under the
-    # receiving process's backend.
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return {
-            "num_attributes": self.num_attributes,
-            "levels": [
-                (level.lhs, level.rhs, level.union, level.dead)
-                for level in self._levels
-            ],
-            "depth_hint": self._depth_hint,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.num_attributes = state["num_attributes"]
-        self._words = max(1, (self.num_attributes + 63) // 64)
-        self._np = (
-            kernels.numpy_module() if kernels.backend_name() == "numpy" else None
-        )
-        self._depth_hint = state["depth_hint"]
-        self._levels = []
-        for lhs, rhs, union, dead in state["levels"]:
-            level = _Level()
-            level.lhs = list(lhs)
-            level.rhs = list(rhs)
-            level.index = {mask: pos for pos, mask in enumerate(level.lhs)}
-            level.union = union
-            level.dead = dead
-            if self._np is not None and level.lhs:
-                from repro.kernels import npbackend as _npk
-
-                level.np_lhs = _npk.pack_masks(level.lhs, self._words)
-                level.np_rhs = _npk.pack_masks(level.rhs, self._words)
-            self._levels.append(level)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -169,15 +112,11 @@ class FDTree:
             level.lhs.append(lhs)
             level.rhs.append(rhs)
             level.index[lhs] = pos
-            if self._np is not None:
-                self._mirror_append(level, pos, lhs, rhs)
         else:
             old = level.rhs[pos]
             if not old:
                 level.dead -= 1  # revived tombstone
             level.rhs[pos] = old | rhs
-            if self._np is not None:
-                self._pack_row(level.np_rhs, pos, old | rhs)
         level.union |= rhs
         if depth > self._depth_hint:
             self._depth_hint = depth
@@ -196,8 +135,6 @@ class FDTree:
         if new == old:
             return
         level.rhs[pos] = new
-        if self._np is not None:
-            self._pack_row(level.np_rhs, pos, new)
         if not new:
             level.dead += 1
             if level.dead > COMPACT_MIN_DEAD and level.dead * 2 >= len(level.lhs):
@@ -275,36 +212,17 @@ class FDTree:
                         break
                 continue
             scanned += size
-            if level.np_lhs is not None and size >= SMALL_LEVEL_THRESHOLD:
-                from repro.kernels import npbackend as _npk
-
-                # Vector prefilter: RHS bit present and Z \ lhs confined
-                # to the candidate bits; the (few) hits get the exact
-                # empty-or-single-bit test in Python.
-                hits = _npk.lattice_specialization_screen(
-                    level.np_lhs[:size],
-                    level.np_rhs[:size],
-                    self._pack_query(lhs | surviving),
-                    rhs_attr,
-                )
-                rows = level.lhs
-                for pos in hits:
-                    extra = rows[pos] & not_lhs
-                    if not extra:
-                        surviving = 0
-                        break
-                    if extra & (extra - 1) == 0:
-                        surviving &= ~extra
-            else:
-                for stored, rhs in zip(level.lhs, level.rhs):
-                    if not rhs & rhs_bit:
-                        continue
-                    extra = stored & not_lhs
-                    if not extra:
-                        surviving = 0
-                        break
-                    if extra & (extra - 1) == 0 and extra & surviving:
-                        surviving &= ~extra
+            # pybackend.lattice_specialization_screen, inlined and fused
+            # with the exact empty-or-single-extension test.
+            for stored, rhs in zip(level.lhs, level.rhs):
+                if not rhs & rhs_bit:
+                    continue
+                extra = stored & not_lhs
+                if not extra:
+                    surviving = 0
+                    break
+                if extra & (extra - 1) == 0 and extra & surviving:
+                    surviving &= ~extra
             if not surviving:
                 break
         counters = _COUNTERS
@@ -351,54 +269,6 @@ class FDTree:
         for rhs in level.rhs:
             union |= rhs
         level.union = union
-        if self._np is not None:
-            if level.lhs:
-                from repro.kernels import npbackend as _npk
-
-                level.np_lhs = _npk.pack_masks(level.lhs, self._words)
-                level.np_rhs = _npk.pack_masks(level.rhs, self._words)
-            else:
-                level.np_lhs = None
-                level.np_rhs = None
-
-    # ------------------------------------------------------------------
-    # uint64 mirror maintenance (numpy representation only)
-    # ------------------------------------------------------------------
-    def _mirror_append(self, level: _Level, pos: int, lhs: int, rhs: int) -> None:
-        np = self._np
-        if level.np_lhs is None:
-            capacity = 16
-            level.np_lhs = np.zeros((capacity, self._words), dtype=np.uint64)
-            level.np_rhs = np.zeros((capacity, self._words), dtype=np.uint64)
-        elif pos >= level.np_lhs.shape[0]:
-            capacity = level.np_lhs.shape[0]
-            while capacity <= pos:
-                capacity *= 2
-            grown_lhs = np.zeros((capacity, self._words), dtype=np.uint64)
-            grown_rhs = np.zeros((capacity, self._words), dtype=np.uint64)
-            grown_lhs[:pos] = level.np_lhs[:pos]
-            grown_rhs[:pos] = level.np_rhs[:pos]
-            level.np_lhs = grown_lhs
-            level.np_rhs = grown_rhs
-        self._pack_row(level.np_lhs, pos, lhs)
-        self._pack_row(level.np_rhs, pos, rhs)
-
-    def _pack_row(self, rows, pos: int, mask: int) -> None:
-        if self._words == 1:
-            rows[pos, 0] = mask
-        else:
-            for word in range(self._words):
-                rows[pos, word] = (mask >> (64 * word)) & _WORD_MASK
-
-    def _pack_query(self, mask: int):
-        np = self._np
-        packed = np.empty(self._words, dtype=np.uint64)
-        if self._words == 1:
-            packed[0] = mask & _WORD_MASK
-        else:
-            for word in range(self._words):
-                packed[word] = (mask >> (64 * word)) & _WORD_MASK
-        return packed
 
     # ------------------------------------------------------------------
     # Queries
@@ -459,26 +329,16 @@ class FDTree:
                     break
                 continue
             scanned += size
-            if level.np_lhs is not None and size >= SMALL_LEVEL_THRESHOLD:
-                from repro.kernels import npbackend as _npk
-
-                inv_query = self._np.invert(self._pack_query(lhs))
-                if _npk.lattice_find_generalization(
-                    level.np_lhs[:size], level.np_rhs[:size], inv_query, rhs_attr
-                ):
+            # pybackend.lattice_find_generalization, inlined: the
+            # per-level call overhead shows on induction's tiny levels
+            # (the oracle function stays normative and is pinned against
+            # this loop by the differential suite).
+            for stored, rhs in zip(level.lhs, level.rhs):
+                if rhs & rhs_bit and stored & outside == 0:
                     found = True
                     break
-            else:
-                # pybackend.lattice_find_generalization, inlined: the
-                # per-level call overhead shows on induction's tiny
-                # levels (the oracle function stays normative and is
-                # pinned against this loop by the differential suite).
-                for stored, rhs in zip(level.lhs, level.rhs):
-                    if rhs & rhs_bit and stored & outside == 0:
-                        found = True
-                        break
-                if found:
-                    break
+            if found:
+                break
         counters = _COUNTERS
         counters[_GEN_CALLS] = counters.get(_GEN_CALLS, 0) + 1
         counters[_GEN_ROWS] = counters.get(_GEN_ROWS, 0) + scanned
@@ -508,9 +368,9 @@ class FDTree:
             return out
         levels = self._levels
         top = min(agree_set.bit_count(), len(levels) - 1)
+        outside = ~agree_set
         scanned = 0
         swept = 0
-        inv_agree = disagree_words = None
         for depth in range(top + 1):
             level = levels[depth]
             size = len(level.lhs)
@@ -518,28 +378,14 @@ class FDTree:
                 continue
             swept += 1
             scanned += size
-            if level.np_lhs is not None and size >= SMALL_LEVEL_THRESHOLD:
-                from repro.kernels import npbackend as _npk
-
-                if inv_agree is None:
-                    inv_agree = self._np.invert(self._pack_query(agree_set))
-                    disagree_words = self._pack_query(disagree)
-                hits = _npk.lattice_violations(
-                    level.np_lhs[:size], level.np_rhs[:size],
-                    inv_agree, disagree_words,
-                )
-                for pos in hits:
-                    out.append((level.lhs[pos], level.rhs[pos] & disagree))
-            else:
-                # pybackend.lattice_violations, inlined (storage order
-                # preserved); the per-level call overhead shows on
-                # induction's tiny levels.
-                outside = ~agree_set
-                for stored, rhs in zip(level.lhs, level.rhs):
-                    if stored & outside == 0:
-                        hit = rhs & disagree
-                        if hit:
-                            out.append((stored, hit))
+            # pybackend.lattice_violations, inlined (storage order
+            # preserved); the per-level call overhead shows on
+            # induction's tiny levels.
+            for stored, rhs in zip(level.lhs, level.rhs):
+                if stored & outside == 0:
+                    hit = rhs & disagree
+                    if hit:
+                        out.append((stored, hit))
         counters = _COUNTERS
         counters[_VIOL_CALLS] = counters.get(_VIOL_CALLS, 0) + 1
         counters[_VIOL_ROWS] = counters.get(_VIOL_ROWS, 0) + scanned
@@ -565,10 +411,10 @@ class FDTree:
             return False
         levels = self._levels
         top = min(agree_set.bit_count(), len(levels) - 1)
+        outside = ~agree_set
         scanned = 0
         swept = 0
         found = False
-        inv_agree = disagree_words = None
         for depth in range(top + 1):
             level = levels[depth]
             size = len(level.lhs)
@@ -576,26 +422,12 @@ class FDTree:
                 continue
             swept += 1
             scanned += size
-            if level.np_lhs is not None and size >= SMALL_LEVEL_THRESHOLD:
-                from repro.kernels import npbackend as _npk
-
-                if inv_agree is None:
-                    inv_agree = self._np.invert(self._pack_query(agree_set))
-                    disagree_words = self._pack_query(disagree)
-                hit = _npk.lattice_any_violation(
-                    level.np_lhs[:size], level.np_rhs[:size],
-                    inv_agree, disagree_words,
-                )
-            else:
-                # pybackend.lattice_any_violation, inlined.
-                hit = False
-                outside = ~agree_set
-                for stored, rhs in zip(level.lhs, level.rhs):
-                    if rhs & disagree and stored & outside == 0:
-                        hit = True
-                        break
-            if hit:
-                found = True
+            # pybackend.lattice_any_violation, inlined.
+            for stored, rhs in zip(level.lhs, level.rhs):
+                if rhs & disagree and stored & outside == 0:
+                    found = True
+                    break
+            if found:
                 break
         counters = _COUNTERS
         counters[_VIOL_CALLS] = counters.get(_VIOL_CALLS, 0) + 1

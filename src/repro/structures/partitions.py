@@ -22,8 +22,9 @@ implemented here: every operation dispatches through the
 :mod:`repro.kernels` backend layer, which provides an interpreted
 pure-Python implementation (always available, the reference) and a
 vectorized numpy implementation (optional ``[perf]`` extra).  Both
-produce byte-identical CSR output; numpy is used whenever it is
-importable (see docs/KERNELS.md).
+produce byte-identical CSR output; each call passes its driving
+element count to :func:`repro.kernels.for_size`, which picks numpy
+for large calls whenever it is importable (see docs/KERNELS.md).
 
 NULL handling is configurable: with ``null_equals_null=True`` (the
 Metanome/paper default) all NULLs land in one cluster; otherwise each
@@ -116,7 +117,9 @@ class StrippedPartition:
         raw-value grouping.
         """
         kernels.record("pli_from_ids", len(codes))
-        row_data, offsets = kernels.active().from_value_ids(codes, null_code)
+        row_data, offsets = kernels.for_size(len(codes)).from_value_ids(
+            codes, null_code
+        )
         return cls._from_csr(row_data, offsets, len(codes))
 
     @classmethod
@@ -195,7 +198,7 @@ class StrippedPartition:
         kernels.record(
             "pli_intersect", len(self.row_data) + len(other.row_data)
         )
-        new_rows, new_offsets = kernels.active().intersect(
+        new_rows, new_offsets = kernels.for_size(len(self.row_data)).intersect(
             self.row_data,
             self.offsets,
             self.num_rows,
@@ -214,7 +217,7 @@ class StrippedPartition:
         rows the ``-1`` probe entries would have skipped.
         """
         kernels.record("pli_intersect_ids", len(self.row_data))
-        new_rows, new_offsets = kernels.active().intersect_ids(
+        new_rows, new_offsets = kernels.for_size(len(self.row_data)).intersect_ids(
             self.row_data, self.offsets, self.num_rows, codes
         )
         return StrippedPartition._from_csr(new_rows, new_offsets, self.num_rows)
@@ -227,7 +230,7 @@ class StrippedPartition:
         baked into the ids (same id for all NULLs under null==null).
         """
         kernels.record("scan_refines", len(self.row_data))
-        return kernels.active().refines_column(
+        return kernels.for_size(len(self.row_data)).refines_column(
             self.row_data, self.offsets, probe
         )
 
@@ -238,7 +241,7 @@ class StrippedPartition:
         in CSR order, paired with its cluster's first row.
         """
         kernels.record("scan_violating_pair", len(self.row_data))
-        return kernels.active().find_violating_pair(
+        return kernels.for_size(len(self.row_data)).find_violating_pair(
             self.row_data, self.offsets, probe
         )
 
@@ -261,7 +264,7 @@ class StrippedPartition:
         kernels.record(
             "scan_violations", len(self.row_data) * len(rhs_attrs)
         )
-        return kernels.active().find_violations(
+        return kernels.for_size(len(self.row_data)).find_violations(
             self.row_data, self.offsets, rhs_attrs, probes
         )
 

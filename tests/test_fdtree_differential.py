@@ -1,19 +1,18 @@
 """Lattice differential suite: the FD-tree vs. a naive set oracle.
 
-The level-indexed FD-tree (``fdtree.FDTree``) under the pure-Python
-kernel backend and — under numpy — its uint64-mirror sweep paths must
-both implement the same abstract store: a set of ``lhs mask → rhs
-mask`` FDs with subset queries over it.  :class:`NaiveFDTree` is that
-store written as the most obvious dict possible, and every behaviour
-here is pinned against it:
+The level-indexed FD-tree (``fdtree.FDTree``) must implement an
+abstract store: a set of ``lhs mask → rhs mask`` FDs with subset
+queries over it.  :class:`NaiveFDTree` is that store written as the
+most obvious dict possible, and every behaviour here is pinned against
+it:
 
 * property-based add/remove/specialize/prune/query sequences
-  (hypothesis) on widths from 1 to 70 attributes (the multi-word
-  uint64 packing path), plus degenerate shapes — empty trees, the
-  empty LHS, constant full-mask RHSs;
+  (hypothesis) on widths from 1 to 70 attributes (masks wider than one
+  64-bit word), plus degenerate shapes — empty trees, the empty LHS,
+  constant full-mask RHSs;
 * positive-cover construction from real agree sets (planted and
   random instances, both NULL semantics) asserting the final covers
-  are byte-identical across backends;
+  are byte-identical to the oracle's;
 * a wider seeded campaign behind ``-m fuzz`` (nightly CI), widened via
   ``LATTICE_FUZZ_SEEDS`` exactly like ``KERNEL_FUZZ_SEEDS``.
 
@@ -23,8 +22,7 @@ attribute-path order.  ``collect_violated`` returns the oracle's
 :func:`repro.discovery.hyfd.induction.apply_agree_set` — within one
 agree set, specializations from different violated FDs can only
 collide as exact equals, because extension attributes lie outside the
-agree set while every violated LHS lies inside it).  The python and
-numpy backends agree on the exact order.
+agree set while every violated LHS lies inside it).
 """
 
 import os
@@ -40,39 +38,14 @@ from repro.model.attributes import bits_of, full_mask, iter_bits
 from repro.structures import fdtree
 from repro.structures.fdtree import FDTree
 
-NUMPY = kernels.numpy_available()
-requires_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
-
-#: kernel backends; each pins the tree's representation at construction
-CONFIGS = ["python", "numpy"]
-
-
-def available_configs():
-    return [backend for backend in CONFIGS if backend != "numpy" or NUMPY]
-
-
-def config_params():
-    return [
-        pytest.param(
-            backend,
-            marks=[requires_numpy] if backend == "numpy" else [],
-        )
-        for backend in CONFIGS
-    ]
+#: kernel backend pinned while a tree is built and swept; the tree is
+#: the same pure-Python structure under every pin, so one is enough
+CONFIGS = ["python"]
 
 
 @pytest.fixture(autouse=True, scope="module")
-def _force_vectorized_levels():
-    """Sweep even tiny levels with the numpy kernels.
-
-    The per-tree ``SMALL_LEVEL_THRESHOLD`` dispatch would otherwise
-    delegate every small fixture to the interpreted loop and the
-    numpy-path comparisons would be vacuous.
-    """
-    original = fdtree.SMALL_LEVEL_THRESHOLD
-    fdtree.SMALL_LEVEL_THRESHOLD = 0
+def _restore_backend():
     yield
-    fdtree.SMALL_LEVEL_THRESHOLD = original
     kernels.set_backend(None)
 
 
@@ -250,7 +223,7 @@ def assert_backends_match_naive(width, ops, probes):
     naive = NaiveFDTree(width)
     expected_log = apply_ops(naive, ops)
     expected = surface(naive, width, probes)
-    for config in available_configs():
+    for config in CONFIGS:
         tree = build(config, width)
         log = apply_ops(tree, ops)
         assert log == expected_log, config
@@ -270,30 +243,12 @@ class TestPropertyDifferential:
         width, ops, probes = scenario
         assert_backends_match_naive(width, ops, probes)
 
-    @requires_numpy
-    @settings(
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(lattice_scenarios())
-    def test_backends_agree_on_exact_violation_order(self, scenario):
-        """python vs. numpy: *order* identical (both sweep levels
-        ascending in storage order), not just sets."""
-        width, ops, probes = scenario
-        first = build("python", width)
-        apply_ops(first, ops)
-        second = build("numpy", width)
-        apply_ops(second, ops)
-        assert first.collect_violated_batch(probes) == (
-            second.collect_violated_batch(probes)
-        )
-
 
 # ----------------------------------------------------------------------
 # Degenerate shapes
 # ----------------------------------------------------------------------
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_empty_tree(self, config):
         tree = build(config, 5)
         assert list(tree.iter_all()) == []
@@ -304,7 +259,7 @@ class TestDegenerateShapes:
         tree.prune()
         assert tree.count_fds() == 0
 
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_single_attribute_universe(self, config):
         tree = build(config, 1)
         tree.add(0, 0b1)
@@ -312,14 +267,14 @@ class TestDegenerateShapes:
         assert sorted(tree.collect_violated(0)) == [(0, 0b1)]
         assert tree.collect_violated(0b1) == []
 
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_full_agreement_never_violates(self, config):
         tree = build(config, 4)
         tree.add(0b0011, 0b1100)
         assert tree.collect_violated(full_mask(4)) == []
         assert not tree.any_violated(full_mask(4))
 
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_wide_lattice_multiword_masks(self, config):
         width = 70  # two uint64 words
         tree = build(config, width)
@@ -382,7 +337,7 @@ def assert_covers_identical(instance, null_equals_null):
 
     agree_sets = all_pairs_agree_sets(instance, null_equals_null)
     expected = naive_positive_cover(instance.arity, agree_sets).iter_all()
-    for backend in available_configs():
+    for backend in CONFIGS:
         kernels.set_backend(backend)
         tree = build_positive_cover(instance.arity, agree_sets)
         assert list(tree.iter_all()) == expected, backend
@@ -391,7 +346,7 @@ def assert_covers_identical(instance, null_equals_null):
 class TestPositiveCoverCampaign:
     """≥25 seeded planted/random instances, both NULL semantics: the
     induction-built positive cover is byte-identical (``iter_all``)
-    across the naive oracle and both kernel backends."""
+    to the naive oracle's."""
 
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("null_equals_null", [True, False])
@@ -465,7 +420,7 @@ class TestPruneShrinksTraversal:
             survivors, key=bits_of
         )
 
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_depth_recomputed_by_prune(self, config):
         tree = build(config, 6)
         tree.add(0b111000, 0b1)
@@ -475,7 +430,7 @@ class TestPruneShrinksTraversal:
         tree.prune()
         assert tree.depth() == 1
 
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_remove_then_readd_revives(self, config):
         tree = build(config, 5)
         tree.add(0b00110, 0b00001)
@@ -489,7 +444,7 @@ class TestPruneShrinksTraversal:
 # Pickling (pool payloads) & profile counters
 # ----------------------------------------------------------------------
 class TestPickleAndCounters:
-    @pytest.mark.parametrize("config", config_params())
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_pickle_roundtrip_preserves_content(self, config):
         tree = build(config, 70)
         tree.add(0b1, 0b10)
@@ -502,20 +457,6 @@ class TestPickleAndCounters:
         clone.add(0b111, 0b1)  # still mutable after the trip
         assert clone.contains_fd(0b111, 0)
 
-    @requires_numpy
-    def test_pickle_rebuilds_mirrors_under_receiving_backend(self):
-        tree = build("numpy", 8)
-        for a in range(8):
-            tree.add(1 << a, 0b1 if a else 0b10)
-        kernels.set_backend("python")
-        clone = pickle.loads(pickle.dumps(tree))
-        assert clone._np is None  # interpreted representation now
-        assert list(clone.iter_all()) == list(tree.iter_all())
-        kernels.set_backend("numpy")
-        clone = pickle.loads(pickle.dumps(tree))
-        assert clone._np is not None
-        assert list(clone.iter_all()) == list(tree.iter_all())
-
     def test_profile_records_lattice_counters(self):
         from repro.datagen.random_tables import random_instance
         from repro.profiling import profile
@@ -527,12 +468,11 @@ class TestPickleAndCounters:
 
 
 # ----------------------------------------------------------------------
-# Kernel sweep oracles: pybackend vs numpy vs the tree's inlined loops
+# Kernel sweep oracles: pybackend vs the tree's inlined loops
 # ----------------------------------------------------------------------
 class TestLatticeKernelOracles:
     """``pybackend.lattice_*`` are the normative per-level sweeps; the
-    tree inlines them for speed and the numpy mirrors vectorize them.
-    Pin all three against each other directly."""
+    tree inlines them for speed.  Pin both forms against each other."""
 
     widths = st.integers(min_value=1, max_value=70)
 
@@ -572,51 +512,23 @@ class TestLatticeKernelOracles:
             assert _py.lattice_any_violation(
                 lhs_rows, rhs_rows, agree, disagree
             ) == bool(hits)
-
-    @requires_numpy
-    @given(st.integers(min_value=0, max_value=10_000), widths)
-    @settings(deadline=None)
-    def test_pybackend_matches_npbackend(self, seed, width):
-        from repro.kernels import npbackend as _npk
-        from repro.kernels import pybackend as _py
-
-        np = kernels.numpy_module()
-        rng = random.Random(seed)
-        words = max(1, (width + 63) // 64)
-        lhs_rows, rhs_rows = self._rows(rng, width, rng.randrange(1, 12))
-        full = (1 << width) - 1
-        np_lhs = _npk.pack_masks(lhs_rows, words)
-        np_rhs = _npk.pack_masks(rhs_rows, words)
-        for _ in range(6):
-            query = rng.randrange(full + 1)
-            rhs_attr = rng.randrange(width)
-            inv_query = np.invert(_npk.pack_masks([query], words)[0])
-            assert _npk.lattice_find_generalization(
-                np_lhs, np_rhs, inv_query, rhs_attr
-            ) == _py.lattice_find_generalization(
-                lhs_rows, rhs_rows, query, 1 << rhs_attr
-            )
-            agree = rng.randrange(full + 1)
-            disagree = full & ~agree
-            inv_agree = np.invert(_npk.pack_masks([agree], words)[0])
-            disagree_words = _npk.pack_masks([disagree], words)[0]
-            assert list(
-                _npk.lattice_violations(
-                    np_lhs, np_rhs, inv_agree, disagree_words
-                )
-            ) == _py.lattice_violations(lhs_rows, rhs_rows, agree, disagree)
-            assert _npk.lattice_any_violation(
-                np_lhs, np_rhs, inv_agree, disagree_words
-            ) == _py.lattice_any_violation(
-                lhs_rows, rhs_rows, agree, disagree
-            )
-            allowed = rng.randrange(full + 1)
-            assert _npk.lattice_specialization_screen(
-                np_lhs, np_rhs, _npk.pack_masks([allowed], words)[0],
-                rhs_attr,
-            ) == _py.lattice_specialization_screen(
-                lhs_rows, rhs_rows, allowed, 1 << rhs_attr
-            )
+            assert tree.any_violated(agree) == bool(hits)
+            # The screen plus the exact empty-or-single-extension test
+            # is what add_minimal_specializations inlines.
+            extensions = rng.randrange(full + 1) & ~(query | (1 << rhs_attr))
+            surviving = extensions
+            for pos in _py.lattice_specialization_screen(
+                lhs_rows, rhs_rows, query | extensions, 1 << rhs_attr
+            ):
+                extra = lhs_rows[pos] & ~query
+                if not extra:
+                    surviving = 0
+                elif extra & (extra - 1) == 0:
+                    surviving &= ~extra
+            clone = pickle.loads(pickle.dumps(tree))
+            assert clone.add_minimal_specializations(
+                query, rhs_attr, extensions
+            ) == [query | (1 << bit) for bit in iter_bits(surviving)]
 
 
 # ----------------------------------------------------------------------

@@ -198,11 +198,9 @@ def test_csr_sampler_matches_list_sampler(
     if backend == "numpy":
         if not kernels.numpy_available():
             pytest.skip("numpy not installed")
-        from repro.kernels import npbackend
-
-        # Vectorize even the small windows, or the numpy path would
-        # delegate them to the python kernel.
-        monkeypatch.setattr(npbackend, "SMALL_INPUT_THRESHOLD", 0)
+        # Vectorize even these small relations and windows, or the
+        # registry would send them to the python path.
+        monkeypatch.setattr(kernels, "SMALL_INPUT_THRESHOLD", 0)
     kernels.set_backend(backend)
     try:
         instance = ORACLE_CASES[case]()

@@ -9,12 +9,17 @@ cases.  When numpy is not installed the comparisons are skipped but
 backend selection itself is still exercised.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import kernels
 from repro.datagen.random_tables import random_instance
+from repro.io.csv_io import write_csv
 from repro.runtime.errors import InputError
 from repro.structures.encoding import EncodedRelation
 from repro.structures.partitions import PLICache, StrippedPartition
@@ -26,13 +31,10 @@ requires_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
 
 @pytest.fixture(autouse=True)
 def _restore_backend(monkeypatch):
-    # Force the vectorized paths: the hybrid small-input dispatch would
-    # otherwise delegate every one of these small fixtures to the python
-    # oracle and the comparison would be vacuous.
-    if NUMPY:
-        from repro.kernels import npbackend
-
-        monkeypatch.setattr(npbackend, "SMALL_INPUT_THRESHOLD", 0)
+    # Force the vectorized paths: the registry's small-input dispatch
+    # would otherwise send every one of these small fixtures to the
+    # python oracle and the comparison would be vacuous.
+    monkeypatch.setattr(kernels, "SMALL_INPUT_THRESHOLD", 0)
     yield
     kernels.set_backend(None)
 
@@ -179,19 +181,26 @@ class TestWideRelations:
 class TestHybridDispatch:
     def test_small_inputs_delegate_to_python(self, monkeypatch):
         """At the default threshold a tiny call runs the oracle loop."""
-        from repro.kernels import npbackend
+        from repro.kernels import npbackend, pybackend
 
         monkeypatch.undo()  # restore the real SMALL_INPUT_THRESHOLD
-        assert npbackend.SMALL_INPUT_THRESHOLD > 0
+        threshold = kernels.SMALL_INPUT_THRESHOLD
+        assert threshold > 0
+        kernels.set_backend("numpy")
+        assert kernels.for_size(threshold - 1) is pybackend
+        assert kernels.for_size(threshold) is npbackend
+        kernels.set_backend("python")
+        assert kernels.for_size(threshold + 16) is pybackend
+
         calls = []
-        real = npbackend._py.from_value_ids
+        real = pybackend.from_value_ids
         monkeypatch.setattr(
-            npbackend._py,
+            pybackend,
             "from_value_ids",
             lambda codes, null: calls.append(len(codes)) or real(codes, null),
         )
         small = [0, 1, 0, 1]
-        large = [i % 7 for i in range(npbackend.SMALL_INPUT_THRESHOLD + 16)]
+        large = [i % 7 for i in range(threshold + 16)]
         kernels.set_backend("numpy")
         first = StrippedPartition.from_value_ids(small, None)
         second = StrippedPartition.from_value_ids(large, None)
@@ -199,6 +208,47 @@ class TestHybridDispatch:
         kernels.set_backend("python")
         assert csr(first) == csr(StrippedPartition.from_value_ids(small, None))
         assert csr(second) == csr(StrippedPartition.from_value_ids(large, None))
+
+
+#: runs the CLI in-process, then reports which kernel modules it loaded
+_IMPORT_PROBE = """
+import json, sys
+from repro.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({name: name in sys.modules
+                  for name in ("numpy", "repro.kernels.npbackend")}))
+sys.exit(code)
+"""
+
+
+def _cli_modules(tmp_path, num_rows):
+    """Normalize a planted 6-column CSV in a fresh interpreter."""
+    path = tmp_path / "planted.csv"
+    write_csv(plant_instance(5, num_columns=6, num_rows=num_rows).instance, path)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(path),
+         "--ddl", str(tmp_path / "schema.sql")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportBySize:
+    """The registry imports numpy only for calls large enough to use it."""
+
+    def test_small_input_never_imports_numpy(self, tmp_path):
+        loaded = _cli_modules(tmp_path, 200)
+        assert loaded == {"numpy": False, "repro.kernels.npbackend": False}
+
+    @requires_numpy
+    def test_large_input_loads_npbackend(self, tmp_path):
+        loaded = _cli_modules(tmp_path, 2_000)
+        assert loaded == {"numpy": True, "repro.kernels.npbackend": True}
 
 
 @requires_numpy

@@ -1,10 +1,10 @@
 """Kernel-backend metamorphic tests: the pipeline is representation-blind.
 
 The kernel backend (``python`` vs ``numpy``) is a pure representation
-choice, down to the FD-tree's uint64 level mirrors; discovered covers,
-keys, and the final decomposed schema must be byte-identical under
-both.  This is the end-to-end counterpart of the per-operation
-differential suite in ``test_fdtree_differential.py``.
+choice; discovered covers, keys, and the final decomposed schema must
+be byte-identical under both pins.  This is the end-to-end counterpart
+of the per-operation differential suites in
+``test_kernels_differential.py`` and ``test_fdtree_differential.py``.
 """
 
 import pytest

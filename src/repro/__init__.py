@@ -20,40 +20,7 @@ Quickstart::
     print(result.to_str())
 """
 
-from repro.core.closure import (
-    calculate_closure,
-    improved_closure,
-    naive_closure,
-    optimized_closure,
-)
-from repro.core.nf_check import check_normal_form
-from repro.core.normalize import Normalizer, normalize
-from repro.core.result import NormalizationResult
-from repro.core.scoring import rank_keys, rank_violating_fds
-from repro.core.selection import (
-    AutoDecider,
-    CallbackDecider,
-    Decider,
-    ScriptedDecider,
-)
-from repro.discovery import (
-    DFD,
-    BruteForceFD,
-    DuccUCC,
-    HyFD,
-    NaiveUCC,
-    Tane,
-    discover_fds,
-    discover_uccs,
-)
-from repro.incremental import ChangeBatch, ChangeLog, IncrementalNormalizer
-from repro.io.csv_io import read_csv, write_csv
-from repro.io.datasets import address_example, planets_example
-from repro.io.ddl import schema_to_ddl
-from repro.io.graphviz import schema_to_dot
-from repro.io.serialization import load_fdset, result_to_json, save_fdset
-from repro.model import FD, FDSet, ForeignKey, Relation, RelationInstance, Schema
-from repro.profiling import profile, profile_many
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -101,3 +68,48 @@ __all__ = [
     "schema_to_dot",
     "write_csv",
 ]
+
+# Each name is imported from its module on first use, so a process
+# loads only the modules its command runs (DESIGN.md §6, "Imports").
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.closure": (
+            "calculate_closure",
+            "improved_closure",
+            "naive_closure",
+            "optimized_closure",
+        ),
+        "repro.core.nf_check": ("check_normal_form",),
+        "repro.core.normalize": ("Normalizer", "normalize"),
+        "repro.core.result": ("NormalizationResult",),
+        "repro.core.scoring": ("rank_keys", "rank_violating_fds"),
+        "repro.core.selection": (
+            "AutoDecider",
+            "CallbackDecider",
+            "Decider",
+            "ScriptedDecider",
+        ),
+        "repro.discovery.base": ("discover_fds",),
+        "repro.discovery.bruteforce": ("BruteForceFD",),
+        "repro.discovery.dfd": ("DFD",),
+        "repro.discovery.hyfd": ("HyFD",),
+        "repro.discovery.tane": ("Tane",),
+        "repro.discovery.ucc": ("DuccUCC", "NaiveUCC", "discover_uccs"),
+        "repro.incremental": ("ChangeBatch", "ChangeLog", "IncrementalNormalizer"),
+        "repro.io.csv_io": ("read_csv", "write_csv"),
+        "repro.io.datasets": ("address_example", "planets_example"),
+        "repro.io.ddl": ("schema_to_ddl",),
+        "repro.io.graphviz": ("schema_to_dot",),
+        "repro.io.serialization": ("load_fdset", "result_to_json", "save_fdset"),
+        "repro.model": (
+            "FD",
+            "FDSet",
+            "ForeignKey",
+            "Relation",
+            "RelationInstance",
+            "Schema",
+        ),
+        "repro.profiling": ("profile", "profile_many"),
+    },
+)

@@ -22,28 +22,32 @@ Two subcommands host the incremental engine (``docs/INCREMENTAL.md``)::
 
     repro apply-batch data.csv --changes changes.json --report
     repro watch data.csv --changes changes.jsonl --interval 2
+
+Each handler imports the modules it runs after its arguments parse, so
+``--help`` loads no pipeline and ``repro submit`` loads only the client.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.normalize import Normalizer
-from repro.core.scoring import KeyScore, ViolatingFDScore
-from repro.core.selection import AutoDecider, CallbackDecider
-from repro.io.csv_io import read_csv, write_csv
-from repro.io.ddl import schema_to_ddl
-from repro.model.instance import RelationInstance
 from repro.runtime.errors import (
     BudgetExceeded,
     CheckpointError,
     InputError,
     WorkerCrashError,
 )
-from repro.runtime.governor import Budget, parse_duration, parse_memory
+
+if TYPE_CHECKING:
+    from repro.core.scoring import KeyScore, ViolatingFDScore
+    from repro.core.selection import CallbackDecider
+    from repro.model.instance import RelationInstance
+    from repro.runtime.governor import Budget
 
 __all__ = ["build_parser", "main"]
 
@@ -51,12 +55,14 @@ __all__ = ["build_parser", "main"]
 #: docs/ROBUSTNESS.md): bad input data/arguments, a propagated budget
 #: breach (only with --no-degrade), a checkpoint defect, an unrecovered
 #: worker crash (strict pool mode), and the conventional signal codes
-#: (128 + SIGINT/SIGTERM) after a graceful teardown.
+#: (128 + SIGINT/SIGTERM/SIGPIPE): after a graceful teardown, or when
+#: the reader of standard output went away.
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET_EXCEEDED = 3
 EXIT_CHECKPOINT_ERROR = 4
 EXIT_WORKER_CRASH = 5
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 EXIT_TERMINATED = 143
 
 
@@ -75,18 +81,13 @@ def _graceful_shutdown() -> None:
     Checkpoint journals need no flushing here — every write is already
     atomic (tmp + rename), so an interrupt can only lose the in-flight
     step, never corrupt the journal.  What a signal *can* strand is the
-    worker pool and its shared-memory segments; release both.
+    worker pool and its shared-memory segments; release both, if this
+    process ever built a pool.
     """
     try:
-        from repro.parallel import shutdown_pool
+        from repro.parallel import shutdown_pool_if_loaded
 
-        shutdown_pool()
-    except Exception:  # pragma: no cover - teardown best effort
-        pass
-    try:
-        from repro.parallel import release_owned_segments
-
-        release_owned_segments()
+        shutdown_pool_if_loaded()
     except Exception:  # pragma: no cover - teardown best effort
         pass
 
@@ -268,7 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget(args: argparse.Namespace) -> Budget | None:
+    """The run's budget from the governance flags (None if unbounded)."""
+    if not (args.deadline or args.memory_limit or args.max_candidates):
+        return None
+    from repro.runtime.governor import Budget, parse_duration, parse_memory
+
+    return Budget(
+        deadline_seconds=parse_duration(args.deadline) if args.deadline else None,
+        max_memory_bytes=(
+            parse_memory(args.memory_limit) if args.memory_limit else None
+        ),
+        max_candidates=args.max_candidates,
+    )
+
+
 def _interactive_decider(top: int) -> CallbackDecider:
+    from repro.core.selection import CallbackDecider
+
     def on_violating_fd(
         instance: RelationInstance, ranking: list[ViolatingFDScore]
     ) -> int | None:
@@ -310,8 +328,10 @@ def main(argv: list[str] | None = None) -> int:
     unrecovered worker crash → 5.  SIGINT and SIGTERM tear the worker
     pool and shared memory down before exiting 130/143 (128 + signal),
     so an interrupted run never strands ``/dev/shm`` segments or
-    orphaned workers.  Anything else escaping is a genuine bug and
-    keeps its traceback.
+    orphaned workers.  A reader that closes standard output early
+    (``repro data.csv --profile | head -1``) ends the run with 141
+    (128 + SIGPIPE) and no traceback.  Anything else escaping is a
+    genuine bug and keeps its traceback.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -325,21 +345,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:  # pragma: no cover - not the main thread
         pass
     try:
-        if argv and argv[0] == "verify":
-            # The verification harness rides on the same console entry
-            # point (`repro verify --seeds N`); the rest is normalization.
-            from repro.verification.runner import main_verify
-
-            return main_verify(argv[1:])
-        if argv and argv[0] == "apply-batch":
-            return _main_apply_batch(argv[1:], watch=False)
-        if argv and argv[0] == "watch":
-            return _main_apply_batch(argv[1:], watch=True)
-        if argv and argv[0] == "serve":
-            return _main_serve(argv[1:])
-        if argv and argv[0] == "submit":
-            return _main_submit(argv[1:])
-        return _main_normalize(argv)
+        code = _run_command(argv)
+        # Flush here so a closed pipe raises inside this boundary, not
+        # in the interpreter's final flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
@@ -368,20 +383,29 @@ def main(argv: list[str] | None = None) -> int:
                 pass
 
 
+def _run_command(argv: list[str]) -> int:
+    if argv and argv[0] == "verify":
+        # The verification harness rides on the same console entry
+        # point (`repro verify --seeds N`); the rest is normalization.
+        from repro.verification.runner import main_verify
+
+        return main_verify(argv[1:])
+    if argv and argv[0] == "apply-batch":
+        return _main_apply_batch(argv[1:], watch=False)
+    if argv and argv[0] == "watch":
+        return _main_apply_batch(argv[1:], watch=True)
+    if argv and argv[0] == "serve":
+        return _main_serve(argv[1:])
+    if argv and argv[0] == "submit":
+        return _main_submit(argv[1:])
+    return _main_normalize(argv)
+
+
 def _main_normalize(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
+    budget = _budget(args)
 
-    budget = None
-    if args.deadline or args.memory_limit or args.max_candidates:
-        budget = Budget(
-            deadline_seconds=(
-                parse_duration(args.deadline) if args.deadline else None
-            ),
-            max_memory_bytes=(
-                parse_memory(args.memory_limit) if args.memory_limit else None
-            ),
-            max_candidates=args.max_candidates,
-        )
+    from repro.io.csv_io import read_csv, write_csv
 
     instances = [
         read_csv(
@@ -396,9 +420,7 @@ def _main_normalize(argv: list[str]) -> int:
     sampled = None
     if args.approximate:
         if args.load_fds:
-            raise SystemExit(
-                "--approximate cannot be combined with --load-fds"
-            )
+            raise InputError("--approximate cannot be combined with --load-fds")
         from repro.discovery.sampled import SampledG3FD
 
         sampled = SampledG3FD(
@@ -433,16 +455,19 @@ def _main_normalize(argv: list[str]) -> int:
             all_conform = all_conform and report.conforms
         return 0 if all_conform else 1
 
+    from repro.core.normalize import Normalizer
+    from repro.core.selection import AutoDecider
+
     algorithm: object = sampled if sampled is not None else args.algorithm
     if args.load_fds:
         from repro.discovery.precomputed import PrecomputedFDs
         from repro.io.serialization import load_fdset
 
         if len(instances) != 1:
-            raise SystemExit("--load-fds supports exactly one input file")
+            raise InputError("--load-fds supports exactly one input file")
         fds, columns = load_fdset(args.load_fds)
         if columns != instances[0].columns:
-            raise SystemExit(
+            raise InputError(
                 "--load-fds: saved FD set was profiled on different columns"
             )
         algorithm = PrecomputedFDs({instances[0].name: fds})
@@ -452,7 +477,7 @@ def _main_normalize(argv: list[str]) -> int:
         from repro.extensions.fournf import FourNFNormalizer
 
         if len(instances) != 1:
-            raise SystemExit("--target 4nf supports exactly one input file")
+            raise InputError("--target 4nf supports exactly one input file")
         four = FourNFNormalizer(
             algorithm=algorithm,
             decider=decider,
@@ -462,6 +487,8 @@ def _main_normalize(argv: list[str]) -> int:
         print(four.to_str())
         return 0
 
+    if args.save_fds and len(instances) != 1:
+        raise InputError("--save-fds supports exactly one input file")
     resume_state = None
     checkpoint_path = args.checkpoint
     if args.resume:
@@ -489,8 +516,6 @@ def _main_normalize(argv: list[str]) -> int:
     if args.save_fds:
         from repro.io.serialization import save_fdset
 
-        if len(instances) != 1:
-            raise SystemExit("--save-fds supports exactly one input file")
         fds = result.discovered_fds[instances[0].name]
         save_fdset(fds, instances[0].columns, args.save_fds)
         print(f"FD set written to {args.save_fds}")
@@ -519,6 +544,8 @@ def _main_normalize(argv: list[str]) -> int:
                 print(f"    {bound}")
 
     if args.ddl:
+        from repro.io.ddl import schema_to_ddl
+
         Path(args.ddl).write_text(
             schema_to_ddl(result.schema, result.instances), encoding="utf-8"
         )
@@ -676,22 +703,12 @@ def build_apply_batch_parser(watch: bool = False) -> argparse.ArgumentParser:
 def _main_apply_batch(argv: list[str], watch: bool) -> int:
     import time as _time
 
-    from repro.incremental import IncrementalNormalizer, resume_engine
-    from repro.io.serialization import load_changelog
-
     args = build_apply_batch_parser(watch=watch).parse_args(argv)
+    budget = _budget(args)
 
-    budget = None
-    if args.deadline or args.memory_limit or args.max_candidates:
-        budget = Budget(
-            deadline_seconds=(
-                parse_duration(args.deadline) if args.deadline else None
-            ),
-            max_memory_bytes=(
-                parse_memory(args.memory_limit) if args.memory_limit else None
-            ),
-            max_candidates=args.max_candidates,
-        )
+    from repro.incremental import IncrementalNormalizer, resume_engine
+    from repro.io.csv_io import read_csv, write_csv
+    from repro.io.serialization import load_changelog
 
     instances = [
         read_csv(
@@ -866,12 +883,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def _main_serve(argv: list[str]) -> int:
     args = build_serve_parser().parse_args(argv)
     if args.workers is not None:
-        import os
-
         if args.workers < 1:
             raise InputError("--workers must be >= 1")
         os.environ["REPRO_WORKERS"] = str(args.workers)
 
+    from repro.runtime.governor import parse_duration, parse_memory
     from repro.server.app import ServerConfig, serve
 
     config = ServerConfig(

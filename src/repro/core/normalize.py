@@ -39,6 +39,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.closure import calculate_closure
 from repro.core.decomposition import decompose
@@ -52,13 +53,11 @@ from repro.core.scoring import (
 )
 from repro.core.selection import AutoDecider, Decider
 from repro.core.violations import find_violating_fds
-from repro.discovery.base import FDAlgorithm
+from repro.discovery.base import FDAlgorithm, resolve_fd_algorithm
 from repro.discovery.ucc import DuccUCC
 from repro.model.attributes import iter_bits
 from repro.model.fd import FD, FDSet
 from repro.model.instance import RelationInstance
-from repro.parallel import resolve_workers
-from repro.runtime.checkpointing import PipelineState, save_state
 from repro.runtime.degrade import (
     FidelityReport,
     RelationFidelity,
@@ -71,6 +70,9 @@ from repro.runtime.errors import (
     InputError,
 )
 from repro.runtime.governor import Budget, Governor, activate, suspended
+
+if TYPE_CHECKING:
+    from repro.runtime.checkpointing import PipelineState
 
 __all__ = ["Normalizer", "normalize"]
 
@@ -132,31 +134,16 @@ class Normalizer:
         fault_plan=None,
         workers: int | None = None,
     ) -> None:
+        from repro.parallel import resolve_workers
+
         self.workers = resolve_workers(workers)
         if isinstance(algorithm, str):
-            from repro.discovery.bruteforce import BruteForceFD
-            from repro.discovery.dfd import DFD
-            from repro.discovery.hyfd import HyFD
-            from repro.discovery.tane import Tane
-
-            registry = {
-                "hyfd": HyFD,
-                "tane": Tane,
-                "dfd": DFD,
-                "bruteforce": BruteForceFD,
-            }
-            if algorithm.lower() not in registry:
-                raise InputError(
-                    f"unknown FD algorithm {algorithm!r}; "
-                    f"choose from {sorted(registry)}"
-                )
-            cls = registry[algorithm.lower()]
             kwargs = dict(
                 null_equals_null=null_equals_null, max_lhs_size=max_lhs_size
             )
-            if cls in (HyFD, Tane):
+            if algorithm.lower() in ("hyfd", "tane"):  # the pooled discoverers
                 kwargs["workers"] = self.workers
-            algorithm = cls(**kwargs)
+            algorithm = resolve_fd_algorithm(algorithm, **kwargs)
         self.algorithm = algorithm
         self.decider = decider if decider is not None else AutoDecider()
         self.target = target
@@ -208,6 +195,8 @@ class Normalizer:
         used_names = {instance.name for instance in inputs}
         if len(used_names) != len(inputs):
             raise InputError("input relation names must be unique")
+
+        from repro.runtime.checkpointing import PipelineState
 
         state = resume_state if resume_state is not None else PipelineState()
         if resume_state is not None:
@@ -678,6 +667,8 @@ class Normalizer:
     def _flush(self, state: PipelineState) -> None:
         if self.checkpoint_path is None:
             return
+        from repro.runtime.checkpointing import save_state
+
         with suspended():
             save_state(state, self.checkpoint_path)
 

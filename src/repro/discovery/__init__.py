@@ -17,21 +17,7 @@ dependencies of the instance.  This package provides:
   component.
 """
 
-from repro.discovery.base import FDAlgorithm, discover_fds
-from repro.discovery.bruteforce import BruteForceFD
-from repro.discovery.dfd import DFD
-from repro.discovery.hyfd import HyFD
-from repro.discovery.hyucc import HyUCC
-from repro.discovery.ind import (
-    IND,
-    discover_unary_inds,
-    ind_holds,
-    verify_foreign_keys,
-)
-from repro.discovery.precomputed import PrecomputedFDs
-from repro.discovery.sampled import SampledG3FD
-from repro.discovery.tane import Tane
-from repro.discovery.ucc import DuccUCC, NaiveUCC, discover_uccs
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DFD",
@@ -51,3 +37,24 @@ __all__ = [
     "ind_holds",
     "verify_foreign_keys",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.discovery.base": ("FDAlgorithm", "discover_fds"),
+        "repro.discovery.bruteforce": ("BruteForceFD",),
+        "repro.discovery.dfd": ("DFD",),
+        "repro.discovery.hyfd": ("HyFD",),
+        "repro.discovery.hyucc": ("HyUCC",),
+        "repro.discovery.ind": (
+            "IND",
+            "discover_unary_inds",
+            "ind_holds",
+            "verify_foreign_keys",
+        ),
+        "repro.discovery.precomputed": ("PrecomputedFDs",),
+        "repro.discovery.sampled": ("SampledG3FD",),
+        "repro.discovery.tane": ("Tane",),
+        "repro.discovery.ucc": ("DuccUCC", "NaiveUCC", "discover_uccs"),
+    },
+)

@@ -16,11 +16,22 @@ on.  Discoverers share two knobs:
 from __future__ import annotations
 
 import abc
+from importlib import import_module
 
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
+from repro.runtime.errors import InputError
 
 __all__ = ["FDAlgorithm", "discover_fds"]
+
+#: FD discoverers by name, as ``module.Class``.  Resolving a name
+#: imports only the module of the discoverer it names.
+FD_ALGORITHMS = {
+    "hyfd": "repro.discovery.hyfd.HyFD",
+    "tane": "repro.discovery.tane.Tane",
+    "dfd": "repro.discovery.dfd.DFD",
+    "bruteforce": "repro.discovery.bruteforce.BruteForceFD",
+}
 
 
 class FDAlgorithm(abc.ABC):
@@ -54,27 +65,21 @@ class FDAlgorithm(abc.ABC):
         )
 
 
+def algorithm_class(registry: dict[str, str], kind: str, algorithm: str) -> type:
+    """The class ``registry`` names ``algorithm`` (any case), imported
+    on demand; ``kind`` names the registry in the error message."""
+    path = registry.get(algorithm.lower())
+    if path is None:
+        raise InputError(
+            f"unknown {kind} algorithm {algorithm!r}; choose from {sorted(registry)}"
+        )
+    module, _, name = path.rpartition(".")
+    return getattr(import_module(module), name)
+
+
 def resolve_fd_algorithm(algorithm: str, **kwargs) -> FDAlgorithm:
-    """Instantiate an FD discoverer by name.
-
-    Names: ``"hyfd"``, ``"tane"``, ``"dfd"``, ``"bruteforce"``.
-    """
-    # Imported lazily to avoid a circular import at package load time.
-    from repro.discovery.bruteforce import BruteForceFD
-    from repro.discovery.dfd import DFD
-    from repro.discovery.hyfd import HyFD
-    from repro.discovery.tane import Tane
-
-    registry: dict[str, type[FDAlgorithm]] = {
-        "hyfd": HyFD,
-        "tane": Tane,
-        "dfd": DFD,
-        "bruteforce": BruteForceFD,
-    }
-    key = algorithm.lower()
-    if key not in registry:
-        raise ValueError(f"unknown FD algorithm {algorithm!r}; choose from {sorted(registry)}")
-    return registry[key](**kwargs)
+    """Instantiate an FD discoverer by name (see :data:`FD_ALGORITHMS`)."""
+    return algorithm_class(FD_ALGORITHMS, "FD", algorithm)(**kwargs)
 
 
 def discover_fds(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.discovery.base import algorithm_class
 from repro.discovery.lattice import find_minimal_satisfying
 from repro.model.attributes import full_mask, iter_bits
 from repro.model.instance import RelationInstance
@@ -32,6 +33,14 @@ from repro.structures.partitions import PLICache
 from repro.structures.settrie import SetTrie
 
 __all__ = ["DuccUCC", "NaiveUCC", "discover_uccs"]
+
+#: UCC discoverers by name, as ``module.Class`` (see
+#: :func:`~repro.discovery.base.algorithm_class`).
+UCC_ALGORITHMS = {
+    "ducc": "repro.discovery.ucc.DuccUCC",
+    "hyucc": "repro.discovery.hyucc.HyUCC",
+    "naive": "repro.discovery.ucc.NaiveUCC",
+}
 
 
 class DuccUCC:
@@ -137,13 +146,7 @@ def resolve_ucc_algorithm(algorithm: str = "ducc", **kwargs):
 
     Algorithms: ``"ducc"`` (default), ``"hyucc"``, ``"naive"``.
     """
-    from repro.discovery.hyucc import HyUCC
-
-    registry = {"ducc": DuccUCC, "hyucc": HyUCC, "naive": NaiveUCC}
-    key = algorithm.lower()
-    if key not in registry:
-        raise ValueError(f"unknown UCC algorithm {algorithm!r}; choose from {sorted(registry)}")
-    return registry[key](**kwargs)
+    return algorithm_class(UCC_ALGORITHMS, "UCC", algorithm)(**kwargs)
 
 
 def discover_uccs(

@@ -23,13 +23,7 @@ byte-identical to a from-scratch :func:`repro.normalize` of the updated
 instance.
 """
 
-from repro.incremental.changes import ChangeBatch, ChangeLog
-from repro.incremental.cover import CoverDelta, IncrementalCover
-from repro.incremental.engine import BatchOutcome, IncrementalNormalizer
-from repro.incremental.journal import load_journal, resume_engine, save_journal
-from repro.incremental.migration import MigrationPlan
-from repro.incremental.monitor import ConstraintMonitor, ConstraintViolation
-from repro.incremental.structures import LiveRelation, MutableColumnPartition
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchOutcome",
@@ -47,3 +41,22 @@ __all__ = [
     "resume_engine",
     "save_journal",
 ]
+
+# Reading a change log (``repro submit --changes``) needs only
+# ``changes``; the engine and its structures load on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.incremental.changes": ("ChangeBatch", "ChangeLog"),
+        "repro.incremental.cover": ("CoverDelta", "IncrementalCover"),
+        "repro.incremental.engine": ("BatchOutcome", "IncrementalNormalizer"),
+        "repro.incremental.journal": (
+            "load_journal",
+            "resume_engine",
+            "save_journal",
+        ),
+        "repro.incremental.migration": ("MigrationPlan",),
+        "repro.incremental.monitor": ("ConstraintMonitor", "ConstraintViolation"),
+        "repro.incremental.structures": ("LiveRelation", "MutableColumnPartition"),
+    },
+)

@@ -1,22 +1,6 @@
 """I/O: CSV and JSON, bundled micro-datasets, SQL DDL and DOT export."""
 
-from repro.io.csv_io import read_csv, write_csv
-from repro.io.datasets import (
-    address_example,
-    denormalized_university,
-    planets_example,
-)
-from repro.io.ddl import schema_to_ddl
-from repro.io.graphviz import schema_to_dot
-from repro.io.serialization import (
-    fdset_from_json,
-    fdset_to_json,
-    load_fdset,
-    result_to_json,
-    save_fdset,
-    schema_from_json,
-    schema_to_json,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "address_example",
@@ -34,3 +18,26 @@ __all__ = [
     "schema_to_json",
     "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.io.csv_io": ("read_csv", "write_csv"),
+        "repro.io.datasets": (
+            "address_example",
+            "denormalized_university",
+            "planets_example",
+        ),
+        "repro.io.ddl": ("schema_to_ddl",),
+        "repro.io.graphviz": ("schema_to_dot",),
+        "repro.io.serialization": (
+            "fdset_from_json",
+            "fdset_to_json",
+            "load_fdset",
+            "result_to_json",
+            "save_fdset",
+            "schema_from_json",
+            "schema_to_json",
+        ),
+    },
+)

@@ -20,11 +20,14 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.core.result import NormalizationResult
 from repro.model.attributes import mask_of_names, names_of
 from repro.model.fd import FDSet
 from repro.model.schema import ForeignKey, Relation, Schema
+
+if TYPE_CHECKING:
+    from repro.core.result import NormalizationResult
 
 __all__ = [
     "changelog_from_json",

@@ -33,27 +33,11 @@ counters so each algorithm run can report the delta it caused.
 
 from __future__ import annotations
 
-from repro.parallel.pool import (
-    MAX_WORKERS,
-    PoolStats,
-    WorkerCrashError,
-    WorkerError,
-    WorkerPool,
-    get_pool,
-    pool_stats,
-    resolve_workers,
-    should_parallelize,
-    shutdown_pool,
-)
-from repro.parallel.shm import (
-    SharedRelation,
-    ShmHandle,
-    attach_encoding,
-    export_encoding,
-    reap_orphan_segments,
-    release_owned_segments,
-)
-from repro.parallel.supervisor import WorkerSupervisor
+import os
+import sys
+
+from repro._lazy import lazy_exports
+from repro.runtime.errors import InputError
 
 __all__ = [
     "MAX_WORKERS",
@@ -76,6 +60,78 @@ __all__ = [
     "shutdown_pool",
     "split_ranges",
 ]
+
+# The pool, shared memory and ``multiprocessing`` load when a pool is
+# built, so a serial run never imports them.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.pool": (
+            "PoolStats",
+            "WorkerCrashError",
+            "WorkerError",
+            "WorkerPool",
+            "get_pool",
+            "pool_stats",
+            "should_parallelize",
+            "shutdown_pool",
+        ),
+        "repro.parallel.shm": (
+            "SharedRelation",
+            "ShmHandle",
+            "attach_encoding",
+            "export_encoding",
+            "reap_orphan_segments",
+            "release_owned_segments",
+        ),
+        "repro.parallel.supervisor": ("WorkerSupervisor",),
+    },
+)
+
+#: Hard cap honoured by :func:`resolve_workers` (sanity bound).
+MAX_WORKERS = 64
+
+
+def resolve_workers(explicit: int | None = None) -> int:
+    """Resolve the effective worker count.
+
+    Precedence: explicit argument > ``REPRO_WORKERS`` env var > 1
+    (serial).  Inside a pool worker this always returns 1 — parallel
+    sections encountered by worker-side code run serially instead of
+    forking grandchildren.  Only a process that imported
+    :mod:`repro.parallel.pool` can be one of its workers, so this never
+    imports the pool itself.
+    """
+    pool = sys.modules.get("repro.parallel.pool")
+    if pool is not None and pool._IN_WORKER:
+        return 1
+    value = explicit
+    if value is None:
+        raw = os.environ.get("REPRO_WORKERS", "").strip()
+        if raw:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise InputError(
+                    f"REPRO_WORKERS must be an integer, got {raw!r}"
+                ) from None
+    if value is None:
+        return 1
+    if value < 1:
+        raise InputError("worker count must be >= 1")
+    return min(value, MAX_WORKERS)
+
+
+def shutdown_pool_if_loaded() -> None:
+    """:func:`shutdown_pool` in a process that ever imported the pool.
+
+    Only such a process can own workers or shared-memory segments, so
+    teardown paths call this instead of importing the pool just to find
+    nothing to release.
+    """
+    pool = sys.modules.get("repro.parallel.pool")
+    if pool is not None:
+        pool.shutdown_pool()
 
 
 def split_ranges(count: int, parts: int) -> list[tuple[int, int]]:
@@ -110,6 +166,8 @@ class RelationRun:
     __slots__ = ("workers", "pool", "_encoding", "_shared", "_mark", "stats")
 
     def __init__(self, workers: int, encoding=None) -> None:
+        from repro.parallel.pool import get_pool
+
         self.workers = workers
         self.pool = get_pool(workers)
         self._encoding = encoding
@@ -123,12 +181,16 @@ class RelationRun:
         if self._shared is None:
             if self._encoding is None:
                 raise ValueError("RelationRun was created without an encoding")
+            from repro.parallel.shm import export_encoding
+
             self._shared = export_encoding(self._encoding)
             self.pool.stats.export_seconds += self._shared.export_seconds
         return self._shared.handle
 
     def should(self, work_units: int) -> bool:
         """Cost-model gate; counts the serial fallback when it says no."""
+        from repro.parallel.pool import should_parallelize
+
         if should_parallelize(work_units, self.workers):
             return True
         self.pool.stats.serial_fallbacks += 1

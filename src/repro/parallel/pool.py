@@ -41,7 +41,8 @@ Design points, each load-bearing:
 * **Fork hygiene** — workers reset inherited process state on start
   (ambient governor, the partition probe buffer, any shared-memory
   attachments) via :func:`_reset_worker_state`; nested pools are
-  refused (``resolve_workers`` reports 1 inside a worker).
+  refused (:func:`repro.parallel.resolve_workers` reports 1 inside a
+  worker).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "get_pool",
-    "resolve_workers",
     "should_parallelize",
     "shutdown_pool",
 ]
@@ -87,9 +87,6 @@ __all__ = [
 #: a hot path stays serial — small inputs must not pay pool overhead.
 #: Read at call time so tests can monkeypatch it to force either path.
 SERIAL_THRESHOLD = 50_000
-
-#: Hard cap honoured by :func:`resolve_workers` (sanity bound).
-MAX_WORKERS = 64
 
 _IN_WORKER = False  # set in forked/spawned children; forbids nesting
 
@@ -145,33 +142,6 @@ class _RawFlag:
 
     def is_set(self) -> bool:
         return bool(self._value.value)
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Resolve the effective worker count.
-
-    Precedence: explicit argument > ``REPRO_WORKERS`` env var > 1
-    (serial).  Inside a pool worker this always returns 1 — parallel
-    sections encountered by worker-side code run serially instead of
-    forking grandchildren.
-    """
-    if _IN_WORKER:
-        return 1
-    value = explicit
-    if value is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise InputError(
-                    f"REPRO_WORKERS must be an integer, got {raw!r}"
-                ) from None
-    if value is None:
-        return 1
-    if value < 1:
-        raise InputError("worker count must be >= 1")
-    return min(value, MAX_WORKERS)
 
 
 def should_parallelize(work_units: int, workers: int) -> bool:
@@ -939,18 +909,31 @@ def _governor_snapshot(governor: Governor | None) -> dict | None:
 # The process-wide pool singleton
 # ----------------------------------------------------------------------
 _POOL: WorkerPool | None = None
+_SHUTDOWN_AT_EXIT = False  # shutdown_pool is registered with atexit
 
 
 def get_pool(workers: int) -> WorkerPool:
-    """Return the shared pool, (re)creating it at the requested size."""
-    global _POOL
+    """Return the shared pool, (re)creating it at the requested size.
+
+    The first pool of a process registers :func:`shutdown_pool` to run
+    at exit; later pools reuse that one hook.
+    """
+    global _POOL, _SHUTDOWN_AT_EXIT
     if _POOL is not None and (_POOL.workers != workers or _POOL._closed):
         if not _POOL._closed:
             _POOL.close()
         _POOL = None
     if _POOL is None:
         _POOL = WorkerPool(workers)
-        atexit.register(shutdown_pool)
+        if not _SHUTDOWN_AT_EXIT:
+            # atexit runs hooks last in, first out, and importing
+            # multiprocessing.util registers the hook that SIGTERMs
+            # daemon workers.  Registered after it, shutdown_pool runs
+            # first and stops the workers with sentinels instead.
+            import multiprocessing.util  # noqa: F401
+
+            atexit.register(shutdown_pool)
+            _SHUTDOWN_AT_EXIT = True
     return _POOL
 
 
@@ -962,13 +945,15 @@ def shutdown_pool() -> None:
     leaves ``/dev/shm`` clean.
     """
     global _POOL
-    if _POOL is not None:
-        _POOL.close()
-        _POOL = None
     from repro.parallel.shm import reap_orphan_segments, release_owned_segments
 
-    release_owned_segments()
-    reap_orphan_segments()
+    pool, _POOL = _POOL, None
+    try:
+        if pool is not None:
+            pool.close()
+    finally:
+        release_owned_segments()
+        reap_orphan_segments()
 
 
 def pool_stats() -> PoolStats | None:

@@ -274,6 +274,7 @@ def _pool_probe(payload: dict) -> dict:
     import os as _os
 
     from repro.parallel import pool as pool_module
+    from repro.parallel import resolve_workers
     from repro.runtime.governor import checkpoint
 
     for _ in range(payload.get("ticks", 1)):
@@ -281,7 +282,7 @@ def _pool_probe(payload: dict) -> dict:
     return {
         "pid": _os.getpid(),
         "in_worker": pool_module._IN_WORKER,
-        "resolved_workers": pool_module.resolve_workers(),
+        "resolved_workers": resolve_workers(),
         "value": payload.get("value"),
     }
 

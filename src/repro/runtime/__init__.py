@@ -10,33 +10,17 @@ The runtime layer makes the pipeline *interruptible by contract*:
 * :mod:`repro.runtime.faults` — deterministic fault injection so the
   verification harness can exercise every breach and resume path,
 * :mod:`repro.runtime.degrade` — the hyfd → dfd → sampled-rows ladder
-  and the fidelity report (imported lazily by the pipeline),
+  and the fidelity report (every pipeline run discovers through the
+  ladder, so :mod:`repro.core.normalize` imports it),
 * :mod:`repro.runtime.checkpointing` — pipeline progress persisted so
-  ``repro normalize --resume`` continues a killed run (imported
-  lazily by the pipeline).
+  ``repro normalize --resume`` continues a killed run (imported when a
+  pipeline run starts, not with the pipeline module).
 
-See ``docs/ROBUSTNESS.md`` for the full design.
+The names above are re-exported lazily: importing this package loads
+none of its submodules.  See ``docs/ROBUSTNESS.md`` for the full design.
 """
 
-from repro.runtime.errors import (
-    BudgetExceeded,
-    CheckpointError,
-    DegradedResultWarning,
-    InputError,
-    ReproError,
-)
-from repro.runtime.faults import FaultPlan, SimulatedKill
-from repro.runtime.governor import (
-    Budget,
-    Governor,
-    activate,
-    add_candidates,
-    checkpoint,
-    current_governor,
-    parse_duration,
-    parse_memory,
-    suspended,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Budget",
@@ -56,3 +40,28 @@ __all__ = [
     "parse_memory",
     "suspended",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.errors": (
+            "BudgetExceeded",
+            "CheckpointError",
+            "DegradedResultWarning",
+            "InputError",
+            "ReproError",
+        ),
+        "repro.runtime.faults": ("FaultPlan", "SimulatedKill"),
+        "repro.runtime.governor": (
+            "Budget",
+            "Governor",
+            "activate",
+            "add_candidates",
+            "checkpoint",
+            "current_governor",
+            "parse_duration",
+            "parse_memory",
+            "suspended",
+        ),
+    },
+)

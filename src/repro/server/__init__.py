@@ -5,7 +5,7 @@ per-tenant incremental-normalization sessions hot: upload a CSV once,
 then stream change batches and read schema/DDL/migration views without
 ever paying rediscovery.  See ``docs/SERVER.md`` for the protocol.
 
-Layers (import order matters — lowest first):
+Layers, lowest first:
 
 * :mod:`repro.server.protocol` — HTTP/1.1 + JSON wire format,
 * :mod:`repro.server.sessions` — per-tenant state, LRU/expiry,
@@ -15,14 +15,7 @@ Layers (import order matters — lowest first):
   tests, benchmarks).
 """
 
-from repro.server.app import ReproServer, ServerConfig, serve
-from repro.server.client import ReproClient, ServerError
-from repro.server.sessions import (
-    Session,
-    SessionExistsError,
-    SessionOptions,
-    SessionRegistry,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ReproClient",
@@ -35,3 +28,17 @@ __all__ = [
     "SessionRegistry",
     "serve",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.app": ("ReproServer", "ServerConfig", "serve"),
+        "repro.server.client": ("ReproClient", "ServerError"),
+        "repro.server.sessions": (
+            "Session",
+            "SessionExistsError",
+            "SessionOptions",
+            "SessionRegistry",
+        ),
+    },
+)

@@ -43,12 +43,12 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.incremental.changes import ChangeBatch
 from repro.io.serialization import schema_to_json
-from repro.parallel import release_owned_segments, shutdown_pool
+from repro.parallel import shutdown_pool_if_loaded
 from repro.runtime.errors import (
     BudgetExceeded,
     CheckpointError,
@@ -569,8 +569,7 @@ class ReproServer:
 
     @staticmethod
     def _release_resources() -> None:
-        shutdown_pool()
-        release_owned_segments()
+        shutdown_pool_if_loaded()
 
     async def run_until_shutdown(self, ready: asyncio.Event | None = None) -> None:
         """start() → announce → sweep idle sessions → drain on signal."""
@@ -605,9 +604,32 @@ class ReproServer:
             self.registry.expire_idle()
 
 
+def _preload_session_modules() -> None:
+    """Import every module a session's requests run, before listening.
+
+    The pipeline imports its FD discoverer by name, checkpointing when a
+    run starts, the degradation ladder's sampled rung on a budget breach
+    and the pool when a run first shards; the daemon pays for all of
+    them at start so that no request does.
+    """
+    from importlib import import_module
+
+    from repro.discovery.base import FD_ALGORITHMS
+    from repro.parallel import resolve_workers
+
+    modules = [path.rpartition(".")[0] for path in FD_ALGORITHMS.values()]
+    modules += ["repro.discovery.sampled", "repro.runtime.checkpointing"]
+    if resolve_workers() > 1:
+        modules += ["repro.parallel.pool", "repro.parallel.shm"]
+    for module in modules:
+        import_module(module)
+
+
 def serve(config: ServerConfig) -> int:
     """Blocking entry point behind ``repro serve``; returns exit code."""
     import signal
+
+    _preload_session_modules()
 
     async def _main() -> int:
         server = ReproServer(config)

@@ -1,6 +1,13 @@
-"""Shared test utilities: semantic FD checks and canonical forms."""
+"""Shared test utilities: semantic FD checks, canonical forms, and a
+probe of the modules one CLI command imports."""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.model.attributes import iter_bits
 from repro.model.fd import FDSet
@@ -11,10 +18,56 @@ from repro.structures.partitions import column_value_ids
 __all__ = [
     "assert_encodings_identical",
     "canon_fds",
+    "cli_modules",
     "fd_holds",
     "is_minimal_fd",
+    "normalize_modules",
     "semantic_closure_of_set",
 ]
+
+#: runs the CLI in-process, then reports its exit code and sys.modules
+_IMPORT_PROBE = """
+import json, sys
+from repro.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    """Run ``repro <argv>`` in a fresh interpreter; return its exit code
+    and every module it imported.
+
+    ``REPRO_*`` variables are stripped from the child's environment, so
+    the answer is the same under any settings of the calling shell (a
+    suite run under ``REPRO_WORKERS=2`` included).
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+def normalize_modules(tmp_path: Path, num_rows: int, *flags: str) -> set[str]:
+    """The modules a normalize run of a planted 6-column CSV imports."""
+    from repro.io.csv_io import write_csv
+    from repro.verification.planted import plant_instance
+
+    path = tmp_path / "planted.csv"
+    write_csv(plant_instance(5, num_columns=6, num_rows=num_rows).instance, path)
+    code, modules = cli_modules(
+        str(path), "--ddl", str(tmp_path / "schema.sql"), *flags
+    )
+    assert code == 0
+    return modules
 
 
 def fd_holds(

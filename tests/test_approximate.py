@@ -220,18 +220,19 @@ class TestApproximateMode:
         assert "approximate FDs (g3 error bounds):" in out
         assert "fd_sampled_rows=6" in out
 
-    def test_approximate_conflicts_with_load_fds(self, tmp_path):
+    def test_approximate_conflicts_with_load_fds(self, tmp_path, capsys):
         csv_path = tmp_path / "u.csv"
         write_csv(denormalized_university(), csv_path)
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    str(csv_path),
-                    "--approximate",
-                    "--load-fds",
-                    str(tmp_path / "whatever.json"),
-                ]
-            )
+        code = main(
+            [
+                str(csv_path),
+                "--approximate",
+                "--load-fds",
+                str(tmp_path / "whatever.json"),
+            ]
+        )
+        assert code == 2
+        assert "cannot be combined" in capsys.readouterr().err
 
     def test_exact_when_sample_covers_relation(self, capsys, tmp_path):
         from repro.discovery.hyfd import HyFD

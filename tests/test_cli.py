@@ -166,21 +166,38 @@ class TestExtendedOptions:
         assert exit_code == 0
         assert "values: 30 -> 27" in capsys.readouterr().out
 
-    def test_load_fds_column_mismatch(self, tmp_path, capsys):
-        import pytest as _pytest
-
-        from repro.io.csv_io import write_csv
-        from repro.io.serialization import save_fdset
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--load-fds", "{fds}"], "different columns"),
+            (["--approximate", "--load-fds", "{fds}"], "cannot be combined"),
+            (["{other}", "--load-fds", "{fds}"], "exactly one input file"),
+            (["{other}", "--target", "4nf"], "exactly one input file"),
+            (["{other}", "--save-fds", "{fds}"], "exactly one input file"),
+        ],
+        ids=["column-mismatch", "approximate", "load-fds", "4nf", "save-fds"],
+    )
+    def test_load_fds_column_mismatch(self, tmp_path, capsys, flags, message):
+        # Bad argument combinations are input errors (exit 2), never the
+        # exit 1 that --check reserves for "does not conform".
         from repro.discovery.bruteforce import BruteForceFD
         from repro.io.datasets import planets_example
+        from repro.io.serialization import save_fdset
 
         planets = planets_example()
         fds_path = tmp_path / "planet_fds.json"
         save_fdset(BruteForceFD().discover(planets), planets.columns, fds_path)
-        other_csv = tmp_path / "address.csv"
-        write_csv(address_example(), other_csv)
-        with _pytest.raises(SystemExit, match="different columns"):
-            main([str(other_csv), "--load-fds", str(fds_path)])
+        address_csv = tmp_path / "address.csv"
+        write_csv(address_example(), address_csv)
+        other_csv = tmp_path / "planets.csv"
+        write_csv(planets, other_csv)
+        argv = [str(address_csv)] + [
+            flag.format(fds=fds_path, other=other_csv) for flag in flags
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_4nf_target(self, tmp_path, capsys):
         from repro.io.csv_io import write_csv

@@ -1,8 +1,9 @@
 """Signal handling and structured exit codes at the CLI boundary.
 
 The contract (docs/ROBUSTNESS.md): SIGINT exits 130 and SIGTERM exits
-143 after a graceful teardown (pool down, shared memory unlinked), and
-an unrecovered worker crash in strict pool mode maps to exit 5.  The
+143 after a graceful teardown (pool down, shared memory unlinked), a
+closed standard output exits 141 without a traceback, and an
+unrecovered worker crash in strict pool mode maps to exit 5.  The
 long-running ``repro watch`` loop is driven as a real subprocess and
 signalled from outside — the only honest way to test a signal path.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERRUPTED,
     EXIT_TERMINATED,
     EXIT_WORKER_CRASH,
@@ -112,6 +114,26 @@ def test_watch_signal_exit_codes(emp_csv, changes_json, signum, expected):
             proc.kill()
             proc.wait()
     assert code == expected
+
+
+def test_closed_stdout_maps_to_141(emp_csv):
+    # Like `repro emp.csv --profile | head -1` when head exits before
+    # the rest of the profile is written: the reader is already gone.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", str(emp_csv), "--profile"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == ""
 
 
 def test_keyboard_interrupt_maps_to_130(emp_csv, monkeypatch, capsys):

@@ -9,21 +9,17 @@ cases.  When numpy is not installed the comparisons are skipped but
 backend selection itself is still exercised.
 """
 
-import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro import kernels
 from repro.datagen.random_tables import random_instance
-from repro.io.csv_io import write_csv
 from repro.runtime.errors import InputError
 from repro.structures.encoding import EncodedRelation
 from repro.structures.partitions import PLICache, StrippedPartition
 from repro.verification.planted import plant_instance
+from tests.helpers import normalize_modules
 
 NUMPY = kernels.numpy_available()
 requires_numpy = pytest.mark.skipif(not NUMPY, reason="numpy not installed")
@@ -210,45 +206,17 @@ class TestHybridDispatch:
         assert csr(second) == csr(StrippedPartition.from_value_ids(large, None))
 
 
-#: runs the CLI in-process, then reports which kernel modules it loaded
-_IMPORT_PROBE = """
-import json, sys
-from repro.cli import main
-code = main(sys.argv[1:])
-print(json.dumps({name: name in sys.modules
-                  for name in ("numpy", "repro.kernels.npbackend")}))
-sys.exit(code)
-"""
-
-
-def _cli_modules(tmp_path, num_rows):
-    """Normalize a planted 6-column CSV in a fresh interpreter."""
-    path = tmp_path / "planted.csv"
-    write_csv(plant_instance(5, num_columns=6, num_rows=num_rows).instance, path)
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(path),
-         "--ddl", str(tmp_path / "schema.sql")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 class TestImportBySize:
     """The registry imports numpy only for calls large enough to use it."""
 
+    NUMPY_MODULES = {"numpy", "repro.kernels.npbackend"}
+
     def test_small_input_never_imports_numpy(self, tmp_path):
-        loaded = _cli_modules(tmp_path, 200)
-        assert loaded == {"numpy": False, "repro.kernels.npbackend": False}
+        assert self.NUMPY_MODULES.isdisjoint(normalize_modules(tmp_path, 200))
 
     @requires_numpy
     def test_large_input_loads_npbackend(self, tmp_path):
-        loaded = _cli_modules(tmp_path, 2_000)
-        assert loaded == {"numpy": True, "repro.kernels.npbackend": True}
+        assert self.NUMPY_MODULES <= normalize_modules(tmp_path, 2_000)
 
 
 @requires_numpy

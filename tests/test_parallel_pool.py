@@ -9,6 +9,9 @@ byte-identity of whole algorithm runs lives in
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,9 @@ from repro.runtime.errors import BudgetExceeded, InputError
 from repro.runtime.governor import Budget, Governor, activate
 from repro.structures import partitions as partitions_module
 from repro.verification.planted import plant_instance
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +356,27 @@ class TestForkHygiene:
 
 
 class TestPoolLifecycle:
+    def test_atexit_hook_registered_once(self, monkeypatch):
+        registered = []
+        monkeypatch.setattr(pool_mod.atexit, "register", registered.append)
+        monkeypatch.setattr(pool_mod, "_SHUTDOWN_AT_EXIT", False)
+        for workers in (2, 3, 2, 3):  # each size change builds a new pool
+            get_pool(workers)
+        assert registered.count(shutdown_pool) == 1
+
+    def test_exit_stops_workers_before_multiprocessing_does(self):
+        # At exit the pool must stop its workers with sentinels before
+        # multiprocessing's own hook SIGTERMs them; a SIGTERMed worker
+        # prints a traceback from the handler it inherited from main().
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "--seeds", "4",
+             "--workers", "2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_restart_after_shutdown(self):
         payloads = [
             {

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-kernels bench-serve bench-e2e-smoke
+.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-serve bench-e2e-smoke
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -70,7 +70,9 @@ fuzz-lattice:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-# Partition-engine micro-benchmarks only (the PLI hot path).
+# Partition-engine micro-benchmarks only (the PLI hot path), under both
+# kernel backends (enforces the ≥5x large-preset gate, writes
+# BENCH_partition_engine.json).
 bench-engine:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
 
@@ -92,12 +94,6 @@ bench-parallel:
 # 1/4/16-tenant interleaved throughput (writes BENCH_serve.json).
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_serve_latency.py --benchmark-only -q
-
-# Kernel backend comparison: partition-engine micro-benchmarks under
-# both backends (enforces the ≥5x large-preset gate, writes
-# BENCH_partition_engine.json).
-bench-kernels:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_partition_engine.py --benchmark-only -q
 
 # End-to-end benchmark smoke (~15 s at --scale smoke): DDL and
 # migration digests of all four workloads against golden.json, and the

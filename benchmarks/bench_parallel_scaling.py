@@ -1,24 +1,21 @@
 """Per-call-site speedup of the process pool: serial vs two workers.
 
-The pool has four call sites, one per task kind: HyFD validation
-levels (``hyfd_validate``), closure shards (``closure_shard``), TANE
-level generation (``tane_generate``) and ``repro verify`` seed shards
-(``verify_chunk``).  Each ``record`` row times one site, serial and at
+The pool has three call sites, one per task kind: HyFD validation
+levels (``hyfd_validate``), TANE level generation (``tane_generate``)
+and ``repro verify`` seed shards (``verify_chunk``).  Each ``record`` row times one site, serial and at
 ``workers=2``, on an input where that site dispatches under the
 production cost model (``SERIAL_THRESHOLD`` untouched).  The time is
 the site's own:
 
 * ``validate_tree`` inside ``HyFD.discover``;
-* ``calculate_closure`` over the cover the validation row discovered
-  on the same input, so closure reruns no discovery;
 * ``Tane._generate_next_level`` inside ``Tane.discover``;
 * ``verify_seeds`` over a seed range.
 
 For the two discovery sites the enclosing ``discover`` call is timed
 too, so the table also shows what the site buys end to end.  Each row
 runs ``REPEATS[site]`` serial/pooled pairs, alternating which side
-goes first, and records the medians.  Every pooled run must dispatch tasks and return exactly
-the serial output (cover, closure, report text).
+goes first, and records the medians.  Every pooled run must dispatch
+tasks and return exactly the serial output (cover or report text).
 
 The ``smoke`` rows run the same sites on tiny inputs with the
 threshold forced to zero: they check identity and dispatch in seconds
@@ -39,7 +36,6 @@ import pytest
 
 from _util import emit, emit_json
 from repro import kernels
-from repro.core.closure import calculate_closure
 from repro.discovery.hyfd import HyFD
 from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.discovery.tane import Tane
@@ -49,25 +45,20 @@ from repro.parallel import pool_stats, shutdown_pool
 from repro.verification.planted import plant_instance
 from repro.verification.runner import verify_seeds
 
-#: Serial/pooled pairs per record row.  Closure takes under a second,
-#: so it gets more pairs to steady its median against host noise.
-REPEATS = {"validation": 3, "closure": 15, "tane": 3, "verify": 3}
+#: Serial/pooled pairs per record row.
+REPEATS = {"validation": 3, "tane": 3, "verify": 3}
 
 #: (columns, rows, max_domain) of each site's planted input, or the
 #: number of seeds for ``verify``.  Each record input is one on which
-#: the site beat serial on a 2-CPU host.  Closure needs the 20-column
-#: input's ~7.7k FDs: the 16-column inputs' ~1.1k stay below
-#: ``SERIAL_THRESHOLD`` and never dispatch.
+#: the site beat serial on a 2-CPU host.
 INPUTS = {
     "record": {
         "validation": (20, 10_000, 50),
-        "closure": (20, 10_000, 50),
         "tane": (16, 30_000, 200),
         "verify": 300,
     },
     "smoke": {
         "validation": (6, 200, 4),
-        "closure": (6, 200, 4),
         "tane": (6, 200, 4),
         "verify": 4,
     },
@@ -75,13 +66,11 @@ INPUTS = {
 
 TASK_KINDS = {
     "validation": "hyfd_validate",
-    "closure": "closure_shard",
     "tane": "tane_generate",
     "verify": "verify_chunk",
 }
 
 _RECORD: dict[str, dict] = {}
-_COVERS: dict[tuple, object] = {}
 
 
 def _planted(spec):
@@ -177,8 +166,7 @@ def scale(request, monkeypatch):
 
 
 def test_validation(benchmark, monkeypatch, scale):
-    spec = INPUTS[scale]["validation"]
-    instance = _planted(spec)
+    instance = _planted(INPUTS[scale]["validation"])
     clock = _SiteClock()
     monkeypatch.setattr(
         hyfd_module, "validate_tree", clock.wrap(hyfd_module.validate_tree)
@@ -189,31 +177,11 @@ def test_validation(benchmark, monkeypatch, scale):
         started = time.perf_counter()
         cover = HyFD(workers=workers).discover(instance)
         call = time.perf_counter() - started
-        if workers == 1:
-            _COVERS[spec] = cover
         return list(cover.items()), clock.seconds, call
 
     benchmark.pedantic(
         _measure, args=("validation", scale, run), rounds=1, iterations=1
     )
-
-
-def test_closure(benchmark, scale):
-    spec = INPUTS[scale]["closure"]
-    fds = _COVERS.get(spec)
-    if fds is None:
-        fds = _COVERS[spec] = HyFD().discover(_planted(spec))
-
-    def run(workers):
-        started = time.perf_counter()
-        closed = calculate_closure(fds, n_workers=workers)
-        return list(closed.items()), time.perf_counter() - started, None
-
-    benchmark.pedantic(
-        _measure, args=("closure", scale, run), rounds=1, iterations=1
-    )
-    if scale == "record":
-        _RECORD["closure"]["input_fds"] = len(list(fds.items()))
 
 
 def test_tane(benchmark, monkeypatch, scale):

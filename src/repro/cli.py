@@ -195,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for discovery validation levels and "
-        "closure (default: $REPRO_WORKERS or 1 = serial); results are "
-        "byte-identical at any worker count",
+        help="process-pool size for HyFD validation levels and TANE "
+        "level generation; closure always runs serially (default: "
+        "$REPRO_WORKERS or 1 = serial); results are byte-identical at "
+        "any worker count",
     )
     governance = parser.add_argument_group("resource governance")
     governance.add_argument(

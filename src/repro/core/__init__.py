@@ -25,7 +25,8 @@ from repro.core.closure import (
 )
 from repro.core.decomposition import decompose
 from repro.core.key_derivation import derive_keys
-from repro.core.normalize import Normalizer, normalize
+# Not the ``normalize`` function: that name is the submodule's.
+from repro.core.normalize import Normalizer
 from repro.core.result import DecompositionStep, NormalizationResult
 from repro.core.scoring import (
     KeyScore,
@@ -59,7 +60,6 @@ __all__ = [
     "find_violating_fds",
     "improved_closure",
     "naive_closure",
-    "normalize",
     "optimized_closure",
     "rank_keys",
     "rank_violating_fds",

@@ -18,15 +18,11 @@ Three algorithms, in the paper's order:
   *complete set of minimal FDs*; Lemma 1 then guarantees that a single
   pass checking subsets of the (original) LHS suffices; O(|fds|).
 
-Algorithms 2 and 3 can shard their FD loop over the process pool
-(:mod:`repro.parallel`), reproducing the paper's parallelization: the
-tries are built from the *original* FD pairs and never mutated, each
-worker extends only its own FDs, so any sharding yields the serial
-result exactly (the paper's "workers may, but need not, see other
-workers' updates" holds trivially — updates are invisible across
-processes).  The former ``ThreadPoolExecutor`` path was a GIL-bound
-no-op and has been removed; the cost model keeps small FD sets on the
-serial path.
+All three run serially.  The paper parallelizes Algorithms 2 and 3
+over 32 cores.  Sharding their FD loop over this reproduction's process
+pool saved about 0.05 s of a Figure 4 job whose HyFD alone takes 7–8 s,
+and won only 24 of 30 alternating pairs, so that path was deleted (see
+docs/PARALLEL.md).
 """
 
 from __future__ import annotations
@@ -62,18 +58,18 @@ def naive_closure(fds: FDSet) -> FDSet:
     return _to_fdset(pairs, fds.num_attributes)
 
 
-def improved_closure(fds: FDSet, n_workers: int = 1) -> FDSet:
+def improved_closure(fds: FDSet) -> FDSet:
     """Algorithm 2: per-RHS-attribute LHS tries + inner change loop.
 
     Correct for *arbitrary* FD sets (useful beyond normalization, e.g.
     query optimization or data cleansing, as the paper notes).
     """
     pairs = [[lhs, rhs] for lhs, rhs in fds.items()]
-    _run("improved", pairs, fds.num_attributes, n_workers)
+    _extend_all(pairs, fds.num_attributes, _extend_improved)
     return _to_fdset(pairs, fds.num_attributes)
 
 
-def optimized_closure(fds: FDSet, n_workers: int = 1) -> FDSet:
+def optimized_closure(fds: FDSet) -> FDSet:
     """Algorithm 3: single pass; requires a complete set of minimal FDs.
 
     By Lemma 1, if ``X → A`` is valid then some minimal ``X' ⊂ X`` with
@@ -81,22 +77,20 @@ def optimized_closure(fds: FDSet, n_workers: int = 1) -> FDSet:
     once per missing attribute, is enough.
     """
     pairs = [[lhs, rhs] for lhs, rhs in fds.items()]
-    _run("optimized", pairs, fds.num_attributes, n_workers)
+    _extend_all(pairs, fds.num_attributes, _extend_optimized)
     return _to_fdset(pairs, fds.num_attributes)
 
 
-def calculate_closure(
-    fds: FDSet, algorithm: str = "optimized", n_workers: int = 1
-) -> FDSet:
+def calculate_closure(fds: FDSet, algorithm: str = "optimized") -> FDSet:
     """Front door: compute ``F+`` with a named algorithm.
 
     ``"optimized"`` (default) assumes complete minimal input — which is
     what every discoverer in :mod:`repro.discovery` produces.
     """
     registry = {
-        "naive": lambda f: naive_closure(f),
-        "improved": lambda f: improved_closure(f, n_workers),
-        "optimized": lambda f: optimized_closure(f, n_workers),
+        "naive": naive_closure,
+        "improved": improved_closure,
+        "optimized": optimized_closure,
     }
     key = algorithm.lower()
     if key not in registry:
@@ -138,61 +132,16 @@ def _extend_optimized(fd: list[int], tries: list[SetTrie], all_attrs: int) -> No
             fd[1] |= 1 << attr
 
 
-_EXTENDERS = {"improved": _extend_improved, "optimized": _extend_optimized}
+def _extend_all(pairs: list[list[int]], num_attributes: int, extend) -> None:
+    """Apply a per-FD extension to every FD in order.
 
-
-def _run(
-    algorithm: str, pairs: list[list[int]], num_attributes: int, n_workers: int
-) -> None:
-    """Apply the per-FD extension to every FD, sharded over the pool.
-
-    Each worker extends only its own contiguous shard against tries
-    built from the original pairs, so the merged result (written back
-    in shard order) is exactly the serial one.  The cost model keeps
-    small inputs serial; a parallel dispatch that breaches the active
-    budget propagates :class:`BudgetExceeded` like a serial checkpoint
-    would.
+    The tries are built from the original pairs before any FD is
+    extended, and the extensions only read them.
     """
-    if n_workers > 1 and len(pairs) > 1:
-        if _run_parallel(algorithm, pairs, num_attributes, n_workers):
-            return
-    extend = _EXTENDERS[algorithm]
     tries = _build_lhs_tries(pairs, num_attributes)
     all_attrs = (1 << num_attributes) - 1
     for fd in pairs:
         extend(fd, tries, all_attrs)
-
-
-def _run_parallel(
-    algorithm: str, pairs: list[list[int]], num_attributes: int, n_workers: int
-) -> bool:
-    """Dispatch the extension to the process pool; False → go serial."""
-    from repro.parallel import RelationRun
-
-    with RelationRun(n_workers) as run:
-        if not run.should(len(pairs) * max(num_attributes, 1)):
-            return False
-        data = [(fd[0], fd[1]) for fd in pairs]
-        payloads = [
-            {
-                "algorithm": algorithm,
-                "pairs": data,
-                "start": start,
-                "stop": stop,
-                "num_attributes": num_attributes,
-            }
-            for start, stop in run.ranges(len(pairs))
-        ]
-        results = run.map(
-            "closure_shard",
-            payloads,
-            stage=f"closure-{algorithm}",
-            items=len(pairs),
-        )
-    for payload, rhs_values in zip(payloads, results):
-        for index, rhs in enumerate(rhs_values, start=payload["start"]):
-            pairs[index][1] = rhs
-    return True
 
 
 def _to_fdset(pairs: list[list[int]], num_attributes: int) -> FDSet:

@@ -138,12 +138,12 @@ class Normalizer:
 
         self.workers = resolve_workers(workers)
         if isinstance(algorithm, str):
-            kwargs = dict(
-                null_equals_null=null_equals_null, max_lhs_size=max_lhs_size
+            algorithm = resolve_fd_algorithm(
+                algorithm,
+                workers=self.workers,
+                null_equals_null=null_equals_null,
+                max_lhs_size=max_lhs_size,
             )
-            if algorithm.lower() in ("hyfd", "tane"):  # the pooled discoverers
-                kwargs["workers"] = self.workers
-            algorithm = resolve_fd_algorithm(algorithm, **kwargs)
         self.algorithm = algorithm
         self.decider = decider if decider is not None else AutoDecider()
         self.target = target
@@ -267,9 +267,7 @@ class Normalizer:
                         item.fds = extended
                     else:
                         extended = calculate_closure(
-                            fds,
-                            self._closure_for(fidelity),
-                            n_workers=self.workers,
+                            fds, self._closure_for(fidelity)
                         )
                         closure_seconds = time.perf_counter() - started
                         item.fds = extended

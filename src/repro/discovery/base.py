@@ -16,6 +16,7 @@ on.  Discoverers share two knobs:
 from __future__ import annotations
 
 import abc
+import inspect
 from importlib import import_module
 
 from repro.model.fd import FDSet
@@ -77,9 +78,18 @@ def algorithm_class(registry: dict[str, str], kind: str, algorithm: str) -> type
     return getattr(import_module(module), name)
 
 
-def resolve_fd_algorithm(algorithm: str, **kwargs) -> FDAlgorithm:
-    """Instantiate an FD discoverer by name (see :data:`FD_ALGORITHMS`)."""
-    return algorithm_class(FD_ALGORITHMS, "FD", algorithm)(**kwargs)
+def resolve_fd_algorithm(
+    algorithm: str, workers: int | None = None, **kwargs
+) -> FDAlgorithm:
+    """Instantiate an FD discoverer by name (see :data:`FD_ALGORITHMS`).
+
+    ``workers`` reaches only the discoverers whose constructors take it,
+    the ones that can use the process pool.
+    """
+    cls = algorithm_class(FD_ALGORITHMS, "FD", algorithm)
+    if "workers" in inspect.signature(cls).parameters:
+        kwargs["workers"] = workers
+    return cls(**kwargs)
 
 
 def discover_fds(

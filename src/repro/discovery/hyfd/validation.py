@@ -29,7 +29,7 @@ from repro.runtime.governor import checkpoint
 from repro.structures.fdtree import FDTree
 from repro.structures.partitions import PLICache
 
-__all__ = ["validate_tree"]
+__all__ = ["validate_shard", "validate_tree"]
 
 
 def validate_tree(
@@ -88,10 +88,7 @@ def _validate_level(
     per-attribute iteration.
     """
     if parallel is not None:
-        work = [
-            (lhs, [attr for attr in iter_bits(rhs_mask)])
-            for lhs, rhs_mask in candidates
-        ]
+        work = [(lhs, list(iter_bits(rhs_mask))) for lhs, rhs_mask in candidates]
         units = sum(len(rhs) for _, rhs in work) * cache.encoding.num_rows
         if parallel.should(units):
             return _validate_level_parallel(tree, work, max_lhs_size, parallel)
@@ -103,18 +100,9 @@ def _validate_level(
             for attr in iter_bits(rhs_mask)
             if tree.contains_fd(lhs, attr)  # not specialized away meanwhile
         ]
-        if not rhs_attrs:
-            continue
-        probes = [cache.probe(attr) for attr in rhs_attrs]
-        violations = cache.get(lhs).find_violations(rhs_attrs, probes)
-        for rhs_attr in rhs_attrs:
-            pair = violations.get(rhs_attr)
-            if pair is None:
-                continue
-            invalid += 1
-            tree.remove(lhs, 1 << rhs_attr)
-            agree = cache.agree_set(*pair)
-            specialize(tree, lhs, rhs_attr, agree, max_lhs_size)
+        if rhs_attrs:
+            refuted = _refutations(cache, lhs, rhs_attrs)
+            invalid += _replay(tree, lhs, refuted, max_lhs_size)
     return invalid
 
 
@@ -129,9 +117,8 @@ def _validate_level_parallel(
     Within a level, no candidate's outcome can affect another's data
     sweep — ``specialize`` only adds deeper nodes and ``remove`` only
     touches the processed ``(lhs, attr)`` — so the full level can be
-    snapshot up front; the parent then replays each refutation
-    (``remove`` + ``specialize``) in serial candidate order using the
-    agree sets the workers computed.
+    snapshot up front; the parent then replays each candidate's
+    refutations in serial candidate order.
     """
     handle = parallel.handle
     payloads = [
@@ -142,13 +129,52 @@ def _validate_level_parallel(
         "hyfd_validate", payloads, stage="hyfd-validate", items=len(work)
     )
     invalid = 0
-    index = 0
-    for shard in shards:
-        for refuted in shard:
-            lhs, _ = work[index]
-            index += 1
-            for rhs_attr, agree in refuted:
-                invalid += 1
-                tree.remove(lhs, 1 << rhs_attr)
-                specialize(tree, lhs, rhs_attr, agree, max_lhs_size)
+    refuted_per_candidate = (refuted for shard in shards for refuted in shard)
+    for (lhs, _), refuted in zip(work, refuted_per_candidate):
+        invalid += _replay(tree, lhs, refuted, max_lhs_size)
     return invalid
+
+
+def validate_shard(payload: dict) -> list[list[tuple[int, int]]]:
+    """Pool task ``hyfd_validate``: the refutations of each candidate
+    ``(lhs, rhs attributes)`` in ``payload["items"]``, checked against
+    the shared-memory relation ``payload["handle"]`` names."""
+    from repro.parallel.tasks import attached_cache
+
+    cache = attached_cache(payload["handle"])
+    out = []
+    for lhs, rhs_attrs in payload["items"]:
+        checkpoint("hyfd-validate")
+        out.append(_refutations(cache, lhs, rhs_attrs))
+    return out
+
+
+def _refutations(
+    cache: PLICache, lhs: int, rhs_attrs: list[int]
+) -> list[tuple[int, int]]:
+    """Check ``lhs → a`` for every ``a`` in ``rhs_attrs`` with one sweep.
+
+    Returns the refuted attributes in ascending order, each with the
+    full agree set of its violating record pair.
+    """
+    probes = [cache.probe(attr) for attr in rhs_attrs]
+    violations = cache.get(lhs).find_violations(rhs_attrs, probes)
+    return [
+        (attr, cache.agree_set(*violations[attr]))
+        for attr in rhs_attrs
+        if attr in violations
+    ]
+
+
+def _replay(
+    tree: FDTree,
+    lhs: int,
+    refuted: list[tuple[int, int]],
+    max_lhs_size: int | None,
+) -> int:
+    """Remove each refuted ``lhs → a`` from ``tree`` and add its minimal
+    specializations the agree set allows; return how many were refuted."""
+    for attr, agree in refuted:
+        tree.remove(lhs, 1 << attr)
+        specialize(tree, lhs, attr, agree, max_lhs_size)
+    return len(refuted)

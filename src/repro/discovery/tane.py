@@ -32,6 +32,7 @@ rarely hot.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from repro.discovery.base import FDAlgorithm
 from repro.model.attributes import full_mask, iter_bits
@@ -41,7 +42,7 @@ from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import add_candidates, checkpoint
 from repro.structures.partitions import StrippedPartition
 
-__all__ = ["Tane"]
+__all__ = ["Tane", "product_shard"]
 
 
 class Tane(FDAlgorithm):
@@ -244,26 +245,24 @@ class Tane(FDAlgorithm):
                 ):
                     cands.append((first, second, candidate))
 
-        next_level: list[int] = []
-        next_partitions: dict[int, StrippedPartition] = {}
         num_rows = len(codes[0]) if codes else 0
         if (
             parallel is not None
             and cands
             and parallel.should(len(cands) * num_rows)
         ):
-            Tane._generate_parallel(
-                cands, partitions, errors, next_level, next_partitions, parallel
-            )
+            products = Tane._pooled_products(cands, partitions, parallel)
         else:
-            for first, second, candidate in cands:
-                add_candidates(1, "tane-generate")
-                partition = partitions[first].intersect_ids(
-                    codes[second.bit_length() - 1]
-                )
-                next_partitions[candidate] = partition
-                errors[candidate] = partition.error
-                next_level.append(candidate)
+            products = (
+                _product(partitions[first], codes[second.bit_length() - 1])
+                for first, second, _ in cands
+            )
+        next_level: list[int] = []
+        next_partitions: dict[int, StrippedPartition] = {}
+        for (_, _, candidate), partition in zip(cands, products):
+            next_partitions[candidate] = partition
+            errors[candidate] = partition.error
+            next_level.append(candidate)
         # Retain singles and the just-finished level: the key-pruning
         # minimality test of the next level reaches one level down.
         for attr in range(arity):
@@ -273,14 +272,11 @@ class Tane(FDAlgorithm):
         return next_level, next_partitions
 
     @staticmethod
-    def _generate_parallel(
+    def _pooled_products(
         cands: list[tuple[int, int, int]],
         partitions: dict[int, StrippedPartition],
-        errors: dict[int, int],
-        next_level: list[int],
-        next_partitions: dict[int, StrippedPartition],
         parallel,
-    ) -> None:
+    ) -> list[StrippedPartition]:
         """Shard the level's partition products over the pool.
 
         Each chunk ships the prefix partitions it needs as CSR bytes;
@@ -288,36 +284,60 @@ class Tane(FDAlgorithm):
         Workers account the candidates (folded back at the merge), so
         the parent must not double-count them here.
         """
-        from array import array
-
         handle = parallel.handle
         payloads = []
         for start, stop in parallel.ranges(len(cands)):
-            chunk = cands[start:stop]
             firsts = {}
             items = []
-            for first, second, _ in chunk:
+            for first, second, _ in cands[start:stop]:
                 if first not in firsts:
-                    partition = partitions[first]
-                    firsts[first] = (
-                        partition.row_data.tobytes(),
-                        partition.offsets.tobytes(),
-                    )
+                    firsts[first] = _to_bytes(partitions[first])
                 items.append((first, second.bit_length() - 1))
             payloads.append({"handle": handle, "firsts": firsts, "items": items})
         shards = parallel.map(
             "tane_generate", payloads, stage="tane-generate", items=len(cands)
         )
-        num_rows = handle.num_rows
-        index = 0
-        for shard in shards:
-            for rows_bytes, offsets_bytes, error in shard:
-                candidate = cands[index][2]
-                index += 1
-                rows, offsets = array("i"), array("i")
-                rows.frombytes(rows_bytes)
-                offsets.frombytes(offsets_bytes)
-                partition = StrippedPartition._from_csr(rows, offsets, num_rows)
-                next_partitions[candidate] = partition
-                errors[candidate] = error
-                next_level.append(candidate)
+        return [
+            _from_bytes(csr, handle.num_rows) for shard in shards for csr in shard
+        ]
+
+
+def _product(prefix: StrippedPartition, codes) -> StrippedPartition:
+    """π(candidate) = π(prefix) · π({top}), with ``codes`` the top
+    attribute's value ids (no probe fill/reset)."""
+    add_candidates(1, "tane-generate")
+    return prefix.intersect_ids(codes)
+
+
+def product_shard(payload: dict) -> list[tuple[bytes, bytes]]:
+    """Pool task ``tane_generate``: the CSR bytes of each product
+    ``(prefix mask, top attribute)`` in ``payload["items"]``.
+
+    ``payload["firsts"]`` carries the parent's prefix partitions as CSR
+    bytes; the top attributes' codes come from the shared-memory
+    relation ``payload["handle"]`` names.  ``intersect_ids`` is
+    deterministic in (partition, codes), so the bytes equal the serial
+    product's.
+    """
+    from repro.parallel.tasks import attached
+
+    encoding = attached(payload["handle"])
+    firsts = {
+        mask: _from_bytes(csr, encoding.num_rows)
+        for mask, csr in payload["firsts"].items()
+    }
+    return [
+        _to_bytes(_product(firsts[first], encoding.codes[attr]))
+        for first, attr in payload["items"]
+    ]
+
+
+def _to_bytes(partition: StrippedPartition) -> tuple[bytes, bytes]:
+    return partition.row_data.tobytes(), partition.offsets.tobytes()
+
+
+def _from_bytes(csr: tuple[bytes, bytes], num_rows: int) -> StrippedPartition:
+    rows, offsets = array("i"), array("i")
+    rows.frombytes(csr[0])
+    offsets.frombytes(csr[1])
+    return StrippedPartition._from_csr(rows, offsets, num_rows)

@@ -1,10 +1,10 @@
 """Process-parallel execution layer with shared-memory columnar relations.
 
 The paper runs closure calculation and FD validation in parallel inside
-Metanome; this package is the reproduction's equivalent, built for
-CPython where threads cannot speed up CPU-bound work (the former
-``ThreadPoolExecutor`` closure path was a GIL-bound no-op, see
-DESIGN.md §3):
+Metanome; this package is the reproduction's equivalent for discovery,
+built for CPython where threads cannot speed up CPU-bound work (see
+DESIGN.md §3).  Closure runs serially: its pooled version did not pay
+(``docs/PARALLEL.md``).
 
 * :mod:`repro.parallel.shm` — zero-copy export of a relation's
   dictionary-encoded columns into one ``multiprocessing.shared_memory``
@@ -16,9 +16,10 @@ DESIGN.md §3):
   death/hang detection, respawn with backoff; together with the pool's
   retry/quarantine logic this makes the layer self-healing (a crashed,
   OOM-killed, or hung worker costs a retry, not the run),
-* :mod:`repro.parallel.tasks` — the worker-side handlers for the hot
-  paths (closure shards, HyFD validation levels, TANE level
-  generation, verification campaigns).
+* :mod:`repro.parallel.tasks` — the task-kind registry naming each
+  hot path's handler (HyFD validation levels, TANE level generation,
+  verification campaigns), which lives beside that path's serial loop,
+  plus the worker-side attachment cache.
 
 The determinism contract (see ``docs/PARALLEL.md``): results are merged
 in payload order and every handler is a pure function of its payload

@@ -40,9 +40,9 @@ Design points, each load-bearing:
   so a retried or quarantined shard merges byte-identically.
 * **Fork hygiene** — workers reset inherited process state on start
   (ambient governor, the partition probe buffer, any shared-memory
-  attachments) via :func:`_reset_worker_state`; nested pools are
-  refused (:func:`repro.parallel.resolve_workers` reports 1 inside a
-  worker).
+  attachments, the parent's signal handlers) via
+  :func:`_reset_worker_state`; nested pools are refused
+  (:func:`repro.parallel.resolve_workers` reports 1 inside a worker).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 import traceback
 from collections import deque
@@ -278,7 +279,13 @@ def _reset_worker_state() -> None:
     * the partition probe buffer (could hold in-flight entries if the
       fork ever raced an intersect; cleared defensively),
     * worker-side relation caches from a previous pool generation
-      (only relevant after fork-from-worker, which is refused anyway).
+      (only relevant after fork-from-worker, which is refused anyway),
+    * the signal handlers: SIGTERM ends a worker silently, and SIGINT
+      (which a terminal's Ctrl-C sends the whole process group) is
+      ignored, so the parent's teardown is the only shutdown path and
+      no worker prints a traceback from a handler it inherited.  Both
+      were blocked across the fork (``WorkerSupervisor._spawn``), and
+      are unblocked only once these handlers are in place.
 
     The per-instance encoding memo (``RelationInstance._encodings``)
     and parent ``PLICache`` objects need no reset: workers never see
@@ -287,6 +294,9 @@ def _reset_worker_state() -> None:
     global _IN_WORKER, _POOL
     _IN_WORKER = True
     _POOL = None  # never reuse the parent's pool object (inherited queues)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, supervisor_mod.SHUTDOWN_SIGNALS)
     from repro.runtime import governor as governor_module
     from repro.structures import partitions as partitions_module
 
@@ -383,7 +393,7 @@ def _worker_main(
     at every probe).
     """
     _reset_worker_state()
-    from repro.parallel.tasks import TASK_HANDLERS, worker_attach_seconds
+    from repro.parallel.tasks import handler, worker_attach_seconds
 
     while True:
         item = tasks_queue.get()
@@ -402,7 +412,7 @@ def _worker_main(
         attach_before = worker_attach_seconds()
         try:
             with activate(governor):
-                value = TASK_HANDLERS[kind](payload)
+                value = handler(kind)(payload)
             _post_result(
                 result_writer,
                 (
@@ -488,22 +498,11 @@ class _BatchState:
 class WorkerPool:
     """A fixed-size persistent pool dispatching named task batches."""
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        strict: bool | None = None,
-    ) -> None:
+    def __init__(self, workers: int, strict: bool | None = None) -> None:
         if workers < 1:
             raise InputError("worker count must be >= 1")
         if _IN_WORKER:
             raise InputError("nested worker pools are not allowed")
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
         if strict is None:
             strict = os.environ.get("REPRO_POOL_STRICT", "").strip() in (
                 "1",
@@ -513,7 +512,9 @@ class WorkerPool:
         self.workers = workers
         self.strict = strict
         self.stats = PoolStats(workers=workers)
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         self._supervisor: WorkerSupervisor | None = None
         self._cancel = None
         self._epoch_value = None
@@ -843,11 +844,11 @@ class WorkerPool:
         directly (no fold-back needed) and budget breaches propagate as
         usual; any other exception is wrapped like a worker error.
         """
-        from repro.parallel.tasks import TASK_HANDLERS
+        from repro.parallel.tasks import handler
 
         self.stats.in_process_tasks += 1
         try:
-            return TASK_HANDLERS[kind](payload)
+            return handler(kind)(payload)
         except ReproError:
             raise
         except Exception as exc:

@@ -57,6 +57,7 @@ __all__ = [
     "POLL_INTERVAL",
     "RESPAWN_BACKOFF",
     "RESPAWN_LIMIT",
+    "SHUTDOWN_SIGNALS",
     "TASK_DEATH_LIMIT",
     "WorkerSlot",
     "WorkerSupervisor",
@@ -115,6 +116,10 @@ RESPAWN_BACKOFF = 0.05
 #: Bounded-get timeout of the pool's wait loop; also the cadence of
 #: death/hang checks while results are quiet.
 POLL_INTERVAL = 0.02
+
+#: Blocked while a worker is created; the worker unblocks them after
+#: replacing the handlers it inherited.
+SHUTDOWN_SIGNALS = frozenset({signal.SIGINT, signal.SIGTERM})
 
 
 class WorkerSlot:
@@ -196,7 +201,7 @@ class WorkerSupervisor:
         reader, writer = self._ctx.Pipe(duplex=False)
         slot.reader = reader
         slot.rbuf = bytearray()
-        slot.proc = self._ctx.Process(
+        proc = self._ctx.Process(
             target=self._target,
             args=(
                 slot.id,
@@ -209,7 +214,16 @@ class WorkerSupervisor:
             ),
             daemon=True,
         )
-        slot.proc.start()
+        # The shutdown signals stay blocked from the fork until the slot
+        # tracks the worker, so an interrupt cannot strand a worker the
+        # parent has no record of.  The worker inherits the mask and
+        # unblocks them once it has replaced the parent's handlers.
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, SHUTDOWN_SIGNALS)
+        try:
+            proc.start()
+            slot.proc = proc
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         self.heartbeats[slot.id] = time.monotonic()
         # The child owns the write end now; other (earlier-forked)
         # workers may still hold inherited copies, which is why death

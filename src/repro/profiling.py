@@ -160,10 +160,9 @@ def profile(
 
     started = time.perf_counter()
     if isinstance(fd_algorithm, str):
-        kwargs = {"null_equals_null": null_equals_null}
-        if fd_algorithm.lower() in ("hyfd", "tane"):
-            kwargs["workers"] = workers
-        fd_algorithm = resolve_fd_algorithm(fd_algorithm, **kwargs)
+        fd_algorithm = resolve_fd_algorithm(
+            fd_algorithm, workers=workers, null_equals_null=null_equals_null
+        )
     fds = fd_algorithm.discover(instance)
     timings["fd_discovery"] = time.perf_counter() - started
     _collect_cache_counters(counters, "fd_", fd_algorithm)

@@ -59,6 +59,7 @@ __all__ = [
     "VerificationReport",
     "build_verify_parser",
     "main_verify",
+    "verify_chunk",
     "verify_seeds",
 ]
 
@@ -161,7 +162,7 @@ def verify_seeds(
         tuple(DEFAULT_UCC_ALGORITHMS) if ucc_algorithms is None else ucc_algorithms
     )
     seed_list = list(seeds)
-    resolved = _resolve_campaign_workers(workers, seed_list, fd_algorithms)
+    resolved = _workers_for_campaign(workers, seed_list, fd_algorithms)
     if resolved > 1:
         return _verify_seeds_parallel(
             seed_list,
@@ -184,7 +185,7 @@ def verify_seeds(
     return report
 
 
-def _resolve_campaign_workers(workers, seed_list, fd_algorithms) -> int:
+def _workers_for_campaign(workers, seed_list, fd_algorithms) -> int:
     from repro.parallel import resolve_workers
 
     resolved = resolve_workers(workers)
@@ -252,6 +253,24 @@ def _verify_seeds_parallel(
     finally:
         run.close()
     return report
+
+
+def verify_chunk(payload: dict) -> tuple[list[int], int, list, int]:
+    """Pool task ``verify_chunk``: the serial campaign over one
+    contiguous seed chunk, as (seeds, checks run, failures, dependency
+    losses).  The payload holds :func:`verify_seeds` arguments."""
+    report = verify_seeds(**payload, workers=1)
+    for failure in report.failures:
+        # Encoding memos are bulky and derivable — never pickle them.
+        failure.instance.invalidate_caches()
+        if failure.shrunk is not None:
+            failure.shrunk.invalidate_caches()
+    return (
+        report.seeds,
+        report.checks_run,
+        report.failures,
+        report.dependency_losses,
+    )
 
 
 def _verify_one_seed(

@@ -116,6 +116,51 @@ def test_watch_signal_exit_codes(emp_csv, changes_json, signum, expected):
     assert code == expected
 
 
+def _children(pid: int) -> list[str]:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return fh.read().split()
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<pid>/children to see the pool start",
+)
+def test_ctrl_c_stops_a_pooled_run_without_tracebacks():
+    # A terminal's Ctrl-C signals the whole foreground process group,
+    # pool workers included; only the parent may react to it.
+    # A child of a background job starts with SIGINT ignored, so the
+    # launcher restores the handler a terminal session would give it.
+    launcher = (
+        "import signal, sys; "
+        "signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from repro.cli import main; sys.exit(main())"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launcher, "verify", "--seeds", "20",
+         "--workers", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(_children(proc.pid)) < 2:  # both workers are forked
+            assert proc.poll() is None, "the run ended before its pool started"
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.005)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == EXIT_INTERRUPTED, stderr
+    assert "interrupted" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_closed_stdout_maps_to_141(emp_csv):
     # Like `repro emp.csv --profile | head -1` when head exits before
     # the rest of the profile is written: the reader is already gone.

@@ -138,19 +138,6 @@ class TestImprovedOnArbitrarySets:
             )
 
 
-class TestParallelism:
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10)
-    def test_parallel_matches_sequential(self, seed):
-        instance = random_instance(seed, 5, 15, domain_size=2)
-        fds = BruteForceFD().discover(instance)
-        sequential = dict(optimized_closure(fds.copy()).items())
-        parallel = dict(optimized_closure(fds.copy(), n_workers=4).items())
-        assert sequential == parallel
-        improved_parallel = dict(improved_closure(fds.copy(), n_workers=4).items())
-        assert sequential == improved_parallel
-
-
 class TestPrunedInput:
     """§4.3: with all FDs above a max LHS size pruned, Algorithm 3 still
     closes the remaining FDs correctly."""

@@ -170,6 +170,13 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="NoSuchDiscoverer"):
             repro.discovery.NoSuchDiscoverer
 
+    def test_core_normalize_names_its_module(self):
+        import repro
+        import repro.core.normalize as module
+
+        assert module.Normalizer is repro.Normalizer
+        assert repro.normalize is module.normalize
+
     def test_dir_lists_lazy_names(self):
         import repro.io
 

@@ -1,11 +1,9 @@
 """Targeted tests for smaller branches across the library."""
 
-from repro.core.closure import calculate_closure
 from repro.core.normalize import Normalizer, normalize
 from repro.core.result import DecompositionStep
 from repro.discovery.dfd import DFD
 from repro.discovery.tane import Tane
-from repro.model.fd import FD, FDSet
 from repro.structures.bloom import BloomFilter
 
 
@@ -43,13 +41,6 @@ class TestNormalizerVariants:
         # 3NF and BCNF coincide here
         result = normalize(address, algorithm="bruteforce", target="3nf")
         assert result.total_values == 27
-
-
-class TestClosureDispatch:
-    def test_worker_count_forwarded(self):
-        fds = FDSet(3, [FD(0b001, 0b010), FD(0b010, 0b100)])
-        out = calculate_closure(fds, "improved", n_workers=3)
-        assert out.rhs_of(0b001) == 0b110
 
 
 class TestBloomEdges:

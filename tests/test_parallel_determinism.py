@@ -11,7 +11,6 @@ mid-shard followed by checkpoint/resume) and budget salvage.
 import pytest
 
 import repro.parallel.pool as pool_mod
-from repro.core.closure import improved_closure, optimized_closure
 from repro.core.normalize import Normalizer, normalize
 from repro.discovery.bruteforce import BruteForceFD
 from repro.discovery.hyfd import HyFD
@@ -36,42 +35,31 @@ def _planted(seed, columns=6, rows=60):
     return plant_instance(seed, num_columns=columns, num_rows=rows).instance
 
 
-class TestClosureDeterminism:
-    def test_sharded_closures_match_serial(self):
-        dispatched = 0
-        for seed in SEEDS:
-            fds = BruteForceFD().discover(_planted(seed))
-            if not any(True for _ in fds.items()):
-                continue
-            for closure in (optimized_closure, improved_closure):
-                serial = closure(fds.copy())
-                parallel = closure(fds.copy(), n_workers=2)
-                assert list(serial.items()) == list(parallel.items())
-            dispatched += 1
-        # Guard against vacuous passes: at least one seed must have a
-        # non-empty cover that actually went through the pool.
-        assert dispatched > 0
-        assert pool_mod.pool_stats().tasks_dispatched > 0
-
-
 class TestDiscoveryDeterminism:
+    """Serial and pooled runs share each site's per-candidate code, so
+    the brute-force oracle checks that code independently."""
+
     def test_hyfd_parallel_matches_serial(self):
         for seed in SEEDS:
             instance = _planted(seed)
+            oracle = BruteForceFD().discover(instance)
             serial = HyFD().discover(instance)
             algorithm = HyFD(workers=2)
             parallel = algorithm.discover(instance)
             assert list(serial.items()) == list(parallel.items())
+            assert dict(parallel.items()) == dict(oracle.items())
             assert algorithm.last_pool_stats is not None
         assert algorithm.last_pool_stats.tasks_dispatched > 0
 
     def test_tane_parallel_matches_serial(self):
         for seed in SEEDS:
             instance = _planted(seed)
+            oracle = BruteForceFD().discover(instance)
             serial = Tane().discover(instance)
             algorithm = Tane(workers=2)
             parallel = algorithm.discover(instance)
             assert list(serial.items()) == list(parallel.items())
+            assert dict(parallel.items()) == dict(oracle.items())
         assert algorithm.last_pool_stats.tasks_dispatched > 0
 
     def test_worker_counts_do_not_change_the_cover(self):

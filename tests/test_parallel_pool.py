@@ -9,6 +9,7 @@ byte-identity of whole algorithm runs lives in
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -180,27 +181,21 @@ class TestSharedMemoryRoundTrip:
 class TestDispatch:
     def test_results_come_back_in_payload_order(self):
         pool = get_pool(2)
-        payloads = [
-            {
-                "algorithm": "optimized",
-                "pairs": [(1 << index, 0)],
-                "start": 0,
-                "stop": 1,
-                "num_attributes": 6,
-            }
-            for index in range(6)
-        ]
-        results = pool.map_tasks("closure_shard", payloads)
-        # Singleton FD sets have nothing to extend: each shard returns
-        # its own RHS untouched, tagging which payload produced it.
-        assert results == [[0]] * 6
+        results = pool.map_tasks("pool_probe", [{"value": i} for i in range(6)])
+        # Each probe echoes its payload's value, tagging which payload
+        # produced the result at each position.
+        assert [result["value"] for result in results] == list(range(6))
+        assert all(result["in_worker"] for result in results)
         assert pool.stats.tasks_dispatched == 6
         assert pool.stats.batches == 1
 
     def test_worker_error_is_surfaced_with_traceback(self):
         pool = get_pool(2)
-        with pytest.raises(WorkerError, match="closure_shard"):
-            pool.map_tasks("closure_shard", [{"malformed": True}])
+        with pytest.raises(WorkerError, match="chaos_probe") as excinfo:
+            pool.map_tasks(
+                "chaos_probe", [{"action": "raise_value", "message": "boom"}]
+            )
+        assert "ValueError: boom" in excinfo.value.remote_traceback
 
     def test_pool_recreated_on_size_change(self):
         first = get_pool(2)
@@ -216,19 +211,8 @@ class TestDispatch:
         victim = pool._procs[0]
         victim.terminate()
         victim.join(5.0)
-        results = pool.map_tasks(
-            "closure_shard",
-            [
-                {
-                    "algorithm": "optimized",
-                    "pairs": [(0b01, 0b10)],
-                    "start": 0,
-                    "stop": 1,
-                    "num_attributes": 2,
-                }
-            ],
-        )
-        assert results == [[0b10]]
+        results = pool.map_tasks("pool_probe", [{"value": 1}])
+        assert results[0]["value"] == 1
         assert all(worker.is_alive() for worker in pool._procs)
 
 
@@ -238,18 +222,9 @@ class TestBudgetPropagation:
         # checkpoint probe the (already expired) propagated deadline.
         governor = Governor(Budget(deadline_seconds=1e-9, check_interval=1))
         pool = get_pool(2)
-        payloads = [
-            {
-                "algorithm": "optimized",
-                "pairs": [(0b01, 0b10)],
-                "start": 0,
-                "stop": 1,
-                "num_attributes": 2,
-            }
-        ]
         with activate(governor):
             with pytest.raises(BudgetExceeded):
-                pool.map_tasks("closure_shard", payloads, stage="test")
+                pool.map_tasks("pool_probe", [{"value": 1}], stage="test")
 
     def test_worker_candidates_fold_into_parent(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
@@ -311,6 +286,25 @@ class TestStats:
         assert report.counters.get("pool_tasks", 0) > 0
 
 
+_SIGTERM_PROBE = """
+import os, signal
+from repro import cli
+from repro.parallel import get_pool, shutdown_pool
+
+def on_sigterm(signum, frame):  # what cli.main installs
+    raise cli._Terminated()
+
+signal.signal(signal.SIGTERM, on_sigterm)
+pool = get_pool(2)
+pool.map_tasks("pool_probe", [{"value": 0}])
+victim = pool._procs[0]
+os.kill(victim.pid, signal.SIGTERM)
+victim.join(30)
+print(victim.exitcode)
+shutdown_pool()
+"""
+
+
 class TestForkHygiene:
     def test_reset_process_state_clears_probe_buffers(self):
         from repro.kernels import pybackend
@@ -337,12 +331,32 @@ class TestForkHygiene:
         monkeypatch.setattr(governor_module, "_ACTIVE", object())
         monkeypatch.setattr(pool_mod, "_IN_WORKER", False)
         monkeypatch.setattr(pool_mod, "_POOL", object())
-        pool_mod._reset_worker_state()
+        signals = (signal.SIGTERM, signal.SIGINT)
+        handlers = {sig: signal.getsignal(sig) for sig in signals}
+        try:
+            pool_mod._reset_worker_state()
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            for sig, previous in handlers.items():
+                signal.signal(sig, previous)
         assert governor_module._ACTIVE is None
         assert pool_mod._IN_WORKER is True
         assert pool_mod._POOL is None
         assert tasks_module._ATTACHMENTS == {}
         assert tasks_module._ATTACH_SECONDS == 0.0
+
+    def test_sigterm_ends_a_worker_without_traceback(self):
+        # Forked while the CLI's SIGTERM handler is installed, a worker
+        # must still die by the signal, not raise the CLI's exception.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGTERM_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(-signal.SIGTERM)]
+        assert "Traceback" not in proc.stderr
 
     def test_workers_env_roundtrip(self, monkeypatch):
         # REPRO_WORKERS drives normalize() without an explicit kwarg.
@@ -366,8 +380,8 @@ class TestPoolLifecycle:
 
     def test_exit_stops_workers_before_multiprocessing_does(self):
         # At exit the pool must stop its workers with sentinels before
-        # multiprocessing's own hook SIGTERMs them; a SIGTERMed worker
-        # prints a traceback from the handler it inherited from main().
+        # multiprocessing's own hook SIGTERMs them, and the run must end
+        # cleanly either way.
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "verify", "--seeds", "4",
              "--workers", "2"],
@@ -378,21 +392,13 @@ class TestPoolLifecycle:
         assert "Traceback" not in proc.stderr
 
     def test_restart_after_shutdown(self):
-        payloads = [
-            {
-                "algorithm": "optimized",
-                "pairs": [(0b01, 0b10)],
-                "start": 0,
-                "stop": 1,
-                "num_attributes": 2,
-            }
-        ]
+        payloads = [{"value": 1}]
         first = get_pool(2)
-        assert first.map_tasks("closure_shard", payloads) == [[0b10]]
+        assert first.map_tasks("pool_probe", payloads)[0]["value"] == 1
         shutdown_pool()
         second = get_pool(2)
         assert second is not first
-        assert second.map_tasks("closure_shard", payloads) == [[0b10]]
+        assert second.map_tasks("pool_probe", payloads)[0]["value"] == 1
 
     def test_no_shm_leak_across_epochs(self, monkeypatch):
         from repro.parallel.shm import owned_segments

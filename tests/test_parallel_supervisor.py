@@ -6,7 +6,7 @@ respawn and a retry — never the result.  A payload that kills workers
 repeatedly is quarantined to an in-process execution, and when
 respawning itself keeps failing the whole pool degrades to serial.
 Every healed run must stay byte-identical to the serial baseline,
-which ``_chaos_probe``'s echo payloads and the HyFD acceptance test at
+which ``chaos_probe``'s echo payloads and the HyFD acceptance test at
 the bottom both check.
 """
 

@@ -13,6 +13,9 @@ generator.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from _util import emit, emit_json
@@ -27,6 +30,9 @@ _REPORT: list[str] = []
 
 #: operation → seconds
 _TIMINGS: dict[str, float] = {}
+
+#: HyFD's traced heap peak and PLI-cache counters, from an untimed run
+_MEMORY: dict[str, int] = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -48,6 +54,7 @@ def _figure4_report(request, datasets):
                 }
             },
             "timings_seconds": _TIMINGS,
+            "hyfd_memory": _MEMORY,
         },
     )
 
@@ -61,6 +68,10 @@ def test_hyfd_discovery(benchmark, datasets, discovery):
     pin.  Beyond the timing, the cover must be byte-identical to the
     one the normalize benchmark below is given: a faster-but-different
     cover is a failure.
+
+    A second, untimed run under tracemalloc (which slows it down)
+    records HyFD's traced heap peak and its PLI-cache misses and
+    evictions.
     """
     universal = datasets["musicbrainz"]
     universal.invalidate_caches()
@@ -74,6 +85,23 @@ def test_hyfd_discovery(benchmark, datasets, discovery):
     assert sorted((fd.lhs, fd.rhs) for fd in cover) == sorted(
         (fd.lhs, fd.rhs) for fd in given
     ), "FD cover differs between two HyFD runs"
+
+    universal.invalidate_caches()
+    algo = HyFD()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traced = algo.discover(universal)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sorted((fd.lhs, fd.rhs) for fd in traced) == sorted(
+        (fd.lhs, fd.rhs) for fd in cover
+    )
+    _MEMORY["traced_peak_bytes"] = peak
+    _MEMORY["pli_misses"] = algo.last_cache_stats.misses
+    _MEMORY["pli_evictions"] = algo.last_cache_stats.evictions
 
 
 def test_normalize_musicbrainz_universal(benchmark, datasets, discovery):

@@ -39,12 +39,10 @@ class DFD(FDAlgorithm):
         max_lhs_size: int | None = None,
         seed: int = 42,
         random_walks: int = 8,
-        max_cached_partitions: int | None = None,
     ) -> None:
         super().__init__(null_equals_null, max_lhs_size)
         self.seed = seed
         self.random_walks = random_walks
-        self.max_cached_partitions = max_cached_partitions
         self.last_cache_stats = None
 
     def discover(self, instance: RelationInstance) -> FDSet:
@@ -52,11 +50,7 @@ class DFD(FDAlgorithm):
         result = FDSet(arity)
         if arity == 0:
             return result
-        cache = PLICache(
-            instance,
-            self.null_equals_null,
-            max_partitions=self.max_cached_partitions,
-        )
+        cache = PLICache(instance, self.null_equals_null)
         self.last_cache_stats = cache.stats
         everything = full_mask(arity)
         for rhs_attr in range(arity):

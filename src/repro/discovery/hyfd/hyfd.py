@@ -41,7 +41,6 @@ class HyFD(FDAlgorithm):
         max_lhs_size: int | None = None,
         switch_threshold: float = 0.2,
         sample_rounds_per_switch: int = 4,
-        max_cached_partitions: int | None = None,
         workers: int | None = None,
     ) -> None:
         super().__init__(null_equals_null, max_lhs_size)
@@ -49,7 +48,6 @@ class HyFD(FDAlgorithm):
             raise ValueError("switch_threshold must be within [0, 1]")
         self.switch_threshold = switch_threshold
         self.sample_rounds_per_switch = sample_rounds_per_switch
-        self.max_cached_partitions = max_cached_partitions
         self.workers = workers
         self.last_cache_stats = None
         self.last_pool_stats = None
@@ -61,11 +59,7 @@ class HyFD(FDAlgorithm):
         result = FDSet(arity)
         if arity == 0:
             return result
-        cache = PLICache(
-            instance,
-            self.null_equals_null,
-            max_partitions=self.max_cached_partitions,
-        )
+        cache = PLICache(instance, self.null_equals_null)
         self.last_cache_stats = cache.stats
         self.last_pool_stats = None
         workers = resolve_workers(self.workers)

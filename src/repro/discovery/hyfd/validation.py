@@ -155,10 +155,16 @@ def _refutations(
     """Check ``lhs → a`` for every ``a`` in ``rhs_attrs`` with one sweep.
 
     Returns the refuted attributes in ascending order, each with the
-    full agree set of its violating record pair.
+    full agree set of its violating record pair.  Once the LHS's
+    partition is built, the cache forgets every partition below
+    ``|lhs| - 1`` attributes: levels only climb, so no later build
+    starts from one.  Pool workers run this function too, so their
+    caches keep the same frontier.
     """
     probes = [cache.probe(attr) for attr in rhs_attrs]
-    violations = cache.get(lhs).find_violations(rhs_attrs, probes)
+    partition = cache.get(lhs)
+    cache.forget_below(lhs.bit_count() - 1)
+    violations = partition.find_violations(rhs_attrs, probes)
     return [
         (attr, cache.agree_set(*violations[attr]))
         for attr in rhs_attrs

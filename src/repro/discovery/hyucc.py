@@ -42,14 +42,12 @@ class HyUCC:
         null_equals_null: bool = True,
         switch_threshold: float = 0.2,
         sample_rounds_per_switch: int = 4,
-        max_cached_partitions: int | None = None,
     ) -> None:
         if not 0.0 <= switch_threshold <= 1.0:
             raise ValueError("switch_threshold must be within [0, 1]")
         self.null_equals_null = null_equals_null
         self.switch_threshold = switch_threshold
         self.sample_rounds_per_switch = sample_rounds_per_switch
-        self.max_cached_partitions = max_cached_partitions
         self.last_cache_stats = None
 
     def discover(self, instance: RelationInstance) -> list[int]:
@@ -57,11 +55,7 @@ class HyUCC:
         arity = instance.arity
         if arity == 0:
             return []
-        cache = PLICache(
-            instance,
-            self.null_equals_null,
-            max_partitions=self.max_cached_partitions,
-        )
+        cache = PLICache(instance, self.null_equals_null)
         self.last_cache_stats = cache.stats
         if cache.get(0).is_unique:  # ≤ 1 row
             return [0]

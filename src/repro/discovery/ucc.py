@@ -53,12 +53,10 @@ class DuccUCC:
         null_equals_null: bool = True,
         seed: int = 42,
         random_walks: int = 8,
-        max_cached_partitions: int | None = None,
     ) -> None:
         self.null_equals_null = null_equals_null
         self.seed = seed
         self.random_walks = random_walks
-        self.max_cached_partitions = max_cached_partitions
         self.last_cache_stats = None
 
     def discover(self, instance: RelationInstance) -> list[int]:
@@ -66,11 +64,7 @@ class DuccUCC:
         arity = instance.arity
         if arity == 0:
             return []
-        cache = PLICache(
-            instance,
-            self.null_equals_null,
-            max_partitions=self.max_cached_partitions,
-        )
+        cache = PLICache(instance, self.null_equals_null)
         self.last_cache_stats = cache.stats
 
         def is_unique(mask: int) -> bool:

@@ -51,6 +51,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import time
 import traceback
@@ -88,6 +89,11 @@ __all__ = [
 #: a hot path stays serial — small inputs must not pay pool overhead.
 #: Read at call time so tests can monkeypatch it to force either path.
 SERIAL_THRESHOLD = 50_000
+
+#: How often an idle worker checks that its parent still lives.  A
+#: SIGKILLed parent sends no stop sentinel, so a worker that waited on
+#: its queue alone would live on as an orphan.
+PARENT_CHECK_SECONDS = 1.0
 
 _IN_WORKER = False  # set in forked/spawned children; forbids nesting
 
@@ -245,23 +251,32 @@ class PoolStats:
 # Worker side
 # ----------------------------------------------------------------------
 class _WorkerGovernor(Governor):
-    """A worker's governor: the propagated budget, the cancel event, and
-    the heartbeat slot this worker stamps at every probe."""
+    """A worker's governor: the propagated budget, the cancel event, the
+    heartbeat slot this worker stamps at every probe, and the pid of the
+    parent whose death cancels the task."""
 
-    __slots__ = ("cancel_event", "heartbeats", "worker_slot")
+    __slots__ = ("cancel_event", "heartbeats", "worker_slot", "parent_pid")
 
     def __init__(
-        self, budget: Budget, cancel_event, heartbeats=None, worker_slot: int = 0
+        self,
+        budget: Budget,
+        cancel_event,
+        heartbeats=None,
+        worker_slot: int = 0,
+        parent_pid: int | None = None,
     ) -> None:
         super().__init__(budget)
         self.cancel_event = cancel_event
         self.heartbeats = heartbeats
         self.worker_slot = worker_slot
+        self.parent_pid = parent_pid
 
     def _probe(self, stage: str) -> None:
         if self.heartbeats is not None:
             self.heartbeats[self.worker_slot] = time.monotonic()
         if self.cancel_event is not None and self.cancel_event.is_set():
+            raise _Cancelled(stage)
+        if self.parent_pid is not None and os.getppid() != self.parent_pid:
             raise _Cancelled(stage)
         super()._probe(stage)
 
@@ -308,7 +323,11 @@ def _reset_worker_state() -> None:
 
 
 def _budget_from_snapshot(
-    snapshot: dict | None, cancel_event, heartbeats=None, worker_slot: int = 0
+    snapshot: dict | None,
+    cancel_event,
+    heartbeats=None,
+    worker_slot: int = 0,
+    parent_pid: int | None = None,
 ) -> _WorkerGovernor:
     if snapshot is None:
         budget = Budget()
@@ -319,7 +338,7 @@ def _budget_from_snapshot(
             max_memory_bytes=snapshot.get("max_memory_bytes"),
             check_interval=snapshot.get("check_interval", 256),
         )
-    return _WorkerGovernor(budget, cancel_event, heartbeats, worker_slot)
+    return _WorkerGovernor(budget, cancel_event, heartbeats, worker_slot, parent_pid)
 
 
 def _describe_remote_error(exc: BaseException) -> dict:
@@ -391,12 +410,22 @@ def _worker_main(
     frames over this worker's private result pipe; the heartbeat slot
     is stamped at task start and end (the governor stamps it mid-task
     at every probe).
+
+    The worker exits once its parent is gone (it was reparented): an
+    idle worker checks every :data:`PARENT_CHECK_SECONDS`, a busy one at
+    every governor probe, abandoning its task.
     """
     _reset_worker_state()
     from repro.parallel.tasks import handler, worker_attach_seconds
 
+    parent_pid = multiprocessing.parent_process().pid
     while True:
-        item = tasks_queue.get()
+        try:
+            item = tasks_queue.get(timeout=PARENT_CHECK_SECONDS)
+        except queue.Empty:
+            if os.getppid() == parent_pid:
+                continue
+            break
         if item is None:
             break
         epoch, index, kind, payload, budget_snapshot, fault = item
@@ -405,7 +434,7 @@ def _worker_main(
             _post_result(result_writer, (worker_id, epoch, index, "cancelled", None))
             continue
         governor = _budget_from_snapshot(
-            budget_snapshot, cancel_flag, heartbeats, worker_id
+            budget_snapshot, cancel_flag, heartbeats, worker_id, parent_pid
         )
         if fault is not None:
             governor.fault_plan = _worker_fault_plan(fault, fault_flag)
@@ -445,6 +474,8 @@ def _worker_main(
                 ),
             )
         except _Cancelled:
+            if os.getppid() != parent_pid:
+                break
             _post_result(result_writer, (worker_id, epoch, index, "cancelled", None))
         except Exception as exc:
             _post_result(

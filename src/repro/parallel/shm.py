@@ -174,10 +174,6 @@ class ShmHandle:
     null_codes: tuple[int | None, ...]
     null_equals_null: bool
 
-    @property
-    def num_cells(self) -> int:
-        return self.arity * self.num_rows
-
 
 class SharedRelation:
     """Parent-side owner of one exported relation segment."""

@@ -609,8 +609,19 @@ def _preload_session_modules() -> None:
 
     The pipeline imports its FD discoverer by name, checkpointing when a
     run starts, the degradation ladder's sampled rung on a budget breach
-    and the pool when a run first shards; the daemon pays for all of
-    them at start so that no request does.
+    and the pool when a run first shards; the first request would also
+    load the thread executor behind :func:`asyncio.to_thread` and the
+    ``utf-8-sig`` codec of uploads.  The daemon pays for all of them at
+    start so that no request does.
+
+    numpy stays out: a kernel call of 512+ elements imports it inside
+    the request that makes it.  Measured on a 2-vCPU x86_64 host with
+    CPython 3.11.7 and numpy 2.4.6, importing it adds about 170 ms to a
+    cold start (median of 11: ``python -c pass`` 46 ms, ``python -c
+    "import numpy"`` 220 ms) and 12.6 MB of peak RSS.  Preloading it
+    would push the daemon's cold start past the benchmark's 25%
+    ``setup_s`` bound, and a daemon whose relations stay small never
+    needs it.
     """
     from importlib import import_module
 
@@ -619,6 +630,7 @@ def _preload_session_modules() -> None:
 
     modules = [path.rpartition(".")[0] for path in FD_ALGORITHMS.values()]
     modules += ["repro.discovery.sampled", "repro.runtime.checkpointing"]
+    modules += ["concurrent.futures.thread", "encodings.utf_8_sig"]
     if resolve_workers() > 1:
         modules += ["repro.parallel.pool", "repro.parallel.shm"]
     for module in modules:

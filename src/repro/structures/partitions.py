@@ -314,39 +314,34 @@ class PLICache:
     inspects large subsets first and stops at the first hit instead of
     scanning the whole cache.
 
-    The cache is unbounded by default — datasets in this library are
-    laptop-scale by design (see DESIGN.md §3).  ``max_partitions``
-    optionally bounds the number of cached *multi*-attribute partitions
-    (the empty set and single attributes are permanent); the
-    least-recently-used partition is evicted first, and ``stats``
-    counts hits, misses, and evictions.
+    The empty set and single attributes are permanent.  Multi-attribute
+    partitions stay until :meth:`forget_below` drops them.  HyFD's
+    validation calls it as it climbs the lattice level by level, so it
+    keeps only the frontier its next builds start from; every other
+    user (HyUCC, DFD and DUCC among them) keeps all it builds, which
+    laptop-scale inputs afford (see DESIGN.md §3).  ``stats`` counts
+    hits, misses, and forgotten partitions (``evictions``).
     """
 
     __slots__ = (
         "instance",
         "null_equals_null",
-        "max_partitions",
         "stats",
         "_encoding",
         "_cache",
         "_by_popcount",
-        "_multi_count",
     )
 
     def __init__(
         self,
         instance: RelationInstance,
         null_equals_null: bool = True,
-        max_partitions: int | None = None,
         *,
         encoding: Any = None,
         singles: Sequence[StrippedPartition] | None = None,
     ) -> None:
-        if max_partitions is not None and max_partitions < 1:
-            raise ValueError("max_partitions must be positive (or None)")
         self.instance = instance
         self.null_equals_null = null_equals_null
-        self.max_partitions = max_partitions
         self.stats = CacheStats()
         self._reset(
             encoding if encoding is not None else instance.encoded(null_equals_null),
@@ -367,7 +362,6 @@ class PLICache:
         self._cache = {0: StrippedPartition.single_cluster(encoding.num_rows)}
         # popcount → masks in insertion order ({mask: None} as ordered set)
         self._by_popcount: dict[int, dict[int, None]] = {}
-        self._multi_count = 0
         if singles is not None and len(singles) != encoding.arity:
             raise ValueError(
                 f"expected {encoding.arity} single-attribute partitions, "
@@ -412,7 +406,6 @@ class PLICache:
         cached = self._cache.get(mask)
         if cached is not None:
             self.stats.hits += 1
-            self._touch(mask)
             return cached
         self.stats.misses += 1
         add_candidates(1, "pli")
@@ -433,7 +426,9 @@ class PLICache:
         for index in remaining:
             partition = partition.intersect_ids(codes[index])
             accumulated |= 1 << index
-            self._insert(accumulated, partition)
+            self._cache[accumulated] = partition
+            bucket = self._by_popcount.setdefault(accumulated.bit_count(), {})
+            bucket[accumulated] = None
         return partition
 
     def _best_cached_subset(self, mask: int) -> int:
@@ -444,32 +439,23 @@ class PLICache:
                 continue
             for cached_mask in bucket:
                 if cached_mask & ~mask == 0:
-                    self._touch(cached_mask)
                     return cached_mask
         return 0
 
-    def _touch(self, mask: int) -> None:
-        """Mark an evictable partition most-recently-used."""
-        if self.max_partitions is not None and mask.bit_count() >= 2:
-            partition = self._cache.pop(mask)
-            self._cache[mask] = partition
+    def forget_below(self, size: int) -> None:
+        """Drop every cached partition of 2 to ``size - 1`` attributes.
 
-    def _insert(self, mask: int, partition: StrippedPartition) -> None:
-        if mask in self._cache:
-            self._cache[mask] = partition
-            self._touch(mask)
-            return
-        self._cache[mask] = partition
-        self._by_popcount.setdefault(mask.bit_count(), {})[mask] = None
-        self._multi_count += 1
-        if self.max_partitions is None:
-            return
-        while self._multi_count > self.max_partitions:
-            victim = next(m for m in self._cache if m.bit_count() >= 2)
-            del self._cache[victim]
-            del self._by_popcount[victim.bit_count()][victim]
-            self._multi_count -= 1
-            self.stats.evictions += 1
+        A partition of ``m`` attributes is built from its largest cached
+        subset, normally one of ``m - 1`` attributes.  A caller that
+        will only ask for masks of more than ``size`` attributes from
+        now on therefore keeps every base it normally starts from.
+        """
+        for popcount in range(2, size):
+            bucket = self._by_popcount.pop(popcount, None)
+            if bucket:
+                for mask in bucket:
+                    del self._cache[mask]
+                self.stats.evictions += len(bucket)
 
     def probe(self, attribute: int) -> array:
         """Row → value id for one attribute (the shared encoded column)."""

@@ -33,13 +33,11 @@ from dataclasses import dataclass, field
 from repro.datagen.random_tables import random_instance
 from repro.discovery.base import discover_fds
 from repro.discovery.ucc import discover_uccs
-from repro.model.attributes import mask_of_names, names_of
+from repro.model.attributes import names_of
 from repro.model.instance import RelationInstance
 from repro.verification.differential import (
     DEFAULT_FD_ALGORITHMS,
     DEFAULT_UCC_ALGORITHMS,
-    attribute_closure,
-    fd_holds_in,
     run_fd_differential,
     run_ucc_differential,
     semantic_fd_errors,
@@ -512,26 +510,6 @@ def _record(
                 comment=f"shrunk from seed {seed}: {check}",
             )
     report.failures.append(failure)
-
-
-# ----------------------------------------------------------------------
-# Semantic re-checks usable from shrunk repros
-# ----------------------------------------------------------------------
-def planted_fd_still_uncovered(
-    instance: RelationInstance, lhs_names: Sequence[str], rhs_names: Sequence[str]
-) -> bool:
-    """True while a holding FD (by names) is missing from discovery.
-
-    Helper for hand-edited repros of `planted-cover` failures: checks
-    that ``lhs -> rhs`` still *holds* in the (possibly row-reduced)
-    instance yet is not implied by the brute-force output.
-    """
-    lhs = mask_of_names(lhs_names, instance.columns)
-    rhs = mask_of_names(rhs_names, instance.columns)
-    if not fd_holds_in(instance, lhs, rhs):
-        return False
-    closure = attribute_closure(discover_fds(instance, "bruteforce"), lhs)
-    return bool(rhs & ~closure)
 
 
 # ----------------------------------------------------------------------

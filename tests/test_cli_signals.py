@@ -161,6 +161,59 @@ def test_ctrl_c_stops_a_pooled_run_without_tracebacks():
     assert "Traceback" not in stderr
 
 
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+#: seconds the workers of a SIGKILLed parent may outlive it: an idle
+#: worker checks its parent every ``pool.PARENT_CHECK_SECONDS`` (1 s), a
+#: busy one at each governor probe
+ORPHAN_EXIT_BOUND = 10.0
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<pid>/children to see the pool start",
+)
+def test_sigkilled_parent_leaves_no_workers():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "verify", "--seeds", "40",
+         "--workers", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        start_new_session=True,
+    )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert proc.poll() is None, "the run ended before its pool started"
+            assert time.monotonic() < deadline, "the pool never started"
+            workers = [int(pid) for pid in _children(proc.pid)]
+            time.sleep(0.005)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + ORPHAN_EXIT_BOUND
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _running(pid)]
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if proc.poll() is None:
+            proc.wait()
+    assert survivors == [], f"orphaned workers outlived their parent: {survivors}"
+
+
 def test_closed_stdout_maps_to_141(emp_csv):
     # Like `repro emp.csv --profile | head -1` when head exits before
     # the rest of the profile is written: the reader is already gone.

@@ -9,9 +9,12 @@ exactly the objects their defining modules hold.
 
 import json
 import os
+import re
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +120,96 @@ class TestCommandImports:
     def test_named_discoverer_loads_alone(self, tmp_path):
         modules = normalize_modules(tmp_path, 200, "--algorithm", "tane")
         assert DISCOVERERS & modules == {"repro.discovery.tane"}
+
+
+#: runs ``repro <argv[2:]>`` logging each module it imports to argv[1],
+#: with a marker line where the daemon announces ``listening on``
+_DAEMON_LAUNCHER = """
+import sys
+
+log = open(sys.argv[1], "w", buffering=1)
+
+
+class ImportLog:
+    def find_spec(self, name, path=None, target=None):
+        log.write(name + "\\n")
+        return None
+
+
+class Announce:
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text):
+        if text.startswith("listening on"):
+            log.write("--listening\\n")
+        return self._stream.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
+sys.meta_path.insert(0, ImportLog())
+sys.stdout = Announce(sys.stdout)
+from repro.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _announced_port(proc: subprocess.Popen, out: Path) -> int:
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        match = re.search(r"listening on http://[^:]+:(\d+)", out.read_text())
+        if match:
+            return int(match.group(1))
+        assert proc.poll() is None, out.read_text()
+        time.sleep(0.05)
+    raise AssertionError(f"the daemon never listened:\n{out.read_text()}")
+
+
+class TestDaemonImports:
+    def test_a_small_session_imports_nothing_after_listening(self, tmp_path):
+        # Under 512 rows every kernel call runs the python loops, so no
+        # request may import numpy; nor any module the preload missed.
+        from repro.io.csv_io import write_csv
+        from repro.server.client import ReproClient
+        from repro.verification.planted import plant_instance
+
+        instance = plant_instance(5, num_columns=6, num_rows=200).instance
+        csv_path = tmp_path / "planted.csv"
+        write_csv(instance, csv_path)
+        log, out = tmp_path / "imports.log", tmp_path / "serve.out"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(SRC)
+        with open(out, "w") as handle:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _DAEMON_LAUNCHER, str(log), "serve",
+                 "--port", "0", "--resume-dir", str(tmp_path / "resume")],
+                stdout=handle, stderr=subprocess.STDOUT, env=env,
+            )
+        try:
+            client = ReproClient("127.0.0.1", _announced_port(proc, out))
+            session = client.create_session(
+                csv_path.read_bytes(), name="planted"
+            )["session"]
+            row = [None if value is None else str(value) for value in instance.row(0)]
+            client.apply_batch(session, {"inserts": [row], "deletes": [1]})
+            client.ddl(session)
+            client.migration(session)
+            names = log.read_text().split()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        marker = names.index("--listening")
+        before, after = set(names[:marker]), names[marker + 1 :]
+        assert {"repro.incremental.engine", "repro.discovery.hyfd.validation"} <= before
+        assert loaded(set(after), "repro") == []
+        assert after == []
 
 
 _EXPORTS_PROBE = """

@@ -14,6 +14,11 @@ each R1 was copied and re-encoded for key discovery.  That measured
 8.5-9.6 retained and 34.0-37.8 peak bytes per cell on the 20,000 x 12
 input (both kernel backends); sharing columns and codes brought it to
 0.3-1.4 and 17.9-24.0.
+
+HyFD's validation once kept every partition it built.  On the first 20
+columns of the Figure-4 relation (213 rows) that peaked at 339-349
+traced bytes per cell; keeping only the partitions of the last two LHS
+sizes brought it to 263-270.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import pytest
 
 from repro import kernels
 from repro.core.normalize import Normalizer
+from repro.datagen.musicbrainz import denormalized_musicbrainz
+from repro.discovery.hyfd import HyFD
 from repro.discovery.hyfd.sampler import Sampler
 from repro.io.csv_io import read_csv, write_csv
 from repro.structures.partitions import PLICache
@@ -36,6 +43,8 @@ ROWS, COLUMNS = 20_000, 12
 SAMPLER_BUDGET = (12.0, 24.0)
 READ_CSV_BUDGET = (12.0, 36.0)
 NORMALIZE_BUDGET = (4.0, 30.0)
+#: traced peak bytes per cell of HyFD on a wide, short input
+HYFD_WIDE_PEAK_BUDGET = 300.0
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +116,15 @@ def test_normalize_shares_the_input_encoding(tall_instance, backend, tmp_path):
         kernels.set_backend(None)
     assert retained <= NORMALIZE_BUDGET[0]
     assert peak <= NORMALIZE_BUDGET[1]
+
+
+def test_hyfd_keeps_only_its_validation_frontier():
+    # 213 rows: every kernel call runs the python loops, so the backend
+    # does not matter.  One worker, so REPRO_WORKERS cannot add a pool.
+    instance = denormalized_musicbrainz(seed=7).project((1 << 20) - 1)
+    algo = HyFD(workers=1)
+    _, peak = _traced_per_cell(
+        lambda: algo.discover(instance), instance.num_rows * instance.arity
+    )
+    assert peak <= HYFD_WIDE_PEAK_BUDGET
+    assert algo.last_cache_stats.evictions > 0

@@ -2,7 +2,7 @@
 
 Covers the CSR stripped-partition layout, the shared value encoding
 (including NULL-semantics edge cases), the single-pass multi-RHS
-validator, and the PLI cache's popcount index / LRU bound / counters.
+validator, and the PLI cache's popcount index / frontier / counters.
 """
 
 import pytest
@@ -307,25 +307,6 @@ class TestPLICacheEngine:
             "pli_evictions": 0,
         }
 
-    def test_invalid_bound_rejected(self):
-        instance = random_instance(2, 3, 10)
-        with pytest.raises(ValueError):
-            PLICache(instance, max_partitions=0)
-
-    def test_lru_eviction_bounds_cache(self):
-        instance = random_instance(3, 6, 40, domain_size=2)
-        cache = PLICache(instance, max_partitions=3)
-        masks = [0b11, 0b101, 0b110, 0b1100, 0b1010, 0b111]
-        for mask in masks:
-            cache.get(mask)
-        assert cache.stats.evictions > 0
-        # permanent entries (empty set + singles) are never evicted
-        assert 0 in cache._cache
-        for attr in range(6):
-            assert (1 << attr) in cache._cache
-        multi = [m for m in cache._cache if m.bit_count() >= 2]
-        assert len(multi) <= 3
-
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=2**5 - 1),
@@ -333,12 +314,21 @@ class TestPLICacheEngine:
     @settings(max_examples=30)
     def test_results_identical_under_eviction(self, seed, mask):
         instance = random_instance(seed, 5, 25, domain_size=2, null_rate=0.2)
-        unbounded = PLICache(instance)
-        bounded = PLICache(instance, max_partitions=2)
-        # thrash the bounded cache first
-        for m in (0b11, 0b110, 0b1100, 0b11000, 0b10001):
-            bounded.get(m)
-        assert signature(bounded.get(mask)) == signature(unbounded.get(mask))
+        untouched = PLICache(instance)
+        forgetting = PLICache(instance)
+        for m in (0b111, 0b1110, 0b11100, 0b11001, 0b10011):
+            forgetting.get(m)
+        forgetting.forget_below(3)
+        assert forgetting.stats.evictions > 0
+        # the empty set and single attributes are permanent; the popcount
+        # index still names exactly the cached masks
+        assert {m for m in forgetting._cache if m.bit_count() < 2} == {
+            0, *(1 << attr for attr in range(5))
+        }
+        assert all(m.bit_count() != 2 for m in forgetting._cache)
+        indexed = {m for bucket in forgetting._by_popcount.values() for m in bucket}
+        assert indexed == {m for m in forgetting._cache if m != 0}
+        assert signature(forgetting.get(mask)) == signature(untouched.get(mask))
 
     def test_popcount_index_prefers_largest_subset(self):
         instance = random_instance(5, 6, 30, domain_size=2)
@@ -346,19 +336,16 @@ class TestPLICacheEngine:
         cache.get(0b111)  # caches 2- and 3-attribute products
         assert cache._best_cached_subset(0b1111) == 0b111
 
-    def test_eviction_keeps_index_consistent(self):
+    def test_forget_below_keeps_the_frontier(self):
         instance = random_instance(6, 6, 30, domain_size=2)
-        cache = PLICache(instance, max_partitions=2)
-        for mask in (0b11, 0b110, 0b1100, 0b11000, 0b110000):
-            cache.get(mask)
-        # every indexed mask must still be cached and vice versa
-        indexed = {
-            mask
-            for bucket in cache._by_popcount.values()
-            for mask in bucket
-        }
-        cached = {mask for mask in cache._cache if mask != 0}
-        assert indexed == cached
+        cache = PLICache(instance)
+        cache.get(0b1111)  # from a single: caches a pair, a triple and 0b1111
+        cache.forget_below(3)
+        multi = sorted(m.bit_count() for m in cache._cache if m.bit_count() >= 2)
+        assert multi == [3, 4]  # the pair, a chain intermediate, is gone
+        assert cache.stats.evictions == 1
+        cache.forget_below(3)  # nothing left below 3: no new evictions
+        assert cache.stats.evictions == 1
 
     def test_discovery_correct_with_tiny_cache(self):
         from repro.discovery.bruteforce import BruteForceFD
@@ -367,10 +354,93 @@ class TestPLICacheEngine:
 
         instance = random_instance(9, 5, 22, domain_size=2, null_rate=0.2)
         expected = canon_fds(BruteForceFD().discover(instance))
-        algo = HyFD(max_cached_partitions=2)
+        algo = HyFD(workers=1)
         assert canon_fds(algo.discover(instance)) == expected
         assert algo.last_cache_stats is not None
         assert algo.last_cache_stats.evictions > 0
+
+
+def _record_sweeps(monkeypatch) -> list[tuple[int, int | None]]:
+    """Record ``(|lhs|, smallest cached multi-attribute size)`` at every
+    validation sweep, for any cache the sweep's partition came from."""
+    requested: list[tuple[PLICache, int]] = []
+    swept: list[tuple[int, int | None]] = []
+    original_get = PLICache.get
+    original_sweep = StrippedPartition.find_violations
+
+    def get(cache, mask):
+        requested.append((cache, mask))
+        return original_get(cache, mask)
+
+    def sweep(partition, rhs_attrs, probes):
+        cache, lhs = requested[-1]
+        assert cache._cache[lhs] is partition
+        sizes = [m.bit_count() for m in cache._cache if m.bit_count() >= 2]
+        swept.append((lhs.bit_count(), min(sizes, default=None)))
+        return original_sweep(partition, rhs_attrs, probes)
+
+    monkeypatch.setattr(PLICache, "get", get)
+    monkeypatch.setattr(StrippedPartition, "find_violations", sweep)
+    return swept
+
+
+def _assert_frontier_only(swept: list[tuple[int, int | None]]) -> None:
+    assert max(size for size, _ in swept) >= 4, "validation never went deep"
+    for size, smallest in swept:
+        assert smallest is None or smallest >= size - 1, (size, smallest)
+
+
+class TestValidationFrontier:
+    """HyFD's validation keeps only the partitions its next builds use:
+    sweeping an LHS of k attributes, the cache holds none below k - 1."""
+
+    def test_serial_levels(self, monkeypatch):
+        instance = random_instance(21, 7, 40, domain_size=3, null_rate=0.1)
+        cache = PLICache(instance)
+        swept = _record_sweeps(monkeypatch)
+        tree = build_positive_cover(instance.arity, [])
+        validate_tree(tree, cache, sampler=None)
+        _assert_frontier_only(swept)
+        assert cache.stats.evictions > 0
+
+    def test_pool_shards(self, monkeypatch):
+        # validate_shard runs in-process against a real shared-memory
+        # export, one shard per level, as the pool would send them.
+        from repro.discovery.hyfd.validation import validate_shard
+        from repro.parallel.shm import export_encoding
+        from repro.parallel.tasks import attached_cache, reset_worker_caches
+
+        instance = random_instance(22, 6, 40, domain_size=3, null_rate=0.1)
+        arity = instance.arity
+        levels: dict[int, list] = {}
+        for lhs in range(1 << arity):
+            rhs = [a for a in range(arity) if not lhs >> a & 1]
+            if rhs:
+                levels.setdefault(lhs.bit_count(), []).append((lhs, rhs))
+        shared = export_encoding(instance.encoded(True))
+        try:
+            swept = _record_sweeps(monkeypatch)
+            for size in sorted(levels):
+                validate_shard({"handle": shared.handle, "items": levels[size]})
+            evictions = attached_cache(shared.handle).stats.evictions
+        finally:
+            reset_worker_caches()
+            shared.close()
+        _assert_frontier_only(swept)
+        assert len(swept) == sum(len(items) for items in levels.values())
+        assert evictions > 0
+
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_hyfd_matches_bruteforce(self, seed, null_equals_null):
+        from repro.discovery.bruteforce import BruteForceFD
+        from repro.discovery.hyfd import HyFD
+        from tests.helpers import canon_fds
+
+        instance = random_instance(seed, 7, 30, domain_size=3, null_rate=0.2)
+        expected = canon_fds(BruteForceFD(null_equals_null).discover(instance))
+        algo = HyFD(null_equals_null, workers=1)
+        assert canon_fds(algo.discover(instance)) == expected
 
 
 class TestNullSemanticsThroughStack:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from repro.model.attributes import count_bits
 from repro.model.fd import FD
 from repro.model.instance import RelationInstance
+from repro.runtime.governor import checkpoint, in_blocks
 from repro.structures.bloom import BloomFilter
 
 __all__ = [
@@ -92,11 +93,14 @@ class DistinctEstimator:
         cached = self._cache.get(mask)
         if cached is None:
             if self.exact:
+                checkpoint("scoring", units=max(self.instance.num_rows, 1))
                 cached = float(self.instance.distinct_count(mask))
             else:
                 bloom = BloomFilter.with_capacity(max(16, self.instance.num_rows))
-                for row in self.instance.iter_projected_rows(mask):
-                    bloom.add(row)
+                rows = self.instance.iter_projected_rows(mask)
+                for block in in_blocks(rows, "scoring"):
+                    for row in block:
+                        bloom.add(row)
                 cached = bloom.estimated_cardinality()
             self._cache[mask] = cached
         return cached

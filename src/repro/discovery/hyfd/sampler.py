@@ -22,7 +22,11 @@ from repro.model.instance import RelationInstance
 from repro.runtime.governor import checkpoint
 from repro.structures.partitions import PLICache
 
-__all__ = ["Sampler"]
+__all__ = ["CHUNK_POSITIONS", "Sampler"]
+
+#: window positions per agree-set kernel call on the vectorized path,
+#: so a window's temporaries grow with this, not with the row count
+CHUNK_POSITIONS = 1 << 14
 
 
 class Sampler:
@@ -35,13 +39,14 @@ class Sampler:
     relation's row count (``kernels.for_size(num_rows)``, so at least
     ``kernels.SMALL_INPUT_THRESHOLD`` rows), the sampler ranks every
     record with one stable ``np.lexsort`` over all columns, sorts each
-    attribute's rows by (cluster id, rank) and runs a window as one
-    gather of the positions whose partner ``d`` places on is still in
-    the cluster; otherwise it sorts cluster by cluster into an
-    ``array('i')`` and walks the same pairs.  Both visit the pairs in
-    the same order (clusters in PLI order, positions ascending) and
-    make one ``checkpoint`` per cluster, so the negative cover, the
-    efficiency queue and governor tick counts never depend on the path.
+    attribute's rows by (cluster id, rank) and runs a window in
+    chunks of :data:`CHUNK_POSITIONS` positions, each one gather of the
+    positions whose partner ``d`` places on is still in the cluster;
+    otherwise it sorts cluster by cluster into an ``array('i')`` and
+    walks the same pairs.  Both visit the pairs in the same order
+    (clusters in PLI order, positions ascending) and make one
+    ``checkpoint`` per cluster, so the negative cover, the efficiency
+    queue and governor tick counts never depend on the path.
     """
 
     def __init__(self, instance: RelationInstance, cache: PLICache) -> None:
@@ -154,29 +159,36 @@ class Sampler:
         return compared, fresh
 
     def _run_window_numpy(self, attr: int, distance: int) -> tuple[int, list[int]]:
-        """Vectorized window: gather every pair of the round, compute
-        their agree sets in one kernel call, then replay the dedup in
-        pair order."""
+        """Vectorized window, one chunk of positions at a time: gather
+        the chunk's pairs, take their distinct agree sets in one kernel
+        call, then replay the dedup in first-occurrence order."""
         np = self._np
         rows = self._rows[attr]
         offsets = self._offsets[attr]
-        sizes = np.diff(offsets)
-        for units in np.maximum(sizes - distance, 1).tolist():
-            checkpoint("hyfd-sample", units=units)
-        ends = np.repeat(offsets[1:], sizes)
-        lefts = np.flatnonzero(np.arange(distance, len(rows) + distance) < ends)
-        if not len(lefts):
-            return 0, []
-        masks = self._encoding.agree_sets_batch(
-            rows[lefts], rows[lefts + distance]
-        )
-        self.comparisons += len(masks)
+        # One checkpoint per cluster, as on the python path; clusters are
+        # taken a chunk at a time too, so the units list stays small.
+        for first in range(0, len(offsets) - 1, CHUNK_POSITIONS):
+            sizes = np.diff(offsets[first : first + CHUNK_POSITIONS + 1])
+            for units in np.maximum(sizes - distance, 1).tolist():
+                checkpoint("hyfd-sample", units=units)
+        compared = 0
         fresh: list[int] = []
-        for agree in masks:
-            if agree not in self.negative_cover:
-                self.negative_cover.add(agree)
-                fresh.append(agree)
-        return len(masks), fresh
+        stop = len(rows) - distance
+        for low in range(0, stop, CHUNK_POSITIONS):
+            positions = np.arange(low, min(low + CHUNK_POSITIONS, stop))
+            ends = offsets[np.searchsorted(offsets, positions, side="right")]
+            lefts = positions[positions + distance < ends]
+            if not len(lefts):
+                continue
+            compared += len(lefts)
+            for agree in self._encoding.agree_sets_batch(
+                rows[lefts], rows[lefts + distance]
+            ):
+                if agree not in self.negative_cover:
+                    self.negative_cover.add(agree)
+                    fresh.append(agree)
+        self.comparisons += compared
+        return compared, fresh
 
     @property
     def exhausted(self) -> bool:

@@ -150,17 +150,14 @@ class IncrementalCover:
         before_fds = dict(self._tree.iter_all())
         before_uccs = set(self._uccs.iter_all())
 
-        num_rows = encoding.num_rows
         agree_sets: set[int] = set()
-        new_pairs = 0
-        for left in range(first_new_position, num_rows):
+        for left in range(first_new_position, encoding.num_rows):
             checkpoint("incremental-pairs")
-            agree_sets.update(encoding.agree_sets_vs(left, range(left)))
-            new_pairs += left
-        delta.pairs_examined = new_pairs
-        if self.pair_counts is not None:
-            for left in range(first_new_position, num_rows):
-                self.pair_counts.update(encoding.agree_sets_vs(left, range(left)))
+            counts = encoding.agree_sets_vs(left, range(left))
+            agree_sets.update(counts)
+            if self.pair_counts is not None:
+                self.pair_counts.update(counts)
+            delta.pairs_examined += left
 
         dirty_fds: set[tuple[int, int]] = set()
         dirty_uccs: set[int] = set()
@@ -232,11 +229,13 @@ class IncrementalCover:
                     for right in range(encoding_before.num_rows)
                     if right != left and not (right in doomed and right < left)
                 ]  # count each doomed-doomed pair once
-                for agree in encoding_before.agree_sets_vs(left, partners):
-                    counts[agree] -= 1
+                for agree, count in encoding_before.agree_sets_vs(
+                    left, partners
+                ).items():
+                    counts[agree] -= count
                     if counts[agree] <= 0:
                         del counts[agree]
-                    delta.pairs_examined += 1
+                delta.pairs_examined += len(partners)
 
         self._rebuild_from_counts()
         self._record_delta(before_fds, before_uccs, delta)

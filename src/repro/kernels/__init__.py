@@ -25,8 +25,9 @@ micro-benchmarks use it to run both.
 
 Both backends honour the same determinism contract (docs/KERNELS.md):
 identical CSR bytes for every partition, the identical violating row
-pair for every refuted FD, and identical agree masks — so parallel
-numpy runs stay byte-identical to serial pure-Python runs.
+pair for every refuted FD, and the identical ``{agree mask: pair
+count}`` dict, in first-occurrence order, for every batch of pairs —
+so parallel numpy runs stay byte-identical to serial pure-Python runs.
 
 Every dispatch records per-kernel call/row counters; ``profile()``
 snapshots them into ``DataProfile.counters`` together with the

@@ -16,7 +16,10 @@ pure-Python output *byte for byte* —
 * ``from_value_ids`` emits the shared-NULL cluster last,
 * violation scans return the *same* violating pair as the interpreted
   scan: the first mismatching row in CSR order, paired with its
-  cluster's first row.
+  cluster's first row,
+* agree-set kernels return each distinct mask once with its pair
+  count, keyed in order of the mask's first pair (``np.unique`` with
+  ``return_index``, re-sorted by that index).
 
 Inputs arrive as ``array('i')`` buffers or shared-memory memoryview
 slices; ``_as_np`` wraps them zero-copy via ``np.frombuffer``.  Views
@@ -276,58 +279,72 @@ def find_violations(
 # ----------------------------------------------------------------------
 def _packed_words(
     codes: Sequence[Sequence[int]],
-    lefts: np.ndarray,
+    left_values,
     rights: np.ndarray,
 ) -> list[np.ndarray]:
     """One uint64 vector per 64-attribute word; bit ``b`` of word ``w``
-    is set iff the pair agrees on attribute ``64*w + b``."""
-    count = len(lefts)
+    is set iff the pair agrees on attribute ``64*w + b``.
+
+    ``left_values(column)`` gives the left side's values in ``column``:
+    one per pair, or one scalar shared by every pair.
+    """
+    count = len(rights)
     words = []
     for base in range(0, len(codes), 64):
         acc = np.zeros(count, dtype=np.uint64)
         for bit in range(min(64, len(codes) - base)):
             column = _as_np(codes[base + bit])
-            left_vals = column[lefts]
-            agree = (left_vals == column[rights]).astype(np.uint64)
+            agree = (column[rights] == left_values(column)).astype(np.uint64)
             acc |= agree << np.uint64(bit)
         words.append(acc)
     return words
 
 
-def _masks_from_words(words: list[np.ndarray]) -> list[int]:
+def _agree_counts(
+    codes: Sequence[Sequence[int]], left_values, rights: np.ndarray
+) -> dict[int, int]:
+    """Each distinct agree mask of the pairs with its pair count, in
+    first-occurrence order (``np.unique`` returns the index of each
+    packed mask's first occurrence)."""
+    if not len(rights):
+        return {}
+    if not len(codes):  # no attributes: every pair agrees on the empty set
+        return {0: len(rights)}
+    words = _packed_words(codes, left_values, rights)
     if len(words) == 1:
-        return words[0].tolist()
-    masks = words[0].tolist()
-    for word_index in range(1, len(words)):
+        unique, first, counts = np.unique(
+            words[0], return_index=True, return_counts=True
+        )
+        unique = unique[:, None]
+    else:
+        unique, first, counts = np.unique(
+            np.stack(words, axis=1), axis=0, return_index=True, return_counts=True
+        )
+    order = np.argsort(first, kind="stable")
+    unique = unique[order]
+    masks = unique[:, 0].tolist()
+    for word_index in range(1, unique.shape[1]):
         shift = 64 * word_index
-        for i, high in enumerate(words[word_index].tolist()):
+        for i, high in enumerate(unique[:, word_index].tolist()):
             masks[i] |= high << shift
-    return masks
+    return dict(zip(masks, counts[order].tolist()))
 
 
 def agree_pairs(
     codes: Sequence[Sequence[int]],
     lefts: Sequence[int],
     rights: Sequence[int],
-) -> list[int]:
-    """Attribute-agreement bitmask per ``(lefts[i], rights[i])`` pair."""
+) -> dict[int, int]:
+    """Each distinct agree mask of the ``(lefts[i], rights[i])`` pairs,
+    mapped to its pair count, in first-occurrence order."""
     left_idx = np.asarray(lefts, dtype=np.intp)
     right_idx = np.asarray(rights, dtype=np.intp)
-    return _masks_from_words(_packed_words(codes, left_idx, right_idx))
+    return _agree_counts(codes, lambda column: column[left_idx], right_idx)
 
 
 def agree_one_to_many(
     codes: Sequence[Sequence[int]], left: int, rights: Sequence[int]
-) -> list[int]:
-    """Agreement bitmask of row ``left`` against each row in ``rights``."""
+) -> dict[int, int]:
+    """:func:`agree_pairs` of row ``left`` against each row in ``rights``."""
     right_idx = np.asarray(rights, dtype=np.intp)
-    count = len(right_idx)
-    words = []
-    for base in range(0, len(codes), 64):
-        acc = np.zeros(count, dtype=np.uint64)
-        for bit in range(min(64, len(codes) - base)):
-            column = _as_np(codes[base + bit])
-            agree = (column[right_idx] == column[left]).astype(np.uint64)
-            acc |= agree << np.uint64(bit)
-        words.append(acc)
-    return _masks_from_words(words)
+    return _agree_counts(codes, lambda column: column[left], right_idx)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from itertools import repeat
 
 __all__ = [
     "agree_one_to_many",
@@ -224,9 +225,10 @@ def agree_pairs(
     codes: Sequence[Sequence[int]],
     lefts: Sequence[int],
     rights: Sequence[int],
-) -> list[int]:
-    """Attribute-agreement bitmask per ``(lefts[i], rights[i])`` pair."""
-    masks = []
+) -> dict[int, int]:
+    """Each distinct agree mask of the ``(lefts[i], rights[i])`` pairs,
+    mapped to its pair count, in first-occurrence order."""
+    counts: dict[int, int] = {}
     for left, right in zip(lefts, rights):
         agree = 0
         bit = 1
@@ -234,24 +236,15 @@ def agree_pairs(
             if column[left] == column[right]:
                 agree |= bit
             bit <<= 1
-        masks.append(agree)
-    return masks
+        counts[agree] = counts.get(agree, 0) + 1
+    return counts
 
 
 def agree_one_to_many(
     codes: Sequence[Sequence[int]], left: int, rights: Sequence[int]
-) -> list[int]:
-    """Agreement bitmask of row ``left`` against each row in ``rights``."""
-    masks = []
-    for right in rights:
-        agree = 0
-        bit = 1
-        for column in codes:
-            if column[left] == column[right]:
-                agree |= bit
-            bit <<= 1
-        masks.append(agree)
-    return masks
+) -> dict[int, int]:
+    """:func:`agree_pairs` of row ``left`` against each row in ``rights``."""
+    return agree_pairs(codes, repeat(left), rights)
 
 
 # ----------------------------------------------------------------------

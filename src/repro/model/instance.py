@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.model.attributes import bits_of, full_mask, iter_bits
 from repro.model.schema import Relation
+from repro.runtime.governor import in_blocks
 
 __all__ = ["RelationInstance"]
 
@@ -274,10 +275,11 @@ class RelationInstance:
             return 0
         longest = 0
         columns = [self.columns_data[i] for i in indices]
-        for row in zip(*columns):
-            length = sum(len(str(value)) for value in row if value is not None)
-            if length > longest:
-                longest = length
+        for block in in_blocks(zip(*columns), "scoring"):
+            for row in block:
+                length = sum(len(str(value)) for value in row if value is not None)
+                if length > longest:
+                    longest = length
         return longest
 
     def distinct_count(self, mask: int) -> int:

@@ -26,7 +26,8 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.runtime.errors import BudgetExceeded, InputError
 
@@ -34,12 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.faults import FaultPlan
 
 __all__ = [
+    "BLOCK_ROWS",
     "Budget",
     "Governor",
     "activate",
     "add_candidates",
     "checkpoint",
     "current_governor",
+    "in_blocks",
     "parse_duration",
     "parse_memory",
     "suspended",
@@ -261,6 +264,19 @@ def checkpoint(stage: str = "", units: int = 1) -> None:
     governor = _ACTIVE
     if governor is not None:
         governor.tick(stage, units)
+
+
+#: rows per checkpoint of the loops that walk a relation row by row
+BLOCK_ROWS = 1024
+
+
+def in_blocks(rows: Iterable, stage: str) -> Iterator[list]:
+    """``rows`` as lists of up to :data:`BLOCK_ROWS`, each preceded by
+    one :func:`checkpoint` whose ``units`` is the list's length."""
+    rows = iter(rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        checkpoint(stage, units=len(block))
+        yield block
 
 
 def add_candidates(count: int, stage: str = "") -> None:

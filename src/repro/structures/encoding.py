@@ -262,19 +262,21 @@ class EncodedRelation:
 
     def agree_sets_batch(
         self, lefts: Sequence[int], rights: Sequence[int]
-    ) -> list[int]:
-        """Agree masks for many row pairs in one kernel dispatch.
+    ) -> dict[int, int]:
+        """Distinct agree masks of many row pairs in one kernel dispatch.
 
-        ``masks[i]`` equals ``agree_set(lefts[i], rights[i])``; on the
-        numpy backend (batches of ``kernels.SMALL_INPUT_THRESHOLD`` pairs
-        or more) the comparison runs column-at-a-time over the whole
-        batch with the masks packed into uint64 bitset words.
+        Maps each distinct ``agree_set(lefts[i], rights[i])`` to the
+        number of pairs that have it, keyed in order of first
+        occurrence; the counts sum to ``len(lefts)``.  On the numpy
+        backend (batches of ``kernels.SMALL_INPUT_THRESHOLD`` pairs or
+        more) the comparison runs column-at-a-time over the whole batch
+        with the masks packed into uint64 bitset words.
         """
         kernels.record("agree_pairs", len(lefts))
         return kernels.for_size(len(lefts)).agree_pairs(self.codes, lefts, rights)
 
-    def agree_sets_vs(self, left: int, rights: Sequence[int]) -> list[int]:
-        """Agree masks of one row against many others (incremental engine)."""
+    def agree_sets_vs(self, left: int, rights: Sequence[int]) -> dict[int, int]:
+        """:meth:`agree_sets_batch` of one row against many others."""
         kernels.record("agree_pairs", len(rights))
         return kernels.for_size(len(rights)).agree_one_to_many(
             self.codes, left, rights

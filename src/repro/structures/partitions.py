@@ -308,19 +308,21 @@ class PLICache:
     """Builds and memoizes stripped partitions per attribute-set mask.
 
     Single-attribute partitions are precomputed from the shared column
-    encoding; multi-attribute partitions are produced by intersecting,
-    preferring already-cached subsets to keep chains short.  Cached
-    masks are indexed by popcount so the best-cached-subset search
-    inspects large subsets first and stops at the first hit instead of
-    scanning the whole cache.
+    encoding; a multi-attribute partition is produced by intersecting
+    its largest cached subset with the missing single columns, and only
+    the partition asked for is cached, never the chain products on the
+    way to it.  Cached masks are indexed by popcount so the
+    best-cached-subset search inspects large subsets first and stops at
+    the first hit instead of scanning the whole cache.
 
     The empty set and single attributes are permanent.  Multi-attribute
     partitions stay until :meth:`forget_below` drops them.  HyFD's
     validation calls it as it climbs the lattice level by level, so it
     keeps only the frontier its next builds start from; every other
-    user (HyUCC, DFD and DUCC among them) keeps all it builds, which
-    laptop-scale inputs afford (see DESIGN.md §3).  ``stats`` counts
-    hits, misses, and forgotten partitions (``evictions``).
+    user (HyUCC, DFD, DUCC and the incremental engine) keeps every
+    partition it asked for, which laptop-scale inputs afford (see
+    DESIGN.md §3).  ``stats`` counts hits, misses, and forgotten
+    partitions (``evictions``).
     """
 
     __slots__ = (
@@ -422,13 +424,10 @@ class PLICache:
             key=lambda i: self._cache[1 << i].num_non_singleton_rows
         )
         codes = self._encoding.codes
-        accumulated = best_mask
         for index in remaining:
             partition = partition.intersect_ids(codes[index])
-            accumulated |= 1 << index
-            self._cache[accumulated] = partition
-            bucket = self._by_popcount.setdefault(accumulated.bit_count(), {})
-            bucket[accumulated] = None
+        self._cache[mask] = partition
+        self._by_popcount.setdefault(mask.bit_count(), {})[mask] = None
         return partition
 
     def _best_cached_subset(self, mask: int) -> int:

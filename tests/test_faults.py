@@ -90,6 +90,34 @@ class TestBudgetBreachSweep:
             assert breach_visible
 
 
+class TestScoringIsGoverned:
+    """A breach while scoring violating FDs (§7.2 Bloom-filter distinct
+    counts and value lengths) stops the decomposition loop, and what was
+    decomposed so far stays sound and lossless."""
+
+    # Tick 1 fires at the first scoring tick, before any split; by tick
+    # 150 the university relation has been split once.
+    @pytest.mark.parametrize("at_tick", [1, 150])
+    def test_timeout_on_a_scoring_tick(self, university, at_tick):
+        import warnings
+        from collections import Counter
+
+        exact = Normalizer(algorithm="hyfd").run(university)
+        plan = FaultPlan(mode="timeout", at_tick=at_tick, stage="scoring")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = Normalizer(algorithm="hyfd", fault_plan=plan).run(university)
+        assert plan.fired and plan.fired_at_stage == "scoring"
+        assert any(
+            event.startswith("decomposition loop stopped by budget breach")
+            for event in result.fidelity.events
+        )
+        assert len(result.schema) < len(exact.schema)
+        assert all(f.sound for f in result.fidelity.relations.values())
+        rebuilt = result.reconstruct(university.name)
+        assert Counter(rebuilt.iter_rows()) == Counter(university.iter_rows())
+
+
 class TestFaultCampaign:
     def test_small_campaign_passes(self):
         report = run_fault_campaign(range(6), num_rows=30, max_columns=6)

@@ -312,7 +312,7 @@ def all_pairs_agree_sets(instance, null_equals_null):
     n = encoding.num_rows
     lefts = [i for i in range(n) for _ in range(i + 1, n)]
     rights = [j for i in range(n) for j in range(i + 1, n)]
-    return encoding.agree_sets_batch(lefts, rights)
+    return list(encoding.agree_sets_batch(lefts, rights))  # distinct masks
 
 
 def seeded_instance(seed):

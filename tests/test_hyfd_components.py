@@ -14,6 +14,7 @@ from repro.discovery.hyfd.induction import (
     build_positive_cover,
     specialize,
 )
+from repro.discovery.hyfd import sampler as sampler_module
 from repro.discovery.hyfd.sampler import Sampler
 from repro.discovery.hyfd.validation import validate_tree
 from repro.model.instance import RelationInstance
@@ -64,8 +65,9 @@ class TestSampler:
 class _ListSampler:
     """The list-of-lists sampler the CSR one replaced, kept as its oracle.
 
-    Clusters are Python lists sorted by the full record; the numpy path
-    copies them into per-cluster arrays on the first window.
+    Clusters are Python lists sorted by the full record, and every
+    pair's agree set comes from the scalar ``EncodedRelation.agree_set``
+    whatever the kernel backend.
     """
 
     def __init__(self, instance, cache):
@@ -79,7 +81,6 @@ class _ListSampler:
             ]
             for attr in range(self.arity)
         ]
-        self._np_clusters = {}
         self.negative_cover = set()
         self._distances = [0] * self.arity
         self._queue = [(-1.0, attr) for attr in range(self.arity)]
@@ -98,8 +99,6 @@ class _ListSampler:
         return agree
 
     def _run_window(self, attr, distance):
-        if kernels.backend_name() == "numpy":
-            return self._run_window_numpy(attr, distance)
         compared = 0
         fresh = []
         for cluster in self._clusters[attr]:
@@ -110,36 +109,6 @@ class _ListSampler:
                 if agree is not None:
                     fresh.append(agree)
         return compared, fresh
-
-    def _run_window_numpy(self, attr, distance):
-        np = kernels.numpy_module()
-        arrays = self._np_clusters.get(attr)
-        if arrays is None:
-            arrays = [
-                np.asarray(cluster, dtype=np.intp)
-                for cluster in self._clusters[attr]
-            ]
-            self._np_clusters[attr] = arrays
-        lefts = []
-        rights = []
-        for cluster in arrays:
-            width = len(cluster) - distance
-            checkpoint("hyfd-sample", units=max(width, 1))
-            if width > 0:
-                lefts.append(cluster[:width])
-                rights.append(cluster[distance:])
-        if not lefts:
-            return 0, []
-        masks = self._encoding.agree_sets_batch(
-            np.concatenate(lefts), np.concatenate(rights)
-        )
-        self.comparisons += len(masks)
-        fresh = []
-        for agree in masks:
-            if agree not in self.negative_cover:
-                self.negative_cover.add(agree)
-                fresh.append(agree)
-        return len(masks), fresh
 
     @property
     def exhausted(self):
@@ -189,18 +158,7 @@ ORACLE_CASES = {
 MAX_ORACLE_ROUNDS = 150
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-@pytest.mark.parametrize("null_equals_null", [True, False])
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_csr_sampler_matches_list_sampler(
-    monkeypatch, backend, null_equals_null, case
-):
-    if backend == "numpy":
-        if not kernels.numpy_available():
-            pytest.skip("numpy not installed")
-        # Vectorize even these small relations and windows, or the
-        # registry would send them to the python path.
-        monkeypatch.setattr(kernels, "SMALL_INPUT_THRESHOLD", 0)
+def _assert_matches_list_sampler(backend, null_equals_null, case):
     kernels.set_backend(backend)
     try:
         instance = ORACLE_CASES[case]()
@@ -229,6 +187,36 @@ def test_csr_sampler_matches_list_sampler(
         assert got.exhausted == expected.exhausted
     finally:
         kernels.set_backend(None)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("null_equals_null", [True, False])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_csr_sampler_matches_list_sampler(
+    monkeypatch, backend, null_equals_null, case
+):
+    if backend == "numpy":
+        if not kernels.numpy_available():
+            pytest.skip("numpy not installed")
+        # Vectorize even these small relations and windows, or the
+        # registry would send them to the python path.
+        monkeypatch.setattr(kernels, "SMALL_INPUT_THRESHOLD", 0)
+    _assert_matches_list_sampler(backend, null_equals_null, case)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("null_equals_null", [True, False])
+def test_csr_sampler_matches_list_sampler_in_small_chunks(
+    monkeypatch, null_equals_null, case
+):
+    """The vectorized window walked in chunks of a few positions, so
+    every window of the larger cases spans several chunks and most
+    clusters straddle a chunk boundary."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not installed")
+    monkeypatch.setattr(kernels, "SMALL_INPUT_THRESHOLD", 0)
+    monkeypatch.setattr(sampler_module, "CHUNK_POSITIONS", 7)
+    _assert_matches_list_sampler("numpy", null_equals_null, case)
 
 
 class TestInduction:

@@ -3,9 +3,9 @@
 The numpy backend must reproduce the interpreted loops *byte for byte*:
 identical stripped-partition CSR buffers (same clusters, same cluster
 order, same row order), the identical violating row pair per refuted
-FD, and identical agree masks — on planted and random instances, under
-both NULL semantics, including single-row and empty-relation edge
-cases.  When numpy is not installed the comparisons are skipped but
+FD, and identical ``{agree mask: pair count}`` dicts in the same key
+order — on planted and random instances, under both NULL semantics,
+including single-row and empty-relation edge cases.  When numpy is not installed the comparisons are skipped but
 backend selection itself is still exercised.
 """
 
@@ -41,6 +41,21 @@ def csr(partition: StrippedPartition) -> tuple[bytes, bytes, int]:
         partition.offsets.tobytes(),
         partition.num_rows,
     )
+
+
+def agree_counts(encoding: EncodedRelation, pairs) -> dict[int, int]:
+    """The counts contract built from the scalar ``agree_set`` helper:
+    each distinct mask once, in first-occurrence order, with its count."""
+    counts: dict[int, int] = {}
+    for left, right in pairs:
+        agree = encoding.agree_set(left, right)
+        counts[agree] = counts.get(agree, 0) + 1
+    return counts
+
+
+def ordered(counts: dict[int, int]) -> list[tuple[int, int]]:
+    """A counts dict as its item list, so comparisons see key order."""
+    return list(counts.items())
 
 
 def per_backend(fn):
@@ -140,17 +155,19 @@ class TestPartitionIdentity:
 
         results = per_backend(
             lambda: (
-                encoding.agree_sets_batch(lefts, rights),
-                encoding.agree_sets_vs(0, range(n)) if n else [],
+                ordered(encoding.agree_sets_batch(lefts, rights)),
+                ordered(encoding.agree_sets_vs(0, range(n))),
             )
         )
         assert results["python"] == results["numpy"]
         # The scalar helper is the historical oracle for both.
-        batch, _ = results["python"]
-        assert batch == [
-            encoding.agree_set(left, right)
-            for left, right in zip(lefts, rights)
-        ]
+        batch, versus = results["python"]
+        assert batch == ordered(agree_counts(encoding, zip(lefts, rights)))
+        assert versus == ordered(
+            agree_counts(encoding, ((0, right) for right in range(n)))
+        )
+        assert sum(count for _, count in batch) == len(lefts)
+        assert sum(count for _, count in versus) == n
 
 
 @requires_numpy
@@ -160,17 +177,27 @@ class TestWideRelations:
         columns = [
             [(row * (attr + 1)) % 3 for row in range(40)] for attr in range(70)
         ]
-        encoding = EncodedRelation.encode(columns)
+        columns[3] = [None if row % 4 else row % 2 for row in range(40)]
         lefts = list(range(0, 40, 2))
         rights = list(range(1, 40, 2))
-        results = per_backend(
-            lambda: (
-                encoding.agree_sets_batch(lefts, rights),
-                encoding.agree_sets_vs(5, range(40)),
+        for null_equals_null in (True, False):
+            encoding = EncodedRelation.encode(columns, null_equals_null)
+            results = per_backend(
+                lambda: (
+                    ordered(encoding.agree_sets_batch(lefts, rights)),
+                    ordered(encoding.agree_sets_vs(5, range(40))),
+                )
             )
-        )
-        assert results["python"] == results["numpy"]
-        assert any(mask >> 64 for mask in results["python"][0])
+            assert results["python"] == results["numpy"]
+            batch, versus = results["python"]
+            assert batch == ordered(agree_counts(encoding, zip(lefts, rights)))
+            assert versus == ordered(
+                agree_counts(encoding, ((5, right) for right in range(40)))
+            )
+            assert sum(count for _, count in batch) == len(lefts)
+            assert any(mask >> 64 for mask, _ in batch)
+            # Fewer distinct masks than pairs, so the counts are exercised.
+            assert any(count > 1 for _, count in versus)
 
 
 @requires_numpy
@@ -318,7 +345,7 @@ class TestKernelFuzz:
                     )
                 n = encoding.num_rows
                 if n:
-                    out.append(encoding.agree_sets_vs(n - 1, range(n - 1)))
+                    out.append(ordered(encoding.agree_sets_vs(n - 1, range(n - 1))))
                 return out
 
             results = per_backend(full_surface)

@@ -19,6 +19,17 @@ HyFD's validation once kept every partition it built.  On the first 20
 columns of the Figure-4 relation (213 rows) that peaked at 339-349
 traced bytes per cell; keeping only the partitions of the last two LHS
 sizes brought it to 263-270.
+
+``PLICache`` once also cached every chain product it built on the way
+to a requested partition.  DUCC's key search on the 20,000 x 12 input
+peaked at 29.9 (python kernels) and 34.9 (numpy) traced bytes per cell
+with them, and at 16.7 and 21.8 once only requested partitions were
+cached.  A vectorized sampler window once gathered all its pairs at
+once and returned one Python int per pair: the warm-up windows on that
+input peaked at about 1,690 traced bytes per 1,024 positions.  Windows
+walked in chunks of 1,024 positions, with each distinct agree mask
+returned once with its count, peak at about 145, whatever the row
+count.
 """
 
 from __future__ import annotations
@@ -32,7 +43,9 @@ from repro import kernels
 from repro.core.normalize import Normalizer
 from repro.datagen.musicbrainz import denormalized_musicbrainz
 from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import sampler as sampler_module
 from repro.discovery.hyfd.sampler import Sampler
+from repro.discovery.ucc import DuccUCC
 from repro.io.csv_io import read_csv, write_csv
 from repro.structures.partitions import PLICache
 from repro.verification.planted import plant_instance
@@ -45,6 +58,12 @@ READ_CSV_BUDGET = (12.0, 36.0)
 NORMALIZE_BUDGET = (4.0, 30.0)
 #: traced peak bytes per cell of HyFD on a wide, short input
 HYFD_WIDE_PEAK_BUDGET = 300.0
+#: traced peak bytes per cell of DUCC's key search, singles included
+DUCC_PEAK_BUDGET = 26.0
+#: traced peak bytes per chunk position of vectorized sampler windows
+#: (the row count does not enter)
+SAMPLER_WINDOW_CHUNK = 1024
+SAMPLER_WINDOW_PEAK_BUDGET = 200.0
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +147,35 @@ def test_hyfd_keeps_only_its_validation_frontier():
     )
     assert peak <= HYFD_WIDE_PEAK_BUDGET
     assert algo.last_cache_stats.evictions > 0
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_ducc_caches_only_what_it_asks_for(tall_instance, backend):
+    if backend == "numpy" and not kernels.numpy_available():
+        pytest.skip("numpy not installed")
+    tall_instance.encoded(True)  # shared by every cache; not measured
+    algo = DuccUCC()
+    kernels.set_backend(backend)
+    try:
+        kernels.active()
+        _, peak = _traced_per_cell(
+            lambda: algo.discover(tall_instance), ROWS * COLUMNS
+        )
+    finally:
+        kernels.set_backend(None)
+    assert peak <= DUCC_PEAK_BUDGET
+
+
+def test_sampler_window_peak_is_bounded_by_the_chunk(tall_instance, monkeypatch):
+    if not kernels.numpy_available():
+        pytest.skip("numpy not installed")
+    monkeypatch.setattr(sampler_module, "CHUNK_POSITIONS", SAMPLER_WINDOW_CHUNK)
+    kernels.set_backend("numpy")
+    try:
+        sampler = Sampler(tall_instance, PLICache(tall_instance))
+        # Windows over all 20,000 rows: about 20 chunks each.
+        _, peak = _traced_per_cell(sampler.initial_rounds, SAMPLER_WINDOW_CHUNK)
+    finally:
+        kernels.set_backend(None)
+    assert sampler.comparisons > 10 * SAMPLER_WINDOW_CHUNK
+    assert peak <= SAMPLER_WINDOW_PEAK_BUDGET

@@ -316,7 +316,7 @@ class TestPLICacheEngine:
         instance = random_instance(seed, 5, 25, domain_size=2, null_rate=0.2)
         untouched = PLICache(instance)
         forgetting = PLICache(instance)
-        for m in (0b111, 0b1110, 0b11100, 0b11001, 0b10011):
+        for m in (0b11, 0b1100, 0b111, 0b1110, 0b11100, 0b11001, 0b10011):
             forgetting.get(m)
         forgetting.forget_below(3)
         assert forgetting.stats.evictions > 0
@@ -333,16 +333,29 @@ class TestPLICacheEngine:
     def test_popcount_index_prefers_largest_subset(self):
         instance = random_instance(5, 6, 30, domain_size=2)
         cache = PLICache(instance)
-        cache.get(0b111)  # caches 2- and 3-attribute products
+        cache.get(0b11)
+        cache.get(0b111)  # caches the 2- and the 3-attribute product
         assert cache._best_cached_subset(0b1111) == 0b111
+
+    def test_build_caches_only_the_requested_partition(self):
+        instance = random_instance(6, 6, 30, domain_size=2)
+        cache = PLICache(instance)
+        built = cache.get(0b1111)  # three products from a single
+        assert [m for m in cache._cache if m.bit_count() >= 2] == [0b1111]
+        assert {m for bucket in cache._by_popcount.values() for m in bucket} == {
+            0b1111, *(1 << attr for attr in range(6))
+        }
+        assert cache.get(0b1111) is built
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     def test_forget_below_keeps_the_frontier(self):
         instance = random_instance(6, 6, 30, domain_size=2)
         cache = PLICache(instance)
-        cache.get(0b1111)  # from a single: caches a pair, a triple and 0b1111
+        for mask in (0b11, 0b111, 0b1111):  # a pair, a triple and 0b1111
+            cache.get(mask)
         cache.forget_below(3)
         multi = sorted(m.bit_count() for m in cache._cache if m.bit_count() >= 2)
-        assert multi == [3, 4]  # the pair, a chain intermediate, is gone
+        assert multi == [3, 4]  # the pair is gone
         assert cache.stats.evictions == 1
         cache.forget_below(3)  # nothing left below 3: no new evictions
         assert cache.stats.evictions == 1
@@ -352,7 +365,8 @@ class TestPLICacheEngine:
         from repro.discovery.hyfd import HyFD
         from tests.helpers import canon_fds
 
-        instance = random_instance(9, 5, 22, domain_size=2, null_rate=0.2)
+        # Validation reaches 4-attribute LHSs here, so it forgets pairs.
+        instance = random_instance(21, 7, 40, domain_size=3, null_rate=0.1)
         expected = canon_fds(BruteForceFD().discover(instance))
         algo = HyFD(workers=1)
         assert canon_fds(algo.discover(instance)) == expected

@@ -133,16 +133,13 @@ def test_full_rediscovery_cumulative(benchmark):
     batches = _stream(planted, max(CHECKPOINTS))
 
     def run():
-        columns_data = [list(c) for c in planted.instance.columns_data]
+        rows = list(planted.instance.iter_rows())
         marks = {}
         started = time.perf_counter()
         for index, batch in enumerate(batches, start=1):
-            for row in batch.inserts:
-                for col, value in enumerate(row):
-                    columns_data[col].append(value)
-            instance = RelationInstance(
-                planted.instance.relation,
-                [list(c) for c in columns_data],
+            rows.extend(tuple(row) for row in batch.inserts)
+            instance = RelationInstance.from_rows(
+                planted.instance.relation, rows
             )
             _scratch_normalizer().run(instance)
             if index in CHECKPOINTS:

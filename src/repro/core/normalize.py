@@ -182,12 +182,11 @@ class Normalizer:
         everything after the recorded prefix is recomputed.
 
         The inputs are never modified, but the result's instances may
-        share column storage and encodings with them: an input that is
-        already conform comes back as a renamed view of it, and every
-        ``R1`` of a split is a column subset of its parent.  The
-        pipeline never writes column storage in place;
-        :meth:`~repro.model.instance.RelationInstance.append_rows`
-        copies on first write.
+        share code vectors with them: an input that is already conform
+        comes back as a renamed view of it, and every ``R1`` of a split
+        is a column subset of its parent.  Instances are immutable
+        except :meth:`~repro.model.instance.RelationInstance.append_rows`,
+        which copies shared codes on first write.
         """
         inputs = [data] if isinstance(data, RelationInstance) else list(data)
         if not inputs:
@@ -229,7 +228,7 @@ class Normalizer:
             discovered: dict[str, FDSet] = {}
             for instance in inputs:
                 # Work on a fresh Relation object so callers' schemas
-                # are never mutated; the columns and encodings are shared.
+                # are never mutated; the codes are shared.
                 instance = instance.rename(instance.name)
                 started = time.perf_counter()
                 fds, fidelity = self._discover(instance, state, governor)

@@ -92,7 +92,10 @@ class DistinctEstimator:
     def distinct(self, mask: int) -> float:
         cached = self._cache.get(mask)
         if cached is None:
-            if self.exact:
+            if not mask:
+                # The projection onto no attributes: one empty tuple per row.
+                cached = float(min(1, self.instance.num_rows))
+            elif self.exact:
                 checkpoint("scoring", units=max(self.instance.num_rows, 1))
                 cached = float(self.instance.distinct_count(mask))
             else:

@@ -105,18 +105,12 @@ class SampledG3FD(FDAlgorithm):
         self.last_sampled_rows = sampled
         kept = FDSet(instance.arity)
         try:
-            from repro.structures.partitions import column_value_ids
-
-            probes = [
-                column_value_ids(column, self.null_equals_null)
-                for column in instance.columns_data
-            ]
             for lhs, rhs_mask in sorted(candidates.items()):
                 for attr in _bits(rhs_mask):
                     checkpoint(
                         "sampled-verify", units=max(instance.num_rows, 1)
                     )
-                    error = _g3(instance, lhs, attr, self.null_equals_null, probes)
+                    error = _g3(instance, lhs, attr, self.null_equals_null)
                     if error <= self.approx_error:
                         kept.add_masks(lhs, 1 << attr)
                         self.last_errors[(lhs, attr)] = error
@@ -157,10 +151,10 @@ class SampledG3FD(FDAlgorithm):
         return lines
 
 
-def _g3(instance, lhs, attr, null_equals_null, probes) -> float:
+def _g3(instance, lhs, attr, null_equals_null) -> float:
     from repro.extensions.approximate import g3_error
 
-    return g3_error(instance, lhs, attr, null_equals_null, probes=probes)
+    return g3_error(instance, lhs, attr, null_equals_null)
 
 
 def _bits(mask: int):

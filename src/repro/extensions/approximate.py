@@ -34,7 +34,6 @@ from repro.discovery.lattice import find_minimal_satisfying
 from repro.model.attributes import bits_of, full_mask, iter_bits
 from repro.model.instance import RelationInstance
 from repro.runtime.governor import checkpoint
-from repro.structures.partitions import column_value_ids
 
 __all__ = ["AFD", "discover_afds", "g3_error", "violating_rows"]
 
@@ -52,32 +51,18 @@ class AFD:
         return f"{lhs} -> {columns[self.rhs_attr]} (g3={self.error:.3f})"
 
 
-def _probes(instance: RelationInstance, null_equals_null: bool) -> list[list[int]]:
-    return [
-        column_value_ids(instance.columns_data[i], null_equals_null)
-        for i in range(instance.arity)
-    ]
-
-
 def g3_error(
     instance: RelationInstance,
     lhs: int,
     rhs_attr: int,
     null_equals_null: bool = True,
-    probes: list[list[int]] | None = None,
 ) -> float:
-    """TANE's g3: minimal fraction of rows to drop for ``lhs → rhs_attr``.
-
-    ``probes`` lets callers that verify many FDs against the same
-    instance reuse one column encoding instead of re-encoding per call
-    (see :func:`repro.runtime.degrade.discover_with_ladder`).
-    """
+    """TANE's g3: minimal fraction of rows to drop for ``lhs → rhs_attr``."""
     rows = instance.num_rows
     if rows == 0:
         return 0.0
     checkpoint("g3-error", units=max(rows // 256, 1))
-    if probes is None:
-        probes = _probes(instance, null_equals_null)
+    probes = instance.encoded(null_equals_null).codes
     lhs_bits = bits_of(lhs)
     groups: dict[tuple, Counter] = {}
     for row in range(rows):
@@ -139,7 +124,7 @@ def violating_rows(
     not carry the group's majority RHS value.  Ties break towards the
     value seen first, so the result is deterministic.
     """
-    probes = _probes(instance, null_equals_null)
+    probes = instance.encoded(null_equals_null).codes
     lhs_bits = bits_of(lhs)
     groups: dict[tuple, list[int]] = {}
     for row in range(instance.num_rows):

@@ -22,12 +22,12 @@ the semantically plausible ones.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from repro.model.attributes import bits_of, full_mask, iter_bits, mask_of
 from repro.model.instance import RelationInstance
-from repro.structures.partitions import column_value_ids
 
 __all__ = ["MVD", "dependency_basis", "discover_mvds", "mvd_holds"]
 
@@ -45,15 +45,8 @@ class MVD:
         return f"{lhs} ->> {rhs}"
 
 
-def _probes(instance: RelationInstance, null_equals_null: bool) -> list[list[int]]:
-    return [
-        column_value_ids(instance.columns_data[i], null_equals_null)
-        for i in range(instance.arity)
-    ]
-
-
 def _group_rows(
-    probes: list[list[int]], mask: int, num_rows: int
+    probes: Sequence[Sequence[int]], mask: int, num_rows: int
 ) -> dict[tuple, list[int]]:
     bits = bits_of(mask)
     groups: dict[tuple, list[int]] = {}
@@ -78,7 +71,7 @@ def mvd_holds(
     other = everything & ~(lhs | rhs)
     if not rhs or not other:
         return True
-    probes = _probes(instance, null_equals_null)
+    probes = instance.encoded(null_equals_null).codes
     rhs_bits = bits_of(rhs)
     other_bits = bits_of(other)
     for rows in _group_rows(probes, lhs, instance.num_rows).values():
@@ -196,7 +189,7 @@ def _is_fd_block(
     instance: RelationInstance, lhs: int, block: int, null_equals_null: bool
 ) -> bool:
     """True iff ``lhs → block`` holds (the MVD degenerates to an FD)."""
-    probes = _probes(instance, null_equals_null)
+    probes = instance.encoded(null_equals_null).codes
     block_bits = bits_of(block)
     for rows in _group_rows(probes, lhs, instance.num_rows).values():
         first = tuple(probes[i][rows[0]] for i in block_bits)

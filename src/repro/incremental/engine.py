@@ -253,7 +253,7 @@ class IncrementalNormalizer:
         outcome = BatchOutcome(
             relation=name,
             batch_index=self.applied_batches,
-            columns=live.instance.columns,
+            columns=live.columns,
         )
 
         # 1. Report: which constraints of the *current* schema does the

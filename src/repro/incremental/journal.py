@@ -53,7 +53,7 @@ def journal_to_json(engine: "IncrementalNormalizer") -> dict:
     for name in engine.relation_names():
         live = engine.live(name)
         cover = engine._covers[name]
-        columns = live.instance.columns
+        columns = live.columns
         relations.append(
             {
                 "name": name,
@@ -170,7 +170,7 @@ def resume_engine(
             )
         for entry in state["relations"]:
             live = engine.live(entry["name"])
-            columns = live.instance.columns
+            columns = live.columns
             if tuple(entry["columns"]) != columns:
                 raise CheckpointError(
                     f"journal columns {entry['columns']} do not match "

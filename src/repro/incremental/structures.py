@@ -3,11 +3,11 @@
 A :class:`LiveRelation` owns the mutable state of one original relation
 under a stream of change batches:
 
-* the raw column-major data (a plain
-  :class:`~repro.model.instance.RelationInstance`),
-* the dictionary encoding, grown append-only via
+* the data itself: a dictionary encoding with its decode tables, grown
+  append-only via
   :meth:`~repro.structures.encoding.EncodedRelation.extend` and
-  compacted on delete,
+  compacted on delete (:meth:`LiveRelation.snapshot_instance` hands the
+  pipeline a :class:`~repro.model.instance.RelationInstance` of it),
 * one :class:`MutableColumnPartition` per attribute — the cluster map
   behind the single-attribute stripped partitions, updated in O(Δ) on
   append and rebuilt lazily after a delete (a delete shifts every
@@ -31,7 +31,7 @@ from typing import Any, Sequence
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from repro.runtime.errors import InputError
-from repro.structures.encoding import EncodedRelation
+from repro.structures.encoding import DecodedColumn, EncodedRelation
 from repro.structures.partitions import PLICache, StrippedPartition
 
 __all__ = ["LiveRelation", "MutableColumnPartition"]
@@ -110,23 +110,22 @@ class LiveRelation:
     def __init__(
         self, instance: RelationInstance, null_equals_null: bool = True
     ) -> None:
-        # Own a bare copy: no keys/FKs (originals enter the pipeline bare),
-        # and callers' instances are never mutated.
-        relation = Relation(instance.name, instance.columns)
-        self.instance = RelationInstance(relation, instance.columns_data)
+        # A bare relation: no keys/FKs (originals enter the pipeline
+        # bare).  The encoding is this object's own, so callers'
+        # instances are never mutated.
+        self.relation = Relation(instance.name, instance.columns)
         self.null_equals_null = null_equals_null
         self.encoding = EncodedRelation.encode(
-            self.instance.columns_data, null_equals_null
+            instance.columns_data, null_equals_null
         )
-        self.instance.install_encoding(null_equals_null, self.encoding)
-        num_rows = self.instance.num_rows
+        num_rows = self.encoding.num_rows
         self.row_ids: list[int] = list(range(num_rows))
         self.next_row_id = num_rows
         self._positions: dict[int, int] = {
             row_id: pos for pos, row_id in enumerate(self.row_ids)
         }
         self.partitions = [
-            MutableColumnPartition() for _ in range(self.instance.arity)
+            MutableColumnPartition() for _ in range(self.arity)
         ]
         self._cache: PLICache | None = None
         self._cache_stale = False
@@ -136,15 +135,19 @@ class LiveRelation:
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
-        return self.instance.name
+        return self.relation.name
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.relation.columns
 
     @property
     def arity(self) -> int:
-        return self.instance.arity
+        return self.relation.arity
 
     @property
     def num_rows(self) -> int:
-        return self.instance.num_rows
+        return self.encoding.num_rows
 
     def position_of(self, row_id: int) -> int:
         try:
@@ -155,10 +158,19 @@ class LiveRelation:
             ) from None
 
     def snapshot_instance(self) -> RelationInstance:
-        """A bare, independent copy of the current data (for pipelines)."""
+        """A bare, independent instance of the current data (for pipelines).
+
+        Its codes are the maintained ones renumbered by first occurrence,
+        with the ids of deleted values dropped, so it holds what
+        encoding the decoded rows from scratch would give.
+        """
+        encoding = self.encoding
         return RelationInstance(
-            Relation(self.name, self.instance.columns),
-            self.instance.columns_data,
+            Relation(self.name, self.columns),
+            [
+                DecodedColumn(codes, table)
+                for codes, table in zip(encoding.codes, encoding.tables)
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -176,14 +188,7 @@ class LiveRelation:
         start = self.num_rows
         if not rows:
             return start, []
-        new_columns: list[list] = [[] for _ in range(arity)]
-        for row in rows:
-            for index, value in enumerate(row):
-                new_columns[index].append(value)
-        for index, column in enumerate(new_columns):
-            self.instance.columns_data[index].extend(column)
-        self.encoding.extend(new_columns)
-        self.instance.install_encoding(self.null_equals_null, self.encoding)
+        self.encoding.extend(list(zip(*rows)))
         for attr, partition in enumerate(self.partitions):
             partition.append_codes(self.encoding.codes[attr], start)
         assigned: list[int] = []
@@ -202,13 +207,7 @@ class LiveRelation:
         if not positions:
             return positions
         doomed = set(positions)
-        for index, column in enumerate(self.instance.columns_data):
-            self.instance.columns_data[index] = [
-                value for pos, value in enumerate(column) if pos not in doomed
-            ]
-        self.instance.invalidate_caches()
         self.encoding.remove_rows(positions)
-        self.instance.install_encoding(self.null_equals_null, self.encoding)
         self.row_ids = [
             row_id
             for pos, row_id in enumerate(self.row_ids)
@@ -238,7 +237,7 @@ class LiveRelation:
         """The relation's PLI cache, refreshed to the current data."""
         if self._cache is None:
             self._cache = PLICache(
-                self.instance,
+                None,
                 self.null_equals_null,
                 encoding=self.encoding,
                 singles=self.single_partitions(),

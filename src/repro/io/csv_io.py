@@ -174,10 +174,7 @@ def read_csv(
         ) from None
     except csv.Error as exc:
         raise InputError(f"malformed CSV: {exc}", file=label) from None
-    encoding = encoder.finish()
-    return RelationInstance.from_encoded(
-        relation, encoding, encoder.decode_tables()
-    )
+    return RelationInstance.from_encoded(relation, encoder.finish())
 
 
 def _pad(row: list[str], width: int) -> list[str]:

@@ -123,10 +123,7 @@ def _infer_type(
 ) -> str:
     if instance is None:
         return text_type
-    cells = instance.column(column)
-    # Lazy decoded columns list each value that occurs once.
-    cells = getattr(cells, "distinct_values", cells)
-    values = [value for value in cells if value is not None]
+    values = [value for value in instance.decode_table(column) if value is not None]
     if values and all(_is_int(value) for value in values):
         return "INTEGER"
     return text_type

@@ -302,9 +302,9 @@ def _reset_worker_state() -> None:
       were blocked across the fork (``WorkerSupervisor._spawn``), and
       are unblocked only once these handlers are in place.
 
-    The per-instance encoding memo (``RelationInstance._encodings``)
-    and parent ``PLICache`` objects need no reset: workers never see
-    parent instances — row data only ever arrives via shared memory.
+    Parent ``RelationInstance`` codes and ``PLICache`` objects need no
+    reset: workers never see parent instances — row data only ever
+    arrives via shared memory.
     """
     global _IN_WORKER, _POOL
     _IN_WORKER = True

@@ -106,21 +106,24 @@ class DataProfile:
 
 def _column_stats(instance: RelationInstance) -> list[ColumnStats]:
     stats = []
+    encoding = instance.encoded()
+    rows = instance.num_rows
     for index, name in enumerate(instance.columns):
-        values = instance.columns_data[index]
-        non_null = [value for value in values if value is not None]
+        # The decode table lists each value that occurs once.
+        table = instance.decode_table(index)
+        non_null = [value for value in table if value is not None]
         lengths = [len(str(value)) for value in non_null]
-        distinct = len(set(non_null))
+        distinct = len(non_null)
+        null_code = encoding.null_codes[index]
+        nulls = 0 if null_code is None else encoding.codes[index].count(null_code)
         stats.append(
             ColumnStats(
                 name=name,
                 distinct=distinct,
-                nulls=len(values) - len(non_null),
+                nulls=nulls,
                 min_length=min(lengths) if lengths else 0,
                 max_length=max(lengths) if lengths else 0,
-                is_unique=(
-                    distinct == len(values) and len(values) > 0
-                ),
+                is_unique=distinct == rows and rows > 0,
                 is_constant=distinct <= 1,
             )
         )

@@ -260,7 +260,7 @@ class Session:
             "tenant": self.tenant,
             "session": self.session_id,
             "relation": self.relation_name,
-            "columns": list(live.instance.columns),
+            "columns": list(live.columns),
             "rows": live.num_rows,
             "applied_batches": engine.applied_batches,
             "relations": len(engine.result.instances)

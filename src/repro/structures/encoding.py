@@ -17,16 +17,16 @@ Encoding rules (identical to the classic ``column_value_ids`` helper):
 * with ``null_equals_null=False`` every NULL receives a fresh id, so no
   two NULL rows ever agree and NULL rows are stripped as singletons.
 
+One function, :func:`_encode_into`, assigns every id:
+:meth:`EncodedRelation.encode`, :meth:`EncodedRelation.extend` and
+:class:`ChunkedEncoder` all run it.  Beside the value → id dictionary
+it keeps a *decode table* per column (id → value, ``None`` for a NULL
+id), which is what :class:`~repro.model.instance.RelationInstance`
+reads values back from: an instance stores nothing but its codes and
+these tables.
+
 The module deliberately imports nothing from :mod:`repro.model` so the
 model layer can depend on it without cycles.
-
-The code vectors are in-heap ``array('i')`` buffers.
-:class:`ChunkedEncoder` is the streaming construction path: callers
-feed row chunks, codes are appended to the column buffers, and
-per-column *decode tables* (id → value) let
-:class:`~repro.model.instance.RelationInstance` expose the raw values
-lazily via :class:`DecodedColumn` without ever holding the source rows
-whole in the heap.
 
 For the incremental engine (``repro.incremental``) an encoding is also
 *maintainable*: :meth:`EncodedRelation.extend` grows the per-column
@@ -42,7 +42,7 @@ preserve.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro import kernels
@@ -65,51 +65,55 @@ def encode_column(
     assigned, and ``null_code`` the shared NULL id (``None`` when the
     column has no NULLs or NULLs are pairwise distinct).
     """
-    codes, ids, next_id, null_code = _encode_column_state(values, null_equals_null)
-    return codes, next_id, null_code
+    encoding = EncodedRelation.encode([values], null_equals_null)
+    return encoding.codes[0], encoding.cardinalities[0], encoding.null_codes[0]
 
 
-def _encode_column_state(
-    values: Sequence[Any], null_equals_null: bool
-) -> tuple[array, dict[Any, int], int, int | None]:
-    """Encode one column and keep the value → id dictionary.
+def _encode_into(
+    values: Iterable[Any],
+    codes: array,
+    ids: dict[Any, int],
+    table: list,
+    next_id: int,
+    null_code: int | None,
+    null_equals_null: bool,
+) -> tuple[int, int | None]:
+    """Append the ids of ``values`` to ``codes``; the one id assigner.
 
-    The retained state (``ids``, ``next_id``, ``null_code``) is what
-    :meth:`EncodedRelation.extend` needs to encode appended rows
-    consistently with the existing codes.
+    ``ids`` (value → id) and ``table`` (id → value) grow append-only:
+    a value seen before reuses its id, a new one gets ``next_id``.
+    Returns the new ``(next_id, null_code)``.
     """
-    codes = array("i", bytes(4 * len(values)))
-    ids: dict[Any, int] = {}
-    next_id = 0
-    null_code: int | None = None
-    for row, value in enumerate(values):
-        if value is None:
-            if null_equals_null:
-                if null_code is None:
-                    null_code = next_id
+    append = codes.append
+    get = ids.get
+    for value in values:
+        code = get(value)
+        if code is None:
+            if value is None and null_equals_null:
+                code = null_code
+                if code is None:
+                    code = null_code = next_id
                     next_id += 1
-                codes[row] = null_code
+                    table.append(None)
             else:
-                codes[row] = next_id
+                code = next_id
                 next_id += 1
-            continue
-        assigned = ids.get(value)
-        if assigned is None:
-            assigned = next_id
-            ids[value] = assigned
-            next_id += 1
-        codes[row] = assigned
-    return codes, ids, next_id, null_code
+                if value is not None:
+                    ids[value] = code
+                table.append(value)
+        append(code)
+    return next_id, null_code
 
 
 class EncodedRelation:
     """All columns of one relation instance, dictionary-encoded.
 
-    ``codes[attr][row]`` is the dense value id of cell ``(row, attr)``.
-    Instances are built via :meth:`encode` (or streamed by
-    :class:`ChunkedEncoder`) and cached on the owning
-    :class:`~repro.model.instance.RelationInstance`; instances derived
-    from it with the same rows share a :meth:`project` of it.
+    ``codes[attr][row]`` is the dense value id of cell ``(row, attr)``
+    and ``tables[attr][id]`` the value behind an id.  Built via
+    :meth:`encode` (or streamed by :class:`ChunkedEncoder`), it is the
+    storage of a :class:`~repro.model.instance.RelationInstance`;
+    instances derived from it with the same rows share a
+    :meth:`project` of it.
     """
 
     __slots__ = (
@@ -120,6 +124,7 @@ class EncodedRelation:
         "arity",
         "null_equals_null",
         "value_ids",
+        "tables",
     )
 
     def __init__(
@@ -130,6 +135,7 @@ class EncodedRelation:
         num_rows: int,
         null_equals_null: bool,
         value_ids: list[dict[Any, int]] | None = None,
+        tables: list[list] | None = None,
     ) -> None:
         self.codes = codes
         self.cardinalities = cardinalities
@@ -138,37 +144,35 @@ class EncodedRelation:
         self.arity = len(codes)
         self.null_equals_null = null_equals_null
         self.value_ids = value_ids
+        self.tables = tables
 
     @classmethod
     def encode(
         cls, columns_data: Sequence[Sequence[Any]], null_equals_null: bool = True
     ) -> "EncodedRelation":
         """Encode every column of a column-major table."""
-        num_rows = len(columns_data[0]) if columns_data else 0
-        codes: list[array] = []
-        cardinalities: list[int] = []
-        null_codes: list[int | None] = []
-        value_ids: list[dict[Any, int]] = []
-        for column in columns_data:
-            col_codes, ids, cardinality, null_code = _encode_column_state(
-                column, null_equals_null
-            )
-            codes.append(col_codes)
-            cardinalities.append(cardinality)
-            null_codes.append(null_code)
-            value_ids.append(ids)
-        return cls(
-            codes, cardinalities, null_codes, num_rows, null_equals_null, value_ids
+        arity = len(columns_data)
+        encoding = cls(
+            [array("i") for _ in range(arity)],
+            [0] * arity,
+            [None] * arity,
+            0,
+            null_equals_null,
+            value_ids=[{} for _ in range(arity)],
+            tables=[[] for _ in range(arity)],
         )
+        encoding.extend(columns_data)
+        return encoding
 
     def project(self, indices: Sequence[int]) -> "EncodedRelation":
         """The encoding of the columns at ``indices`` over the same rows.
 
-        The result shares this encoding's code vectors instead of
-        copying them.  It is built without value dictionaries, so
-        :meth:`extend` refuses it: appending to it would grow vectors
-        that this encoding still reads.
+        The result shares this encoding's code vectors and decode tables
+        instead of copying them.  It is built without value
+        dictionaries, so :meth:`extend` refuses it: appending to it
+        would grow vectors that this encoding still reads.
         """
+        tables = self.tables
         return EncodedRelation(
             [self.codes[i] for i in indices],
             [self.cardinalities[i] for i in indices],
@@ -176,6 +180,52 @@ class EncodedRelation:
             self.num_rows,
             self.null_equals_null,
             value_ids=None,
+            tables=None if tables is None else [tables[i] for i in indices],
+        )
+
+    def copy(self) -> "EncodedRelation":
+        """A private copy that :meth:`extend` accepts: its own code
+        vectors and decode tables, and value dictionaries read back from
+        the tables."""
+        tables = [list(table) for table in self.tables]
+        return EncodedRelation(
+            [array("i", codes) for codes in self.codes],
+            list(self.cardinalities),
+            list(self.null_codes),
+            self.num_rows,
+            self.null_equals_null,
+            value_ids=[
+                {value: code for code, value in enumerate(table) if value is not None}
+                for table in tables
+            ],
+            tables=tables,
+        )
+
+    def with_distinct_nulls(self) -> "EncodedRelation":
+        """This ``null_equals_null=True`` encoding under NULL ≠ NULL.
+
+        Each NULL gets a fresh id in row order, and every other id is
+        renumbered by first occurrence, so the codes are what
+        :meth:`encode` gives the decoded values with
+        ``null_equals_null=False``.  Columns without NULLs share their
+        code vector.  The result keeps no dictionaries or tables.
+        """
+        codes: list[array] = []
+        cardinalities: list[int] = []
+        for column, cardinality, null_code in zip(
+            self.codes, self.cardinalities, self.null_codes
+        ):
+            if null_code is not None:
+                fresh = array("i")
+                cardinality, _ = _encode_into(
+                    (None if code == null_code else code for code in column),
+                    fresh, {}, [], 0, None, False,
+                )
+                column = fresh
+            codes.append(column)
+            cardinalities.append(cardinality)
+        return EncodedRelation(
+            codes, cardinalities, [None] * self.arity, self.num_rows, False
         )
 
     # ------------------------------------------------------------------
@@ -203,37 +253,24 @@ class EncodedRelation:
         if any(len(column) != delta for column in new_columns):
             raise ValueError("ragged appended columns")
         for attr, column in enumerate(new_columns):
-            codes = self.codes[attr]
-            ids = self.value_ids[attr]
-            next_id = self.cardinalities[attr]
-            null_code = self.null_codes[attr]
-            for value in column:
-                if value is None:
-                    if self.null_equals_null:
-                        if null_code is None:
-                            null_code = next_id
-                            next_id += 1
-                        codes.append(null_code)
-                    else:
-                        codes.append(next_id)
-                        next_id += 1
-                    continue
-                assigned = ids.get(value)
-                if assigned is None:
-                    assigned = next_id
-                    ids[value] = assigned
-                    next_id += 1
-                codes.append(assigned)
-            self.cardinalities[attr] = next_id
-            self.null_codes[attr] = null_code
+            self.cardinalities[attr], self.null_codes[attr] = _encode_into(
+                column,
+                self.codes[attr],
+                self.value_ids[attr],
+                self.tables[attr],
+                self.cardinalities[attr],
+                self.null_codes[attr],
+                self.null_equals_null,
+            )
         self.num_rows += delta
 
     def remove_rows(self, positions: Sequence[int]) -> None:
         """Compact the code vectors, dropping the given row positions.
 
-        Ids are not recycled: the dictionaries keep their entries, so a
-        later :meth:`extend` re-inserting a removed value reuses its old
-        id.  ``cardinalities`` therefore stays the assigned-id count.
+        Ids are not recycled: the dictionaries and decode tables keep
+        their entries, so a later :meth:`extend` re-inserting a removed
+        value reuses its old id.  ``cardinalities`` therefore stays the
+        assigned-id count.
         """
         doomed = set(positions)
         if not doomed:
@@ -290,15 +327,15 @@ class EncodedRelation:
 
 
 class DecodedColumn(Sequence):
-    """A lazily-decoded view of one encoded column.
+    """A read-only view of one encoded column, decoding on access.
 
-    Backed by the column's code vector and its decode table (``table[code]`` is the original value, ``None``
-    for NULL codes).  Supports exactly what the read paths of
-    :class:`~repro.model.instance.RelationInstance` need — ``len``,
-    indexing, iteration — so a chunk-ingested instance never needs the
-    raw values materialized as a Python list.  Repeated values decode to
-    the *same* object (the table entry), so even a full ``list(column)``
-    copy holds one object per distinct value.
+    Backed by the column's code vector and its decode table
+    (``table[code]`` is the value, ``None`` for a NULL code).  It
+    supports ``len``, indexing and iteration, which is what
+    :attr:`~repro.model.instance.RelationInstance.columns_data` hands
+    out; there is no way to write through it.  Repeated values decode to
+    the *same* object (the table entry), so even a full
+    ``list(column)`` copy holds one object per distinct value.
     """
 
     __slots__ = ("_codes", "_table")
@@ -319,100 +356,34 @@ class DecodedColumn(Sequence):
     def __iter__(self):
         return map(self._table.__getitem__, self._codes)
 
-    @property
-    def has_null(self) -> bool:
-        """True iff any cell is NULL (answered from the decode table)."""
-        return any(value is None for value in self._table)
-
-    @property
-    def distinct_values(self) -> list:
-        """Every value that occurs, once: the decode table (``None`` for NULL)."""
-        return self._table
-
 
 class ChunkedEncoder:
     """Streaming construction of an :class:`EncodedRelation`.
 
-    Callers feed row-major chunks via :meth:`add_rows`; each value runs
-    through the same append-only dictionary progression as
-    :func:`_encode_column_state` (parity by construction) and its code
-    is appended to the column's buffer.  The buffers *are* the finished
-    columns: :meth:`finish` hands them over without a copy.
-
-    Per-column decode tables (id → value) are maintained alongside so
-    :meth:`~repro.model.instance.RelationInstance.from_encoded` can
-    expose the raw values lazily.
+    Callers feed row-major chunks via :meth:`add_rows`; each chunk is
+    appended column by column through :meth:`EncodedRelation.extend`,
+    so ids are assigned exactly as :meth:`EncodedRelation.encode` would
+    assign them to the whole table, and no chunk's rows outlive the
+    call.  :meth:`finish` hands the encoding (codes, dictionaries and
+    decode tables) over without a copy.
     """
 
-    __slots__ = (
-        "arity",
-        "null_equals_null",
-        "num_rows",
-        "_ids",
-        "_next_ids",
-        "_null_codes",
-        "_buffers",
-        "_tables",
-        "_finished",
-    )
+    __slots__ = ("_encoding", "_finished")
 
     def __init__(self, arity: int, null_equals_null: bool = True) -> None:
-        self.arity = arity
-        self.null_equals_null = null_equals_null
-        self.num_rows = 0
-        self._ids: list[dict[Any, int]] = [{} for _ in range(arity)]
-        self._next_ids = [0] * arity
-        self._null_codes: list[int | None] = [None] * arity
-        self._buffers = [array("i") for _ in range(arity)]
-        self._tables: list[list] = [[] for _ in range(arity)]
+        self._encoding = EncodedRelation.encode(
+            [() for _ in range(arity)], null_equals_null
+        )
         self._finished = False
 
     def add_rows(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Encode one chunk of rows (each row ``arity`` values wide).
-
-        Works column by column over the chunk, so each column's ids are
-        still assigned in first-occurrence order.
-        """
-        null_equals_null = self.null_equals_null
-        for attr, column in enumerate(zip(*rows)):
-            ids = self._ids[attr]
-            get = ids.get
-            table = self._tables[attr]
-            append = self._buffers[attr].append
-            next_id = self._next_ids[attr]
-            for value in column:
-                code = get(value)
-                if code is None:
-                    if value is None and null_equals_null:
-                        code = self._null_codes[attr]
-                        if code is None:
-                            code = self._null_codes[attr] = next_id
-                            next_id += 1
-                            table.append(None)
-                    else:
-                        code = next_id
-                        next_id += 1
-                        if value is not None:
-                            ids[value] = code
-                        table.append(value)
-                append(code)
-            self._next_ids[attr] = next_id
-        self.num_rows += len(rows)
+        """Encode one chunk of rows (each row ``arity`` values wide)."""
+        if rows:
+            self._encoding.extend(list(zip(*rows)))
 
     def finish(self) -> EncodedRelation:
         """Seal the stream and hand back the finished encoding."""
         if self._finished:
             raise ValueError("ChunkedEncoder.finish() called twice")
         self._finished = True
-        return EncodedRelation(
-            self._buffers,
-            self._next_ids,
-            self._null_codes,
-            self.num_rows,
-            self.null_equals_null,
-            value_ids=self._ids,
-        )
-
-    def decode_tables(self) -> list[list]:
-        """Per-column id → value tables (``None`` entries for NULL ids)."""
-        return self._tables
+        return self._encoding

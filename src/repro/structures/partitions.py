@@ -326,7 +326,6 @@ class PLICache:
     """
 
     __slots__ = (
-        "instance",
         "null_equals_null",
         "stats",
         "_encoding",
@@ -336,13 +335,14 @@ class PLICache:
 
     def __init__(
         self,
-        instance: RelationInstance,
+        instance: RelationInstance | None,
         null_equals_null: bool = True,
         *,
         encoding: Any = None,
         singles: Sequence[StrippedPartition] | None = None,
     ) -> None:
-        self.instance = instance
+        """Cache the partitions of ``instance`` (its ``encoded()``), or of
+        ``encoding`` when one is given (``instance`` may then be None)."""
         self.null_equals_null = null_equals_null
         self.stats = CacheStats()
         self._reset(
@@ -380,9 +380,7 @@ class PLICache:
             self._by_popcount.setdefault(1, {})[mask] = None
 
     def refresh(
-        self,
-        encoding: Any = None,
-        singles: Sequence[StrippedPartition] | None = None,
+        self, encoding: Any, singles: Sequence[StrippedPartition] | None = None
     ) -> None:
         """Invalidate every cached partition after the data changed.
 
@@ -391,12 +389,7 @@ class PLICache:
         delta-maintained single-attribute partitions; cumulative
         ``stats`` survive the refresh.
         """
-        self._reset(
-            encoding
-            if encoding is not None
-            else self.instance.encoded(self.null_equals_null),
-            singles,
-        )
+        self._reset(encoding, singles)
 
     @property
     def encoding(self):

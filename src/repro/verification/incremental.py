@@ -135,12 +135,7 @@ def generate_batch_stream(
         fresh = [f"n{seed % 97}_{col}_{i}" for i in range(2)]
         pools.append((seen or [0]) + fresh)
 
-    live: dict[int, tuple] = {
-        row_id: tuple(
-            base.columns_data[col][row_id] for col in range(arity)
-        )
-        for row_id in range(base.num_rows)
-    }
+    live: dict[int, tuple] = dict(enumerate(base.iter_rows()))
     next_id = base.num_rows
 
     def draw_row(allow_null: bool) -> tuple:
@@ -239,7 +234,7 @@ def run_incremental_differential(
     )
 
     engine = IncrementalNormalizer(
-        RelationInstance(base.relation, [list(c) for c in base.columns_data]),
+        base,
         target=target,
         null_equals_null=null_equals_null,
     )
@@ -247,12 +242,7 @@ def run_incremental_differential(
 
     # The independent row mirror (id -> row), same id discipline as the
     # engine: initial rows are 0..n-1, inserts take the next free id.
-    mirror: dict[int, tuple] = {
-        row_id: tuple(
-            base.columns_data[col][row_id] for col in range(base.arity)
-        )
-        for row_id in range(base.num_rows)
-    }
+    mirror: dict[int, tuple] = dict(enumerate(base.iter_rows()))
     next_id = base.num_rows
 
     def fail(index: int, check: str, detail: str) -> None:
@@ -278,9 +268,10 @@ def run_incremental_differential(
         expected_rows = [mirror[row_id] for row_id in sorted(mirror)]
 
         # Oracle 1: live data matches the mirror, in stable-id order.
+        encoding = live.encoding
         actual_rows = [
             tuple(
-                live.instance.columns_data[col][pos]
+                encoding.tables[col][encoding.codes[col][pos]]
                 for col in range(base.arity)
             )
             for pos in range(live.num_rows)
@@ -344,12 +335,7 @@ def run_incremental_differential(
             score_features=engine.score_features,
             ucc_seed=engine.ucc_seed,
             degrade=False,
-        ).run(
-            RelationInstance(
-                updated.relation,
-                [list(c) for c in updated.columns_data],
-            )
-        )
+        ).run(updated)
         scratch_ddl = schema_to_ddl(scratch.schema, scratch.instances)
         if engine.ddl() != scratch_ddl:
             fail(

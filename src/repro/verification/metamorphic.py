@@ -20,18 +20,22 @@ input — the algebraic guarantees the paper proves:
   this; the classical counterexamples cannot be avoided), so losses are
   reported as accounting only; asserting emptiness is opt-in for
   callers that construct synthesis-style inputs,
-* **storage parity** — a list-backed instance and its
-  ``write_csv`` → ``read_csv`` round trip (lazy, code-backed columns)
-  normalize to byte-identical DDL, and neither run changes its input.
+* **encode round trip** — the input and every result instance hold the
+  codes and decode tables that encoding their decoded rows from scratch
+  gives, under both NULL semantics, and normalizing leaves the input
+  unchanged,
+* **row-order invariance** — a seeded permutation of the input's rows
+  normalizes to the same FD cover, byte-identical DDL and the same
+  per-relation row multisets (value ids are assigned in row order, so
+  nothing downstream may depend on them).
 """
 
 from __future__ import annotations
 
-import tempfile
+import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.closure import improved_closure, naive_closure, optimized_closure
 from repro.core.nf_check import check_normal_form
@@ -39,20 +43,19 @@ from repro.core.normalize import Normalizer
 from repro.core.result import NormalizationResult
 from repro.core.selection import AutoDecider
 from repro.discovery.base import discover_fds
-from repro.io.csv_io import read_csv, write_csv
 from repro.io.ddl import schema_to_ddl
 from repro.model.attributes import mask_of_names, names_of
 from repro.model.fd import FD, FDSet
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
+from repro.structures.encoding import EncodedRelation
 from repro.verification.differential import attribute_closure, canonical_fds
 
 __all__ = [
     "PropertyViolation",
-    "as_text",
     "check_closure_properties",
     "check_pipeline_properties",
-    "check_storage_parity",
+    "check_row_order_invariance",
     "lost_dependencies",
 ]
 
@@ -147,6 +150,7 @@ def check_pipeline_properties(
     """
     violations: list[PropertyViolation] = []
     decider = _RecordingDecider()
+    before = _contents(instance)
     result = Normalizer(
         algorithm=algorithm,
         decider=decider,
@@ -214,71 +218,95 @@ def check_pipeline_properties(
         violations.append(
             PropertyViolation("dependency-preservation", f"lost FDs: {rendered}")
         )
+
+    # Encode round trip: every instance's storage is canonical, and the
+    # run read its input without writing it.
+    for part in (instance, *result.instances.values()):
+        for nen in (True, False):
+            if not _canonical(part, nen):
+                violations.append(
+                    PropertyViolation(
+                        "encode-round-trip",
+                        f"relation {part.name!r} (null_equals_null={nen}) "
+                        "holds codes that re-encoding its rows changes",
+                    )
+                )
+    if _contents(instance) != before:
+        violations.append(
+            PropertyViolation("input-unchanged", "normalizing changed the input")
+        )
     return violations, result
 
 
-def as_text(instance: RelationInstance) -> RelationInstance:
-    """A bare copy of ``instance`` with every non-NULL cell as ``str``.
-
-    ``read_csv`` reads every value back as ``str``, and the Bloom
-    estimator hashes ``repr(row)`` (``repr(12) != repr('12')``), so only
-    text cells survive a CSV round trip with the same scores.
-    """
-    return RelationInstance(
-        Relation(instance.name, instance.columns),
-        [
-            [None if value is None else str(value) for value in column]
-            for column in instance.columns_data
-        ],
-    )
-
-
-def check_storage_parity(
-    instance: RelationInstance, target: str = "bcnf"
-) -> list[PropertyViolation]:
-    """Normalize ``instance`` and its CSV round trip; compare the DDL.
-
-    ``instance`` should hold text cells (:func:`as_text`).  The round
-    trip comes back as lazy views over int32 codes with the encoding
-    memoized, the list-backed instance as plain lists: the two storage
-    paths must give byte-identical DDL, and neither run may change the
-    columns, row count or constraints of its input.
-    """
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "relation.csv"
-        write_csv(instance, path)
-        round_trip = read_csv(path, name=instance.name)
-    violations: list[PropertyViolation] = []
-    ddl = {}
-    for label, source in (("lists", instance), ("csv", round_trip)):
-        before = _state(source)
-        result = Normalizer(target=target).run(source)
-        ddl[label] = schema_to_ddl(result.schema, result.instances)
-        if _state(source) != before:
-            violations.append(
-                PropertyViolation(
-                    "storage-input", f"normalizing the {label} input changed it"
-                )
-            )
-    if ddl["lists"] != ddl["csv"]:
-        violations.append(
-            PropertyViolation(
-                "storage-ddl",
-                f"{target} DDL of the CSV round trip differs from the "
-                "list-backed instance's",
-            )
-        )
-    return violations
-
-
-def _state(instance: RelationInstance) -> tuple:
+def _contents(instance: RelationInstance) -> tuple:
     relation = instance.relation
     return (
-        [list(column) for column in instance.columns_data],
-        instance.num_rows,
+        list(instance.iter_rows()),
         relation.primary_key,
         list(relation.foreign_keys),
     )
+
+
+def _canonical(instance: RelationInstance, null_equals_null: bool) -> bool:
+    """True iff ``instance`` holds what encoding its decoded rows gives."""
+    held = instance.encoded(null_equals_null)
+    fresh = EncodedRelation.encode(
+        [list(column) for column in instance.columns_data], null_equals_null
+    )
+    return (
+        [list(codes) for codes in held.codes]
+        == [list(codes) for codes in fresh.codes]
+        and held.cardinalities == fresh.cardinalities
+        and held.null_codes == fresh.null_codes
+        and held.num_rows == fresh.num_rows
+        and (
+            not null_equals_null
+            or [instance.decode_table(i) for i in range(instance.arity)]
+            == fresh.tables
+        )
+    )
+
+
+def check_row_order_invariance(
+    instance: RelationInstance,
+    target: str = "bcnf",
+    null_equals_null: bool = True,
+    seed: int = 0,
+) -> list[PropertyViolation]:
+    """Normalize ``instance`` and a seeded permutation of its rows.
+
+    Value ids follow row order, so a shuffle renumbers every code; the
+    two runs must still agree on the discovered cover, the DDL byte for
+    byte, and each result relation's rows as a multiset.
+    """
+    rows = list(instance.iter_rows())
+    random.Random(seed).shuffle(rows)
+    shuffled = RelationInstance.from_rows(instance.relation, rows)
+    runs = [
+        Normalizer(target=target, null_equals_null=null_equals_null).run(source)
+        for source in (instance, shuffled)
+    ]
+    violations: list[PropertyViolation] = []
+    covers = [canonical_fds(run.discovered_fds[instance.name]) for run in runs]
+    if covers[0] != covers[1]:
+        violations.append(
+            PropertyViolation("row-order-cover", "shuffled rows changed the FD cover")
+        )
+    ddl = [schema_to_ddl(run.schema, run.instances) for run in runs]
+    if ddl[0] != ddl[1]:
+        violations.append(
+            PropertyViolation("row-order-ddl", "shuffled rows changed the DDL")
+        )
+    contents = [
+        {name: _rows(part) for name, part in run.instances.items()} for run in runs
+    ]
+    if contents[0] != contents[1]:
+        violations.append(
+            PropertyViolation(
+                "row-order-rows", "shuffled rows changed a relation's rows"
+            )
+        )
+    return violations
 
 
 class _RecordingDecider(AutoDecider):

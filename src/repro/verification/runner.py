@@ -10,9 +10,11 @@ ground truth, pushed through every check the subsystem offers —
   containment of the planted cover,
 * closure metamorphics (agreement + idempotence),
 * whole-pipeline metamorphics for BCNF and 3NF (normal-form compliance,
-  lossless join, dependency-preservation accounting),
-* storage parity for BCNF and 3NF: the planted table as text, normalized
-  from lists and from its CSV round trip, gives byte-identical DDL.
+  lossless join, dependency-preservation accounting, and the encode
+  round trip of the input and every result instance),
+* row-order invariance for BCNF and 3NF under both NULL semantics: the
+  planted table with its rows shuffled gives the same cover, DDL and
+  per-relation rows.
 
 Every failure is minimized with the shrinker and rendered as a
 ready-to-paste pytest module, so a red fuzz run in CI hands the next
@@ -43,10 +45,9 @@ from repro.verification.differential import (
     semantic_fd_errors,
 )
 from repro.verification.metamorphic import (
-    as_text,
     check_closure_properties,
     check_pipeline_properties,
-    check_storage_parity,
+    check_row_order_invariance,
     lost_dependencies,
 )
 from repro.verification.planted import plant_instance
@@ -258,11 +259,6 @@ def verify_chunk(payload: dict) -> tuple[list[int], int, list, int]:
     contiguous seed chunk, as (seeds, checks run, failures, dependency
     losses).  The payload holds :func:`verify_seeds` arguments."""
     report = verify_seeds(**payload, workers=1)
-    for failure in report.failures:
-        # Encoding memos are bulky and derivable — never pickle them.
-        failure.instance.invalidate_caches()
-        if failure.shrunk is not None:
-            failure.shrunk.invalidate_caches()
     return (
         report.seeds,
         report.checks_run,
@@ -413,7 +409,36 @@ def _verify_one_seed(
                     shrink,
                 )
 
-    # 5. Ground-truth checks only the planted table can provide.
+        # 5. Row-order invariance: ids follow row order, outputs must not.
+        permutation = seed + 1000
+        for nen in (True, False):
+            for target in ("bcnf", "3nf"):
+                report.checks_run += 1
+                order_violations = check_row_order_invariance(
+                    instance, target, nen, permutation
+                )
+                if order_violations:
+                    detail = "; ".join(v.describe() for v in order_violations)
+                    predicate = lambda inst, target=target, nen=nen: bool(  # noqa: E731
+                        check_row_order_invariance(inst, target, nen, permutation)
+                    )
+                    _record(
+                        report,
+                        seed,
+                        f"invariance[row-order, {label}, {target}, nen={nen}]",
+                        detail,
+                        instance,
+                        predicate,
+                        f"check_row_order_invariance(instance, {target!r}, "
+                        f"{nen}, {permutation})",
+                        (
+                            "from repro.verification.metamorphic import"
+                            " check_row_order_invariance",
+                        ),
+                        shrink,
+                    )
+
+    # 6. Ground-truth checks only the planted table can provide.
     report.checks_run += 1
     oracle_fds = discover_fds(planted.instance, "bruteforce")
     errors = semantic_fd_errors(
@@ -453,31 +478,6 @@ def _verify_one_seed(
                 failure_expr=None,
                 imports=(),
                 shrink=False,
-            )
-
-    # 6. Storage parity: lists vs the lazy columns read_csv returns.
-    text = as_text(planted.instance)
-    for target in ("bcnf", "3nf"):
-        report.checks_run += 1
-        storage_violations = check_storage_parity(text, target=target)
-        if storage_violations:
-            detail = "; ".join(v.describe() for v in storage_violations)
-            predicate = lambda inst, target=target: bool(  # noqa: E731
-                check_storage_parity(inst, target=target)
-            )
-            _record(
-                report,
-                seed,
-                f"storage[csv, {target}]",
-                detail,
-                text,
-                predicate,
-                f"check_storage_parity(instance, target={target!r})",
-                (
-                    "from repro.verification.metamorphic import"
-                    " check_storage_parity",
-                ),
-                shrink,
             )
 
 

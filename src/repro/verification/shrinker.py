@@ -174,7 +174,7 @@ def to_pytest_repro(
     lines.append(f"        Relation({instance.name!r}, ({columns}{trailing})),")
     lines.append("        [")
     for column in instance.columns_data:
-        lines.append(f"            {column!r},")
+        lines.append(f"            {list(column)!r},")
     lines.append("        ],")
     lines.append("    )")
     lines.append(f"    assert not ({failure_expr})")

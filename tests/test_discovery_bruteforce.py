@@ -11,28 +11,27 @@ from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD, distinct_agree_sets
 from repro.io.datasets import address_example
 from repro.model.attributes import full_mask
+from repro.model.instance import RelationInstance
 from tests.helpers import canon_fds, fd_holds, is_minimal_fd
+
+
+def with_columns(*columns):
+    """A random table's relation over the given column data."""
+    relation = random_instance(0, len(columns), 0).relation
+    return RelationInstance(relation, list(columns))
 
 
 class TestAgreeSets:
     def test_identical_rows_produce_no_agree_set(self):
-        instance = random_instance(0, 3, 0)
-        instance.columns_data[0] = [1, 1]
-        instance.columns_data[1] = [2, 2]
-        instance.columns_data[2] = [3, 3]
+        instance = with_columns([1, 1], [2, 2], [3, 3])
         assert distinct_agree_sets(instance) == []
 
     def test_agree_set_of_partial_match(self):
-        instance = random_instance(0, 3, 0)
-        instance.columns_data[0] = [1, 1]
-        instance.columns_data[1] = [2, 9]
-        instance.columns_data[2] = [3, 3]
+        instance = with_columns([1, 1], [2, 9], [3, 3])
         assert distinct_agree_sets(instance) == [0b101]
 
     def test_null_semantics(self):
-        instance = random_instance(0, 2, 0)
-        instance.columns_data[0] = [None, None]
-        instance.columns_data[1] = [1, 2]
+        instance = with_columns([None, None], [1, 2])
         assert distinct_agree_sets(instance, null_equals_null=True) == [0b01]
         assert distinct_agree_sets(instance, null_equals_null=False) == [0]
 
@@ -55,8 +54,7 @@ class TestKnownResults:
         assert canon_fds(fds) == {(0, 0)}
 
     def test_single_column_non_constant(self):
-        instance = random_instance(0, 1, 0)
-        instance.columns_data[0] = [1, 2, 2]
+        instance = with_columns([1, 2, 2])
         fds = BruteForceFD().discover(instance)
         assert canon_fds(fds) == set()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.datagen.random_tables import random_instance
 from repro.discovery.hyucc import HyUCC
 from repro.discovery.ucc import NaiveUCC, discover_uccs
+from repro.model.instance import RelationInstance
 
 
 class TestEquivalence:
@@ -53,9 +54,8 @@ class TestEdges:
         assert HyUCC().discover(instance) == [0]
 
     def test_no_key_possible(self):
-        instance = random_instance(0, 2, 0)
-        instance.columns_data[0] = [1, 1]
-        instance.columns_data[1] = [2, 2]
+        relation = random_instance(0, 2, 0).relation
+        instance = RelationInstance(relation, [[1, 1], [2, 2]])
         assert HyUCC().discover(instance) == []
 
     def test_invalid_threshold_rejected(self):

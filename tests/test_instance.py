@@ -38,8 +38,8 @@ class TestConstruction:
 class TestAccess:
     def test_column_by_name_and_index(self):
         instance = make([(1, 2, 3)])
-        assert instance.column("b") == [2]
-        assert instance.column(2) == [3]
+        assert list(instance.column("b")) == [2]
+        assert list(instance.column(2)) == [3]
 
     def test_row_and_iter_rows(self):
         instance = make([(1, 2, 3), (4, 5, 6)])

@@ -268,7 +268,6 @@ class TestCacheAndDiscovery:
         ).instance
 
         def discover():
-            instance.invalidate_caches()
             return (
                 sorted((fd.lhs, fd.rhs) for fd in HyFD().discover(instance)),
                 sorted((fd.lhs, fd.rhs) for fd in Tane().discover(instance)),

@@ -64,7 +64,6 @@ class TestDiscoveryInvariance:
         def discover():
             out = {}
             for algorithm in ("hyfd", "tane", "dfd"):
-                instance.invalidate_caches()
                 fds = discover_fds(
                     instance, algorithm, null_equals_null=null_equals_null
                 )
@@ -84,7 +83,6 @@ class TestPipelineInvariance:
         ).instance
 
         def run():
-            instance.invalidate_caches()
             result = normalize(instance)
             return schema_to_ddl(result.schema, result.instances)
 
@@ -102,7 +100,6 @@ class TestPipelineInvariance:
         ]
 
         def run():
-            base.invalidate_caches()
             engine = IncrementalNormalizer(base)
             for batch in batches:
                 engine.apply_batch(batch)

@@ -98,13 +98,20 @@ class TestEncoding:
         assert instance.encoded(True) is not instance.encoded(False)
 
     def test_encoding_invalidated_on_row_append(self):
+        # append_rows extends the stored encoding and rebuilds the
+        # NULL != NULL view: both match a table built with the row.
         instance = random_instance(4, 2, 5)
-        first = instance.encoded()
-        for index in range(instance.arity):
-            instance.columns_data[index].append("fresh")
-        second = instance.encoded()
-        assert second is not first
-        assert second.num_rows == 6
+        grown = RelationInstance(
+            instance.relation,
+            [list(column) + ["fresh"] for column in instance.columns_data],
+        )
+        assert grown.encoded().num_rows == 6
+        assert instance.encoded().num_rows == 5
+        distinct_nulls = instance.encoded(False)
+        instance.append_rows([("fresh",) * instance.arity])
+        assert instance.encoded(False) is not distinct_nulls
+        for nen in (True, False):
+            assert_encodings_identical(instance.encoded(nen), grown.encoded(nen))
 
     def test_all_null_column_null_equals_null(self):
         codes, cardinality, null_code = encode_column([None, None, None], True)
@@ -171,7 +178,7 @@ class TestEncoding:
         chunked = encoder.finish()
         assert_encodings_identical(whole, chunked)
         # The decode tables invert the dictionaries exactly.
-        tables = encoder.decode_tables()
+        tables = chunked.tables
         for attr, column in enumerate(instance.columns_data):
             decoded = [tables[attr][code] for code in chunked.codes[attr]]
             if null_equals_null:

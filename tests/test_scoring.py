@@ -155,6 +155,18 @@ class TestDistinctEstimator:
         empty = RelationInstance(Relation("e", ("x",)), [[]])
         assert DistinctEstimator(empty).duplication_ratio(0b1) == 0.0
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_empty_mask_has_one_distinct_value(self, exact):
+        # The projection onto no attributes is one empty tuple per row.
+        from repro.io.datasets import denormalized_university
+
+        university = denormalized_university()
+        estimator = DistinctEstimator(university, exact=exact)
+        assert estimator.distinct(0) == 1.0
+        assert estimator.duplication_ratio(0) == 1.0 - 1.0 / university.num_rows
+        empty = RelationInstance(Relation("e", ("x",)), [[]])
+        assert DistinctEstimator(empty, exact=exact).distinct(0) == 0.0
+
 
 class TestSharedRhs:
     def test_shared_attributes_found(self):

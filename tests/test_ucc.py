@@ -8,6 +8,7 @@ from repro.datagen.random_tables import random_instance
 from repro.discovery.ucc import DuccUCC, NaiveUCC, discover_uccs
 from repro.io.datasets import denormalized_university
 from repro.model.attributes import iter_bits
+from repro.model.instance import RelationInstance
 
 
 def is_unique_by_definition(instance, mask):
@@ -52,9 +53,8 @@ class TestNaiveUCC:
         assert NaiveUCC().discover(instance) == [0]
 
     def test_no_key_possible(self):
-        instance = random_instance(0, 2, 0)
-        instance.columns_data[0] = [1, 1]
-        instance.columns_data[1] = [2, 2]
+        relation = random_instance(0, 2, 0).relation
+        instance = RelationInstance(relation, [[1, 1], [2, 2]])
         assert NaiveUCC().discover(instance) == []
 
 
@@ -73,8 +73,8 @@ class TestDuccUCC:
         )
 
     def test_null_semantics_respected(self):
-        instance = random_instance(0, 1, 0)
-        instance.columns_data[0] = [None, None]
+        relation = random_instance(0, 1, 0).relation
+        instance = RelationInstance(relation, [[None, None]])
         assert DuccUCC(null_equals_null=True).discover(instance) == []
         assert DuccUCC(null_equals_null=False).discover(instance) == [0b1]
 

@@ -31,7 +31,7 @@ class TestShrink:
         assert shrunk.arity == 1
         assert shrunk.num_rows == 1
         assert shrunk.columns == ("b",)
-        assert shrunk.columns_data == [["MARKER"]]
+        assert [list(column) for column in shrunk.columns_data] == [["MARKER"]]
 
     def test_interacting_rows_kept(self):
         # failure needs two distinct values in column a: minimal = 2 rows

@@ -204,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     governance.add_argument(
         "--deadline",
         metavar="DURATION",
-        help="wall-clock budget for the whole run, e.g. 5s, 250ms, 2m",
+        help="wall-clock budget for normalizing, e.g. 5s, 250ms, 2m; it "
+        "starts once the CSV files are parsed and does not cover writing "
+        "the outputs",
     )
     governance.add_argument(
         "--memory-limit",
@@ -221,32 +223,29 @@ def build_parser() -> argparse.ArgumentParser:
     governance.add_argument(
         "--no-degrade",
         action="store_true",
-        help="on a budget breach, fail (exit 3) instead of stepping down "
-        "the degradation ladder",
-    )
-    governance.add_argument(
-        "--sample-rows",
-        type=int,
-        default=512,
-        metavar="N",
-        help="row-sample size of the degradation ladder's sampled rung "
-        "(default: 512)",
-    )
-    governance.add_argument(
-        "--approx-error",
-        type=float,
-        default=0.0,
-        metavar="EPS",
-        help="g3 error tolerated when verifying sampled FDs against the "
-        "full data (default: 0.0 = keep only exactly-holding FDs)",
+        help="on a budget breach in discovery, fail (exit 3) instead of "
+        "keeping the partial FDs discovered before it",
     )
     governance.add_argument(
         "--approximate",
         action="store_true",
-        help="opt into sampled discovery up front: run discovery on a "
-        "--sample-rows sample, verify candidates against the full "
-        "data with the g3 measure, and report per-FD error bounds "
-        "(the degradation ladder's sampled rung as a first-class mode)",
+        help="sampled discovery: run discovery on a --sample-rows sample, "
+        "verify candidates against the full data with the g3 measure, "
+        "and report per-FD error bounds",
+    )
+    governance.add_argument(
+        "--sample-rows",
+        type=int,
+        metavar="N",
+        help="row-sample size of --approximate (default: 512)",
+    )
+    governance.add_argument(
+        "--approx-error",
+        type=float,
+        metavar="EPS",
+        help="g3 error --approximate tolerates when verifying sampled FDs "
+        "against the full data (default: 0.0 = keep only exactly-holding "
+        "FDs)",
     )
     governance.add_argument(
         "--checkpoint",
@@ -418,17 +417,23 @@ def _main_normalize(argv: list[str]) -> int:
         for path in args.files
     ]
 
+    sampling = {
+        name: value
+        for name, value in (
+            ("sample_rows", args.sample_rows),
+            ("approx_error", args.approx_error),
+        )
+        if value is not None
+    }
+    if sampling and not args.approximate:
+        raise InputError("--sample-rows and --approx-error need --approximate")
     sampled = None
     if args.approximate:
         if args.load_fds:
             raise InputError("--approximate cannot be combined with --load-fds")
         from repro.discovery.sampled import SampledG3FD
 
-        sampled = SampledG3FD(
-            sample_rows=args.sample_rows,
-            approx_error=args.approx_error,
-            max_lhs_size=args.max_lhs_size,
-        )
+        sampled = SampledG3FD(max_lhs_size=args.max_lhs_size, **sampling)
 
     if args.profile:
         from repro.profiling import profile
@@ -507,8 +512,6 @@ def _main_normalize(argv: list[str]) -> int:
         max_lhs_size=args.max_lhs_size,
         budget=budget,
         degrade=not args.no_degrade,
-        sample_rows=args.sample_rows,
-        approx_error=args.approx_error,
         checkpoint_path=checkpoint_path,
         workers=args.workers,
     )

@@ -47,7 +47,7 @@ def naive_closure(fds: FDSet) -> FDSet:
     while something_changed:
         something_changed = False
         for fd in pairs:
-            checkpoint("closure-naive")
+            checkpoint("closure-naive", units=len(pairs))
             for other in pairs:
                 if other[0] & ~(fd[0] | fd[1]):
                     continue  # other's LHS not contained in this FD
@@ -107,6 +107,7 @@ def _build_lhs_tries(pairs: list[list[int]], num_attributes: int) -> list[SetTri
     """One trie per RHS attribute holding the LHSs that deliver it."""
     tries = [SetTrie() for _ in range(num_attributes)]
     for lhs, rhs in pairs:
+        checkpoint("closure-tries", units=rhs.bit_count())
         for attr in iter_bits(rhs):
             tries[attr].insert(lhs)
     return tries
@@ -114,7 +115,7 @@ def _build_lhs_tries(pairs: list[list[int]], num_attributes: int) -> list[SetTri
 
 def _extend_improved(fd: list[int], tries: list[SetTrie], all_attrs: int) -> None:
     """Algorithm 2's per-FD extension: inner change loop over the tries."""
-    checkpoint("closure-improved")
+    checkpoint("closure-improved", units=_missing(fd, all_attrs))
     something_changed = True
     while something_changed:
         something_changed = False
@@ -126,10 +127,16 @@ def _extend_improved(fd: list[int], tries: list[SetTrie], all_attrs: int) -> Non
 
 def _extend_optimized(fd: list[int], tries: list[SetTrie], all_attrs: int) -> None:
     """Algorithm 3's per-FD extension: one LHS-subset pass (Lemma 1)."""
-    checkpoint("closure-optimized")
+    checkpoint("closure-optimized", units=_missing(fd, all_attrs))
     for attr in iter_bits(all_attrs & ~(fd[0] | fd[1])):
         if tries[attr] and tries[attr].contains_subset_of(fd[0]):
             fd[1] |= 1 << attr
+
+
+def _missing(fd: list[int], all_attrs: int) -> int:
+    """The trie lookups one extension pass makes: the governor ticks
+    these, so on wide relations it probes every few FDs."""
+    return (all_attrs & ~(fd[0] | fd[1])).bit_count()
 
 
 def _extend_all(pairs: list[list[int]], num_attributes: int, extend) -> None:

@@ -18,10 +18,11 @@ steps 1–2 run once per input relation up front.
 
 The pipeline is *resource-governed*: give it a
 :class:`~repro.runtime.governor.Budget` and every hot loop becomes a
-cooperative cancellation point.  On breach, discovery steps down the
-degradation ladder (:func:`~repro.runtime.degrade.discover_with_ladder`)
-and the decomposition loop finishes early with whatever is already
-conform — the run always returns a usable, fidelity-tagged
+cooperative cancellation point.  Discovery makes one attempt and, on a
+breach, keeps the partial FDs it salvaged
+(:func:`~repro.runtime.degrade.discover_within_budget`); a breach later
+in the pipeline stops that stage with whatever is already conform — the
+run always returns a usable, fidelity-tagged
 :class:`~repro.core.result.NormalizationResult` instead of dying.
 Decomposition on less-than-sound FD sets re-verifies the chosen FD
 against the data before splitting, so degraded schemas stay lossless.
@@ -61,7 +62,7 @@ from repro.model.instance import RelationInstance
 from repro.runtime.degrade import (
     FidelityReport,
     RelationFidelity,
-    discover_with_ladder,
+    discover_within_budget,
 )
 from repro.runtime.errors import (
     BudgetExceeded,
@@ -100,10 +101,8 @@ class Normalizer:
 
     * ``budget`` — resource ceilings enforced at cooperative
       checkpoints throughout the run,
-    * ``degrade`` — on a discovery breach, walk the degradation ladder
-      instead of propagating the breach,
-    * ``sample_rows`` / ``approx_error`` — parameters of the ladder's
-      sampled rung,
+    * ``degrade`` — on a discovery breach, keep the partial FDs the
+      algorithm salvaged instead of propagating the breach,
     * ``checkpoint_path`` — journal progress to this file after every
       discovery and decision (atomic writes),
     * ``fault_plan`` — deterministic fault injection for testing
@@ -128,8 +127,6 @@ class Normalizer:
         ucc_seed: int = 42,
         budget: Budget | None = None,
         degrade: bool = True,
-        sample_rows: int = 512,
-        approx_error: float = 0.0,
         checkpoint_path: str | Path | None = None,
         fault_plan=None,
         workers: int | None = None,
@@ -154,8 +151,6 @@ class Normalizer:
         self.ucc_seed = ucc_seed
         self.budget = budget
         self.degrade = degrade
-        self.sample_rows = sample_rows
-        self.approx_error = approx_error
         self.checkpoint_path = checkpoint_path
         self.fault_plan = fault_plan
         #: Optional cache of steps 2–4 results, keyed by (relation name,
@@ -231,7 +226,7 @@ class Normalizer:
                 # are never mutated; the codes are shared.
                 instance = instance.rename(instance.name)
                 started = time.perf_counter()
-                fds, fidelity = self._discover(instance, state, governor)
+                fds, fidelity = self._discover(instance, state)
                 discovery_seconds = time.perf_counter() - started
                 discovered[instance.name] = fds.copy()
                 report.relations[instance.name] = fidelity
@@ -388,14 +383,11 @@ class Normalizer:
         )
 
     # ------------------------------------------------------------------
-    # Step 1: discovery (governed: the degradation ladder; replayed:
-    # straight from the checkpoint)
+    # Step 1: discovery (governed: one attempt, salvaged on a breach;
+    # replayed: straight from the checkpoint)
     # ------------------------------------------------------------------
     def _discover(
-        self,
-        instance: RelationInstance,
-        state: PipelineState,
-        governor: Governor | None,
+        self, instance: RelationInstance, state: PipelineState
     ) -> tuple[FDSet, RelationFidelity]:
         name = instance.name
         recorded = state.discovered.get(name)
@@ -404,14 +396,8 @@ class Normalizer:
                 relation=name
             )
             return recorded.copy(), fidelity
-        fds, fidelity = discover_with_ladder(
-            instance,
-            self.algorithm,
-            governor=governor,
-            degrade=self.degrade,
-            sample_rows=self.sample_rows,
-            approx_error=self.approx_error,
-            seed=self.ucc_seed,
+        fds, fidelity = discover_within_budget(
+            instance, self.algorithm, degrade=self.degrade
         )
         state.record_discovery(name, fds, fidelity)
         self._flush(state)
@@ -646,7 +632,7 @@ class Normalizer:
         return self.closure_algorithm
 
     def _config(self) -> dict:
-        return {
+        config = {
             "algorithm": getattr(
                 self.algorithm, "name", type(self.algorithm).__name__
             ),
@@ -657,9 +643,15 @@ class Normalizer:
             "exact_distinct": self.exact_distinct,
             "score_features": list(self.score_features),
             "ucc_seed": self.ucc_seed,
-            "sample_rows": self.sample_rows,
-            "approx_error": self.approx_error,
         }
+        # Only a sampling discoverer (``--approximate``) has a sample to
+        # pin; a checkpoint that records one still resumes other runs,
+        # which leave the keys out.
+        sample_rows = getattr(self.algorithm, "sample_rows", None)
+        if sample_rows is not None:
+            config["sample_rows"] = sample_rows
+            config["approx_error"] = self.algorithm.approx_error
+        return config
 
     def _flush(self, state: PipelineState) -> None:
         if self.checkpoint_path is None:

@@ -1,10 +1,9 @@
 """Sampled FD discovery with full-relation g3 verification.
 
-This is the degradation ladder's "sampled + g3-verified" rung
-(:mod:`repro.runtime.degrade`, rung 3) promoted to a first-class
-algorithm so callers can *opt in* to approximate discovery up front —
-``repro --approximate`` on the CLI, with an example in README.md —
-instead of only reaching it after two budget breaches.
+A mode the caller opts into up front — ``repro --approximate`` on the
+CLI, with an example in README.md — when an exact cover is too costly.
+It is never reached by a budget breach: a breached discovery keeps the
+partial FDs it salvaged instead (:mod:`repro.runtime.degrade`).
 
 The procedure follows TANE's error measure [Huhtala et al. 1999] and
 the approximate-discovery framing of the paper's §9 discussion:
@@ -32,15 +31,14 @@ from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded, InputError
 from repro.runtime.governor import checkpoint
 
-__all__ = ["SampledG3FD"]
+__all__ = ["SampledG3FD", "sample_instance_rows"]
 
 
 class SampledG3FD(FDAlgorithm):
     """Discover FDs on a row sample, then g3-verify on the full data.
 
-    Parameters mirror the degradation ladder's knobs: ``sample_rows``
-    caps the sample size, ``approx_error`` is the g3 ceiling a
-    candidate must meet to be kept, ``seed`` fixes the sample.
+    ``sample_rows`` caps the sample size, ``approx_error`` is the g3
+    ceiling a candidate must meet to be kept, ``seed`` fixes the sample.
 
     After each :meth:`discover` call:
 
@@ -80,7 +78,6 @@ class SampledG3FD(FDAlgorithm):
 
     def discover(self, instance: RelationInstance) -> FDSet:
         from repro.discovery.hyfd import HyFD
-        from repro.runtime.degrade import sample_instance_rows
 
         self.last_sampled_rows = None
         self.last_errors = {}
@@ -149,6 +146,25 @@ class SampledG3FD(FDAlgorithm):
                 f"the g3 bound {self.approx_error} and were dropped)"
             )
         return lines
+
+
+def sample_instance_rows(
+    instance: RelationInstance, sample_rows: int, seed: int
+) -> tuple[RelationInstance, int]:
+    """Deterministic row sample (order-preserving); returns (sample, n)."""
+    import random
+
+    rows = instance.num_rows
+    if rows <= sample_rows:
+        return instance, rows
+    picked = sorted(random.Random(seed).sample(range(rows), sample_rows))
+    columns_data = [
+        [column[i] for i in picked] for column in instance.columns_data
+    ]
+    return (
+        RelationInstance(instance.relation, columns_data),
+        sample_rows,
+    )
 
 
 def _g3(instance, lhs, attr, null_equals_null) -> float:

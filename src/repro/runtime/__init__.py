@@ -9,9 +9,9 @@ The runtime layer makes the pipeline *interruptible by contract*:
   cooperative :func:`checkpoint` calls injected into every hot loop,
 * :mod:`repro.runtime.faults` — deterministic fault injection so the
   verification harness can exercise every breach and resume path,
-* :mod:`repro.runtime.degrade` — the hyfd → dfd → sampled-rows ladder
-  and the fidelity report (every pipeline run discovers through the
-  ladder, so :mod:`repro.core.normalize` imports it),
+* :mod:`repro.runtime.degrade` — budgeted discovery (one attempt, its
+  partial FDs kept on a breach) and the fidelity report (every pipeline
+  run discovers through it, so :mod:`repro.core.normalize` imports it),
 * :mod:`repro.runtime.checkpointing` — pipeline progress persisted so
   ``repro normalize --resume`` continues a killed run (imported when a
   pipeline run starts, not with the pipeline module).

@@ -1,26 +1,23 @@
-"""The degradation ladder: retry FD discovery at lower fidelity.
+"""Budgeted FD discovery: one attempt, then salvage.
 
-When a discovery stage breaches its budget, dying with a stack trace is
-the worst possible outcome for an interactive or production run — the
-paper's own §9 concedes result sizes grow exponentially, and related
-anytime-discovery work (EAIFD) argues for partial results over no
-results.  The ladder embodies that policy:
+Under a budget, discovery runs the configured algorithm (HyFD by
+default) once, under the run's governor.  When the attempt breaches,
+dying with a stack trace is the worst possible outcome — the paper's
+own §9 concedes result sizes grow exponentially, and anytime-discovery
+work (EAIFD) argues for partial results over no results — so the FDs
+the algorithm salvaged before the breach are kept and tagged
+``partial`` (or ``none`` when it salvaged nothing).
 
-1. the configured algorithm (HyFD by default) with roughly half the
-   remaining budget,
-2. DFD — the per-RHS random-walk search degrades more gracefully on
-   wide schemas because each RHS attribute completes independently,
-3. *sampled-rows approximate discovery*: run HyFD on a deterministic
-   row sample, then verify every candidate against the **full**
-   relation with the g3 error measure from
-   :mod:`repro.extensions.approximate`, keeping FDs with
-   ``g3 ≤ approx_error`` (the default ``0.0`` keeps only FDs that hold
-   exactly, so degraded schemas stay lossless).
+In a sweep of budgeted runs (``benchmarks/bench_budget_sweep.py``,
+docs/ROBUSTNESS.md), trying DFD and then HyFD on a row sample after a
+breach rescued no run, and holding part of the wall clock back from
+discovery for the later stages ended no more runs with the exact
+schema, so discovery gets one attempt and the whole remaining budget.
+Sampled discovery is a mode the user picks up front instead:
+:class:`~repro.discovery.sampled.SampledG3FD` (``repro --approximate``).
 
-If every rung breaches, the best salvaged partial FD set is returned.
-Each relation's journey down the ladder is recorded in a
-:class:`RelationFidelity`, aggregated per run into a
-:class:`FidelityReport` that travels on the
+Each relation's attempt is recorded in a :class:`RelationFidelity`,
+aggregated per run into a :class:`FidelityReport` that travels on the
 :class:`~repro.core.result.NormalizationResult`.
 """
 
@@ -32,24 +29,18 @@ from dataclasses import dataclass, field
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded
-from repro.runtime.governor import Governor, activate, suspended
 
 __all__ = [
     "FidelityReport",
     "RelationFidelity",
     "StageAttempt",
-    "discover_with_ladder",
-    "sample_instance_rows",
+    "discover_within_budget",
 ]
-
-#: fraction of the remaining wall clock granted to each ladder rung;
-#: the final rung keeps a margin so decomposition can still run.
-_RUNG_FRACTIONS = (0.5, 0.5, 0.9)
 
 
 @dataclass(slots=True)
 class StageAttempt:
-    """One rung of the ladder, as it actually went."""
+    """One discovery attempt, as it actually went."""
 
     stage: str
     outcome: str  # "ok" | "breach"
@@ -83,7 +74,8 @@ class RelationFidelity:
 
     ``fidelity``:
         * ``"exact"``   — complete minimal FDs from an exact algorithm,
-        * ``"sampled"`` — discovered on a row sample, then verified
+        * ``"sampled"`` — discovered on a row sample by
+          :class:`~repro.discovery.sampled.SampledG3FD`, then verified
           against the full relation with g3 ≤ ``approx_error``;
           complete *for the sample*, sound within the error bound,
         * ``"partial"`` — the salvaged prefix of an interrupted run;
@@ -184,200 +176,67 @@ class FidelityReport:
 
 
 # ----------------------------------------------------------------------
-# Row sampling
+# The attempt
 # ----------------------------------------------------------------------
-def sample_instance_rows(
-    instance: RelationInstance, sample_rows: int, seed: int
-) -> tuple[RelationInstance, int]:
-    """Deterministic row sample (order-preserving); returns (sample, n)."""
-    import random
-
-    rows = instance.num_rows
-    if rows <= sample_rows:
-        return instance, rows
-    picked = sorted(random.Random(seed).sample(range(rows), sample_rows))
-    columns_data = [
-        [column[i] for i in picked] for column in instance.columns_data
-    ]
-    return (
-        RelationInstance(instance.relation, columns_data),
-        sample_rows,
-    )
-
-
-# ----------------------------------------------------------------------
-# The ladder
-# ----------------------------------------------------------------------
-def discover_with_ladder(
-    instance: RelationInstance,
-    algorithm,
-    governor: Governor | None = None,
-    degrade: bool = True,
-    sample_rows: int = 512,
-    approx_error: float = 0.0,
-    seed: int = 42,
+def discover_within_budget(
+    instance: RelationInstance, algorithm, degrade: bool = True
 ) -> tuple[FDSet, RelationFidelity]:
-    """Discover FDs, stepping down the ladder on budget breaches.
+    """Discover FDs with one attempt; on a breach, keep what it salvaged.
 
-    ``algorithm`` is a ready :class:`~repro.discovery.base.FDAlgorithm`.
-    Without a governor (or with ``degrade=False``) this is a plain
-    ``algorithm.discover`` call — breaches propagate to the caller with
-    their partial state attached.
+    ``algorithm`` is a ready :class:`~repro.discovery.base.FDAlgorithm`;
+    it runs under the active governor, if any.  A breach propagates
+    with its partial state attached when ``degrade`` is False;
+    otherwise the partial FDs are returned, ``sound`` only when the
+    algorithm marked them exact.
     """
     fidelity = RelationFidelity(relation=instance.name)
-    if governor is None:
+    stage = getattr(algorithm, "name", type(algorithm).__name__)
+    started = time.perf_counter()
+    try:
         fds = algorithm.discover(instance)
-        _note_sampled(fidelity, algorithm, approx_error)
-        fidelity.attempts.append(
-            StageAttempt(_stage_name(algorithm), "ok", num_fds=len(fds))
-        )
-        return fds, fidelity
-
-    best_partial: FDSet | None = None
-    best_partial_exact = False
-
-    rungs = _build_rungs(instance, algorithm, sample_rows, approx_error, seed)
-    for index, (stage, runner) in enumerate(rungs):
-        fraction = _RUNG_FRACTIONS[min(index, len(_RUNG_FRACTIONS) - 1)]
-        sub = governor.subgovernor(fraction)
-        started = time.perf_counter()
-        try:
-            with activate(sub):
-                fds, sampled = runner(fidelity)
-        except BudgetExceeded as exc:
-            governor.absorb(sub)
-            fidelity.attempts.append(
-                StageAttempt(
-                    stage,
-                    "breach",
-                    reason=exc.reason,
-                    seconds=time.perf_counter() - started,
-                )
-            )
-            partial = exc.partial
-            if isinstance(partial, FDSet) and (
-                best_partial is None
-                or (exc.partial_exact and not best_partial_exact)
-                or (
-                    exc.partial_exact == best_partial_exact
-                    and len(partial) > len(best_partial)
-                )
-            ):
-                best_partial = partial
-                best_partial_exact = exc.partial_exact
-            if not degrade:
-                raise
-            continue
-        governor.absorb(sub)
+    except BudgetExceeded as exc:
+        if not degrade:
+            raise
         fidelity.attempts.append(
             StageAttempt(
                 stage,
-                "ok",
+                "breach",
+                reason=exc.reason,
                 seconds=time.perf_counter() - started,
-                num_fds=len(fds),
             )
         )
-        if sampled is not None:
-            fidelity.fidelity = "sampled"
-            fidelity.sampled_rows = sampled
-            fidelity.sound = approx_error == 0.0
-        return fds, fidelity
-
-    # Every rung breached: fall back to the best salvaged partial state.
-    if best_partial is not None:
-        fidelity.fidelity = "partial"
-        fidelity.sound = best_partial_exact
-        if not best_partial_exact:
-            fidelity.notes.append(
-                "partial state may contain unvalidated candidates; "
-                "decompositions re-verify chosen FDs against the data"
-            )
-        return best_partial, fidelity
-    fidelity.fidelity = "none"
-    fidelity.notes.append("no partial state was salvaged before the breach")
-    return FDSet(instance.arity), fidelity
-
-
-def _stage_name(algorithm) -> str:
-    return getattr(algorithm, "name", type(algorithm).__name__)
-
-
-def _note_sampled(fidelity, algorithm, approx_error) -> None:
-    """Mark the report sampled when the *primary* algorithm sampled.
-
-    ``repro --approximate`` installs :class:`SampledG3FD` as the main
-    discoverer; its runs must carry the same fidelity labelling as the
-    ladder's own sampled rung.
-    """
+        return _salvage(instance, exc, fidelity)
+    fidelity.attempts.append(
+        StageAttempt(
+            stage,
+            "ok",
+            seconds=time.perf_counter() - started,
+            num_fds=len(fds),
+        )
+    )
+    # ``repro --approximate`` discovers through SampledG3FD, which says
+    # how many rows it sampled (None when the sample covered the data).
     sampled = getattr(algorithm, "last_sampled_rows", None)
     if sampled is not None:
         fidelity.fidelity = "sampled"
         fidelity.sampled_rows = sampled
-        fidelity.sound = approx_error == 0.0
+        fidelity.sound = algorithm.approx_error == 0.0
+    return fds, fidelity
 
 
-def _build_rungs(instance, algorithm, sample_rows, approx_error, seed):
-    """The (stage-name, runner) sequence for this ladder descent."""
-    primary_name = _stage_name(algorithm)
-
-    def run_primary(fidelity):
-        fds = algorithm.discover(instance)
-        return fds, getattr(algorithm, "last_sampled_rows", None)
-
-    rungs = [(primary_name, run_primary)]
-
-    if primary_name != "dfd":
-
-        def run_dfd(fidelity):
-            from repro.discovery.dfd import DFD
-
-            fallback = DFD(
-                null_equals_null=getattr(algorithm, "null_equals_null", True),
-                max_lhs_size=getattr(algorithm, "max_lhs_size", None),
-                seed=seed,
-            )
-            return fallback.discover(instance), None
-
-        rungs.append(("dfd", run_dfd))
-
-    def run_sampled(fidelity):
-        fds, sampled = _sampled_discovery(
-            instance, algorithm, sample_rows, approx_error, seed, fidelity
-        )
-        return fds, sampled
-
-    rungs.append(("sampled", run_sampled))
-    return rungs
-
-
-def _sampled_discovery(
-    instance, algorithm, sample_rows, approx_error, seed, fidelity
-):
-    """Rung 3: discover on a row sample, g3-verify on the full relation.
-
-    Delegates to :class:`repro.discovery.sampled.SampledG3FD` — the
-    same procedure is exposed as a first-class algorithm for
-    ``repro --approximate`` — while preserving the ladder's salvage
-    semantics (truncated verification keeps verified FDs only).
-    """
-    from repro.discovery.sampled import SampledG3FD
-
-    runner = SampledG3FD(
-        null_equals_null=getattr(algorithm, "null_equals_null", True),
-        max_lhs_size=getattr(algorithm, "max_lhs_size", None),
-        sample_rows=sample_rows,
-        approx_error=approx_error,
-        seed=seed,
-    )
-    try:
-        fds = runner.discover(instance)
-    except BudgetExceeded as exc:
-        # Keep only what was verified so far; unverified candidates are
-        # dropped rather than trusted (losslessness over completeness).
-        with suspended():
+def _salvage(
+    instance: RelationInstance, exc: BudgetExceeded, fidelity: RelationFidelity
+) -> tuple[FDSet, RelationFidelity]:
+    """The partial FDs a breached attempt attached, tagged as such."""
+    if isinstance(exc.partial, FDSet):
+        fidelity.fidelity = "partial"
+        fidelity.sound = exc.partial_exact
+        if not exc.partial_exact:
             fidelity.notes.append(
-                f"g3 verification truncated by {exc.reason}; "
-                "unverified sampled FDs were dropped"
+                "partial state may contain unvalidated candidates; "
+                "decompositions re-verify chosen FDs against the data"
             )
-        raise
-    return fds, runner.last_sampled_rows
+        return exc.partial, fidelity
+    fidelity.fidelity = "none"
+    fidelity.notes.append("no partial state was salvaged before the breach")
+    return FDSet(instance.arity), fidelity

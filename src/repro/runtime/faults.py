@@ -7,7 +7,7 @@ between two decomposition decisions.  A :class:`FaultPlan` produces
 exactly those events *deterministically*: given a seed, it fires once
 at the Nth checkpoint tick, raising either a synthetic
 :class:`~repro.runtime.errors.BudgetExceeded` (exercising the
-degradation ladder) or a :class:`SimulatedKill` (exercising
+salvage of partial results) or a :class:`SimulatedKill` (exercising
 checkpoint/resume — it derives from ``BaseException`` so no recovery
 layer can swallow it, exactly like a real kill).
 
@@ -67,8 +67,8 @@ class SimulatedKill(BaseException):
     """An injected hard kill (SIGKILL analogue).
 
     Derives from ``BaseException`` on purpose: the pipeline's recovery
-    machinery (degradation ladder, CLI boundary) must *not* be able to
-    catch it, mirroring a real process death.  Only tests catch it.
+    machinery (partial-result salvage, CLI boundary) must *not* be able
+    to catch it, mirroring a real process death.  Only tests catch it.
     """
 
     def __init__(self, at_tick: int) -> None:

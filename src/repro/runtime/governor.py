@@ -11,8 +11,8 @@ governed hot paths within a few percent of ungoverned speed.
 
 On breach the governor raises :class:`~repro.runtime.errors.BudgetExceeded`;
 the raising algorithm attaches whatever partial state it accumulated
-and re-raises, and the degradation ladder (:mod:`repro.runtime.degrade`)
-or the caller decides what to do with it.
+and re-raises, and :mod:`repro.runtime.degrade` (discovery) or the
+caller decides what to do with it.
 
 The library is single-threaded by design (DESIGN.md §3), so the active
 governor is a plain module global managed by :func:`activate`;
@@ -107,9 +107,9 @@ def _rss_bytes() -> int:
 class Governor:
     """Counts cooperative ticks and enforces one :class:`Budget`.
 
-    A governor is created once per run (or per degradation-ladder rung,
-    see :meth:`subgovernor`) and activated via :func:`activate`.  All
-    counters are public so fidelity reports and tests can read them.
+    A governor is created once per run and activated via
+    :func:`activate`.  All counters are public so fidelity reports and
+    tests can read them.
     """
 
     __slots__ = (
@@ -210,7 +210,7 @@ class Governor:
         raise exc
 
     # ------------------------------------------------------------------
-    # Introspection and derivation
+    # Introspection
     # ------------------------------------------------------------------
     def elapsed_seconds(self) -> float:
         return self._clock() - self.started_at
@@ -220,30 +220,6 @@ class Governor:
         if self.deadline_at is None:
             return None
         return max(0.0, self.deadline_at - self._clock())
-
-    def subgovernor(self, fraction: float) -> "Governor":
-        """A governor for one degradation rung: same memory/candidate
-        ceilings, but only ``fraction`` of the remaining wall clock.
-
-        Candidate counts carry over so rungs share the global cap.
-        """
-        remaining = self.remaining_seconds()
-        budget = Budget(
-            deadline_seconds=(
-                None if remaining is None else max(remaining * fraction, 1e-6)
-            ),
-            max_memory_bytes=self.budget.max_memory_bytes,
-            max_candidates=self.budget.max_candidates,
-            check_interval=self.budget.check_interval,
-        )
-        sub = Governor(budget, fault_plan=self.fault_plan, clock=self._clock)
-        sub.candidates = self.candidates
-        return sub
-
-    def absorb(self, sub: "Governor") -> None:
-        """Fold a sub-governor's counters back into this one."""
-        self.ticks += sub.ticks
-        self.candidates = max(self.candidates, sub.candidates)
 
 
 # ----------------------------------------------------------------------

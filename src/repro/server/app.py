@@ -608,11 +608,10 @@ def _preload_session_modules() -> None:
     """Import every module a session's requests run, before listening.
 
     The pipeline imports its FD discoverer by name, checkpointing when a
-    run starts, the degradation ladder's sampled rung on a budget breach
-    and the pool when a run first shards; the first request would also
-    load the thread executor behind :func:`asyncio.to_thread` and the
-    ``utf-8-sig`` codec of uploads.  The daemon pays for all of them at
-    start so that no request does.
+    run starts and the pool when a run first shards; the first request
+    would also load the thread executor behind :func:`asyncio.to_thread`
+    and the ``utf-8-sig`` codec of uploads.  The daemon pays for all of
+    them at start so that no request does.
 
     numpy stays out: a kernel call of 512+ elements imports it inside
     the request that makes it.  Measured on a 2-vCPU x86_64 host with
@@ -629,7 +628,7 @@ def _preload_session_modules() -> None:
     from repro.parallel import resolve_workers
 
     modules = [path.rpartition(".")[0] for path in FD_ALGORITHMS.values()]
-    modules += ["repro.discovery.sampled", "repro.runtime.checkpointing"]
+    modules += ["repro.runtime.checkpointing"]
     modules += ["concurrent.futures.thread", "encodings.utf_8_sig"]
     if resolve_workers() > 1:
         modules += ["repro.parallel.pool", "repro.parallel.shm"]

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro import kernels
 from repro.model.attributes import bits_of
-from repro.runtime.governor import add_candidates
+from repro.runtime.governor import add_candidates, checkpoint
 from repro.structures.encoding import encode_column
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -374,6 +374,7 @@ class PLICache:
             if singles is not None:
                 self._cache[mask] = singles[index]
             else:
+                checkpoint("pli", units=max(encoding.num_rows, 1))
                 self._cache[mask] = StrippedPartition.from_value_ids(
                     encoding.codes[index], encoding.null_codes[index]
                 )
@@ -403,7 +404,6 @@ class PLICache:
             self.stats.hits += 1
             return cached
         self.stats.misses += 1
-        add_candidates(1, "pli")
         return self._build(mask)
 
     def _build(self, mask: int) -> StrippedPartition:
@@ -416,6 +416,11 @@ class PLICache:
         remaining.sort(
             key=lambda i: self._cache[1 << i].num_non_singleton_rows
         )
+        # A miss is one candidate, but it also ticks the rows its products
+        # walk at most, so the governor probes a tall relation every few
+        # misses rather than once per 256 of them.
+        add_candidates(1, "pli")
+        checkpoint("pli", units=len(partition.row_data) * len(remaining))
         codes = self._encoding.codes
         for index in remaining:
             partition = partition.intersect_ids(codes[index])

@@ -9,10 +9,10 @@ contract:
 
 * a breach under ``degrade=True`` never escapes ``Normalizer.run``:
   the run completes and, if the fault actually fired, the degradation
-  is visible in the fidelity report (a breached ladder rung or a
+  is visible in the fidelity report (a breached discovery attempt or a
   pipeline event),
-* a breach never corrupts the result: the returned schema still
-  reconstructs losslessly wherever a reconstruction is defined,
+* a breach never corrupts the result: every completed run's schema
+  reconstructs the input's rows exactly (the same row multiset),
 * a kill mid-run is survivable: resuming from the journaled checkpoint
   reproduces the *byte-identical* DDL of an uninterrupted reference
   run,
@@ -95,6 +95,18 @@ def _normalizer(**kwargs) -> Normalizer:
 
 def _ddl(result) -> str:
     return schema_to_ddl(result.schema, result.instances)
+
+
+def _check_lossless(seed: int, report, result, instance) -> None:
+    """The result's relations join back to exactly the input's rows."""
+    from collections import Counter
+
+    rebuilt = result.reconstruct(instance.name)
+    if Counter(rebuilt.iter_rows()) != Counter(instance.iter_rows()):
+        report.failures.append(
+            f"seed {seed}: the result does not reconstruct the input's "
+            "rows (lossy decomposition)"
+        )
 
 
 def run_fault_campaign(
@@ -190,6 +202,7 @@ def _run_one(
                 f"seed {seed}: governed run returned no fidelity report"
             )
             return
+        _check_lossless(seed, report, result, instance)
         if plan.fired:
             report.fired += 1
             breach_visible = bool(result.fidelity.events) or any(
@@ -247,6 +260,7 @@ def _check_resume(
             report.failures.append(f"seed {seed}: resume failed: {exc!r}")
             return
     report.resumes += 1
+    _check_lossless(seed, report, resumed, instance)
     if _ddl(resumed) != reference_ddl:
         report.failures.append(
             f"seed {seed}: resumed run's DDL differs from the "
@@ -315,6 +329,7 @@ def _run_one_worker_fault(
             )
             return
 
+        _check_lossless(seed, report, result, instance)
         stats = pool_stats()
         if plan.fired:
             report.fired += 1

@@ -243,3 +243,20 @@ class TestApproximateMode:
         fds = algorithm.discover(instance)
         assert algorithm.last_sampled_rows is None
         assert canon_fds(fds) == canon_fds(HyFD().discover(instance))
+
+
+class TestSampling:
+    def test_sampling_is_deterministic(self, university):
+        from repro.discovery.sampled import sample_instance_rows
+
+        first, n1 = sample_instance_rows(university, 4, seed=7)
+        second, n2 = sample_instance_rows(university, 4, seed=7)
+        assert n1 == n2 == 4
+        assert list(first.iter_rows()) == list(second.iter_rows())
+
+    def test_small_instance_returned_verbatim(self, address):
+        from repro.discovery.sampled import sample_instance_rows
+
+        sample, n = sample_instance_rows(address, 100, seed=7)
+        assert sample is address
+        assert n == address.num_rows

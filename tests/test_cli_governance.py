@@ -1,6 +1,7 @@
 """CLI-level tests for the governance surface: exit codes, deadlines,
 checkpoint/resume, and CSV repair policies."""
 
+import json
 import re
 import time
 
@@ -60,6 +61,15 @@ class TestExitCodes:
         assert code == EXIT_BUDGET_EXCEEDED
         assert "budget exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--sample-rows", "2"), ("--approx-error", "0.1")]
+    )
+    def test_sampling_flags_need_approximate(
+        self, small_csv, capsys, flag, value
+    ):
+        assert main([small_csv, flag, value]) == EXIT_INPUT_ERROR
+        assert "need --approximate" in capsys.readouterr().err
+
     def test_bad_checkpoint_is_exit_4(self, small_csv, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_text("{}", encoding="utf-8")
@@ -79,9 +89,10 @@ class TestDeadlineAcceptance:
         elapsed = time.monotonic() - started
         out = capsys.readouterr().out
         assert code == 0
-        # Overhead allowance: rung hand-offs probe every 256 ticks, so a
-        # small overshoot is expected — a hang or full run is not.
-        assert elapsed < deadline * 5
+        # The budget starts after CSV parsing and stages stop at their
+        # next probe, so a small overshoot is expected (about 0.05 s on
+        # a 2-vCPU host) — a hang or full run is not.
+        assert elapsed < deadline * 2
         assert "fidelity" in out.lower()
 
     def test_generous_deadline_stays_exact(self, small_csv, capsys):
@@ -105,6 +116,29 @@ class TestCheckpointFlow:
         assert ddl.read_bytes() == first_ddl
         seconds = re.compile(r"\d+\.\d+s\b")
         assert seconds.sub("<t>s", first) == seconds.sub("<t>s", second)
+
+    def test_resume_refuses_a_changed_sample(self, small_csv, tmp_path):
+        ckpt = str(tmp_path / "run.ckpt")
+        approximate = [small_csv, "--approximate", "--sample-rows"]
+        assert main([*approximate, "3", "--checkpoint", ckpt]) == 0
+        assert main([*approximate, "2", "--resume", ckpt]) == (
+            EXIT_CHECKPOINT_ERROR
+        )
+        assert main([*approximate, "3", "--resume", ckpt]) == 0
+
+    def test_a_recorded_sample_does_not_block_a_plain_resume(
+        self, small_csv, tmp_path
+    ):
+        # Older checkpoints record a sample size even for plain runs.
+        ckpt = tmp_path / "run.ckpt"
+        ddl = tmp_path / "schema.sql"
+        assert main([small_csv, "--checkpoint", str(ckpt), "--ddl", str(ddl)]) == 0
+        first_ddl = ddl.read_bytes()
+        payload = json.loads(ckpt.read_text(encoding="utf-8"))
+        payload["config"].update(sample_rows=512, approx_error=0.0)
+        ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        assert main([small_csv, "--resume", str(ckpt), "--ddl", str(ddl)]) == 0
+        assert ddl.read_bytes() == first_ddl
 
     def test_resume_missing_file_is_exit_4(self, small_csv, tmp_path):
         code = main(

@@ -1,19 +1,20 @@
-"""Tests for the degradation ladder and fidelity reporting."""
+"""Tests for budgeted discovery (one attempt, then salvage) and
+fidelity reporting."""
 
 import pytest
 
 from repro.discovery.hyfd import HyFD
 from repro.model.fd import FDSet
+from repro.core.normalize import Normalizer
 from repro.runtime.degrade import (
     FidelityReport,
     RelationFidelity,
     StageAttempt,
-    discover_with_ladder,
-    sample_instance_rows,
+    discover_within_budget,
 )
 from repro.runtime.errors import BudgetExceeded
-from repro.runtime.governor import Budget, Governor
-from tests.helpers import canon_fds, fd_holds
+from repro.runtime.governor import Budget, Governor, activate, current_governor
+from tests.helpers import canon_fds
 
 
 class BreachingAlgorithm:
@@ -26,17 +27,25 @@ class BreachingAlgorithm:
         self.name = name
         self.partial = partial
         self.partial_exact = partial_exact
+        self.calls = 0
 
     def discover(self, instance):
+        self.calls += 1
         exc = BudgetExceeded("deadline", stage=self.name)
         if self.partial is not None:
             exc.attach_partial(self.partial, exact=self.partial_exact)
         raise exc
 
 
+def one_fd(address):
+    partial = FDSet(address.arity)
+    partial.add_masks(0b00001, 0b00010)
+    return partial
+
+
 class TestUngoverned:
     def test_plain_discovery_without_governor(self, address):
-        fds, fidelity = discover_with_ladder(address, HyFD())
+        fds, fidelity = discover_within_budget(address, HyFD())
         assert fidelity.exact
         assert fidelity.sound
         assert [a.outcome for a in fidelity.attempts] == ["ok"]
@@ -44,94 +53,69 @@ class TestUngoverned:
 
 
 class TestLadderDescent:
+    """A governed discovery makes one attempt and, on a breach, keeps
+    the partial FDs the algorithm attached."""
+
     def test_rung_one_success_is_exact(self, address):
-        governor = Governor(Budget(deadline_seconds=60.0))
-        fds, fidelity = discover_with_ladder(address, HyFD(), governor)
+        with activate(Governor(Budget(deadline_seconds=60.0))):
+            fds, fidelity = discover_within_budget(address, HyFD())
         assert fidelity.fidelity == "exact"
         assert fidelity.sound
         assert fidelity.attempts[0].stage == "hyfd"
         assert fidelity.attempts[0].outcome == "ok"
 
-    def test_primary_breach_falls_to_dfd(self, address):
-        governor = Governor(Budget(deadline_seconds=60.0))
-        fds, fidelity = discover_with_ladder(
-            address, BreachingAlgorithm(), governor
-        )
-        # DFD is an exact algorithm, so the *result* stays exact even
-        # though the run was degraded to a fallback rung.
-        assert fidelity.fidelity == "exact"
-        assert [a.stage for a in fidelity.attempts] == ["hyfd", "dfd"]
-        assert [a.outcome for a in fidelity.attempts] == ["breach", "ok"]
-        assert canon_fds(fds) == canon_fds(HyFD().discover(address))
-
-    def test_dfd_primary_skips_duplicate_rung(self, address):
-        governor = Governor(Budget(deadline_seconds=60.0))
-        fds, fidelity = discover_with_ladder(
-            address, BreachingAlgorithm(name="dfd"), governor, sample_rows=1024
-        )
-        stages = [a.stage for a in fidelity.attempts]
-        assert stages == ["dfd", "sampled"]
-
-    def test_sampled_rung_verifies_against_full_relation(self, address):
-        governor = Governor(Budget(deadline_seconds=60.0))
-        fds, fidelity = discover_with_ladder(
-            address,
-            BreachingAlgorithm(name="dfd"),
-            governor,
-            sample_rows=4,  # address has 6 rows: forces real sampling
-        )
-        assert fidelity.fidelity == "sampled"
-        assert fidelity.sampled_rows == 4
-        assert fidelity.sound  # approx_error=0: only exact holds survive
-        for lhs, rhs_attr in canon_fds(fds):
-            assert fd_holds(address, lhs, 1 << rhs_attr)
-
     def test_all_rungs_breach_returns_best_partial(self, address):
-        partial = FDSet(address.arity)
-        partial.add_masks(0b00001, 0b00010)
-        governor = Governor(Budget(max_candidates=1, check_interval=1))
-        # The fake primary breaches with an exact partial; the real DFD
-        # and sampled rungs then breach on the shared candidate cap.
-        fds, fidelity = discover_with_ladder(
-            address,
-            BreachingAlgorithm(partial=partial, partial_exact=True),
-            governor,
-        )
-        assert fidelity.fidelity in ("partial", "none")
-        if fidelity.fidelity == "partial":
-            assert len(fds) >= 1
+        algorithm = BreachingAlgorithm(partial=one_fd(address))
+        fds, fidelity = discover_within_budget(address, algorithm)
+        assert fidelity.fidelity == "partial"
+        assert fidelity.sound  # the breach marked its partial exact
+        assert not fidelity.notes
+        assert canon_fds(fds) == canon_fds(one_fd(address))
 
     def test_inexact_partial_marks_unsound(self, address):
-        partial = FDSet(address.arity)
-        partial.add_masks(0b00001, 0b00010)
-        governor = Governor(Budget(max_candidates=1, check_interval=1))
-        fds, fidelity = discover_with_ladder(
-            address,
-            BreachingAlgorithm(partial=partial, partial_exact=False),
-            governor,
+        algorithm = BreachingAlgorithm(
+            partial=one_fd(address), partial_exact=False
         )
-        if fidelity.fidelity == "partial" and not fidelity.sound:
-            assert fidelity.notes  # warns about unvalidated candidates
+        fds, fidelity = discover_within_budget(address, algorithm)
+        assert fidelity.fidelity == "partial"
+        assert not fidelity.sound
+        assert "unvalidated candidates" in fidelity.notes[0]
+        assert canon_fds(fds) == canon_fds(one_fd(address))
 
     def test_degrade_false_propagates_breach(self, address):
-        governor = Governor(Budget(deadline_seconds=60.0))
         with pytest.raises(BudgetExceeded):
-            discover_with_ladder(
-                address, BreachingAlgorithm(), governor, degrade=False
-            )
+            discover_within_budget(address, BreachingAlgorithm(), degrade=False)
 
 
-class TestSampling:
-    def test_sampling_is_deterministic(self, university):
-        first, n1 = sample_instance_rows(university, 4, seed=7)
-        second, n2 = sample_instance_rows(university, 4, seed=7)
-        assert n1 == n2 == 4
-        assert list(first.iter_rows()) == list(second.iter_rows())
+class TestOneAttempt:
+    @pytest.mark.parametrize("name", ["hyfd", "dfd"])
+    def test_a_breach_is_the_only_attempt(self, address, name):
+        algorithm = BreachingAlgorithm(name=name, partial=one_fd(address))
+        _, fidelity = discover_within_budget(address, algorithm)
+        assert algorithm.calls == 1
+        attempts = [(a.stage, a.outcome, a.reason) for a in fidelity.attempts]
+        assert attempts == [(name, "breach", "deadline")]
 
-    def test_small_instance_returned_verbatim(self, address):
-        sample, n = sample_instance_rows(address, 100, seed=7)
-        assert sample is address
-        assert n == address.num_rows
+    def test_no_partial_gives_none(self, address):
+        fds, fidelity = discover_within_budget(address, BreachingAlgorithm())
+        assert fidelity.fidelity == "none"
+        assert len(fds) == 0
+        assert fds.num_attributes == address.arity
+        assert "no partial state" in fidelity.notes[0]
+
+    def test_discovery_gets_the_whole_budget(self, address):
+        class RecordsItsGovernor:
+            name = "probe"
+            seen = []
+
+            def discover(self, instance):
+                self.seen.append(current_governor())
+                return FDSet(instance.arity)
+
+        budget = Budget(deadline_seconds=60.0)
+        algorithm = RecordsItsGovernor()
+        Normalizer(algorithm=algorithm, budget=budget).run(address)
+        assert [governor.budget for governor in algorithm.seen] == [budget]
 
 
 class TestFidelitySerialization:

@@ -174,24 +174,53 @@ class TestAmbientGovernor:
             checkpoint()
 
 
-class TestSubgovernor:
-    def test_fraction_of_remaining_deadline(self):
+class TestTicksFollowTheWork:
+    """PLI builds tick by the rows they walk and closure extensions by
+    the attributes they look up, so the governor probes a tall or wide
+    relation every few steps instead of once per 256."""
+
+    def test_ducc_stops_at_its_first_probe_past_the_deadline(self):
+        from repro.discovery.ucc import DuccUCC
+        from repro.verification.planted import plant_instance
+
+        instance = plant_instance(3, num_columns=8, num_rows=4000).instance
         clock = FakeClock()
-        governor = Governor(Budget(deadline_seconds=10.0), clock=clock)
-        clock.advance(4.0)
-        sub = governor.subgovernor(0.5)
-        assert sub.budget.deadline_seconds == pytest.approx(3.0)
+        governor = Governor(Budget(deadline_seconds=1.0), clock=clock)
+        clock.advance(10.0)
+        with activate(governor), pytest.raises(BudgetExceeded) as info:
+            DuccUCC().discover(instance)
+        assert info.value.reason == "deadline"
+        assert info.value.stage == "pli"
+        # The first single-column partition's rows already cross the
+        # probe interval.
+        assert governor.ticks == instance.num_rows
 
-    def test_candidates_carry_over_and_absorb_back(self):
-        governor = Governor(Budget(max_candidates=10))
-        governor.add_candidates(7)
-        sub = governor.subgovernor(0.5)
-        assert sub.candidates == 7
-        with pytest.raises(BudgetExceeded):
-            sub.add_candidates(4)  # 7 + 4 > 10: rungs share the cap
-        governor.absorb(sub)
-        assert governor.candidates == 11
+    def test_a_miss_counts_one_candidate_and_ticks_its_rows(self):
+        from repro.structures.partitions import PLICache
+        from repro.verification.planted import plant_instance
 
-    def test_no_deadline_stays_unbounded(self):
+        instance = plant_instance(3, num_columns=4, num_rows=500).instance
+        cache = PLICache(instance)
+        base_rows = cache.get(0b01).num_non_singleton_rows
         governor = Governor(Budget(max_candidates=10))
-        assert governor.subgovernor(0.5).budget.deadline_seconds is None
+        with activate(governor):
+            cache.get(0b11)
+            cache.get(0b11)  # a hit charges nothing
+        assert governor.candidates == 1
+        assert governor.ticks == 1 + base_rows
+
+    def test_closure_stops_at_its_first_probe_past_the_deadline(self):
+        from repro.core.closure import improved_closure
+        from repro.model.fd import FDSet
+
+        arity = 40
+        fds = FDSet(arity)
+        for attr in range(arity - 1):
+            fds.add_masks(1 << attr, 1 << (attr + 1))
+        clock = FakeClock()
+        governor = Governor(Budget(deadline_seconds=1.0), clock=clock)
+        clock.advance(10.0)
+        with activate(governor), pytest.raises(BudgetExceeded) as info:
+            improved_closure(fds)
+        assert info.value.stage.startswith("closure")
+        assert governor.ticks < 2 * governor.budget.check_interval

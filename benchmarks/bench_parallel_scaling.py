@@ -1,18 +1,17 @@
 """Per-call-site speedup of the process pool: serial vs two workers.
 
-The pool has three call sites, one per task kind: HyFD validation
-levels (``hyfd_validate``), TANE level generation (``tane_generate``)
-and ``repro verify`` seed shards (``verify_chunk``).  Each ``record`` row times one site, serial and at
+The pool has two call sites, one per task kind: HyFD validation
+levels (``hyfd_validate``) and ``repro verify`` seed shards
+(``verify_chunk``).  Each ``record`` row times one site, serial and at
 ``workers=2``, on an input where that site dispatches under the
 production cost model (``SERIAL_THRESHOLD`` untouched).  The time is
 the site's own:
 
 * ``validate_tree`` inside ``HyFD.discover``;
-* ``Tane._generate_next_level`` inside ``Tane.discover``;
 * ``verify_seeds`` over a seed range.
 
-For the two discovery sites the enclosing ``discover`` call is timed
-too, so the table also shows what the site buys end to end.  Each row
+For the validation site the enclosing ``discover`` call is timed too,
+so the table also shows what the site buys end to end.  Each row
 runs ``REPEATS[site]`` serial/pooled pairs, alternating which side
 goes first, and records the medians.  Every pooled run must dispatch
 tasks and return exactly the serial output (cover or report text).
@@ -38,7 +37,6 @@ from _util import emit, emit_json
 from repro import kernels
 from repro.discovery.hyfd import HyFD
 from repro.discovery.hyfd import hyfd as hyfd_module
-from repro.discovery.tane import Tane
 from repro.evaluation.reporting import format_table
 from repro.parallel import pool as pool_module
 from repro.parallel import pool_stats, shutdown_pool
@@ -46,7 +44,7 @@ from repro.verification.planted import plant_instance
 from repro.verification.runner import verify_seeds
 
 #: Serial/pooled pairs per record row.
-REPEATS = {"validation": 3, "tane": 3, "verify": 3}
+REPEATS = {"validation": 3, "verify": 3}
 
 #: (columns, rows, max_domain) of each site's planted input, or the
 #: number of seeds for ``verify``.  Each record input is one on which
@@ -54,19 +52,16 @@ REPEATS = {"validation": 3, "tane": 3, "verify": 3}
 INPUTS = {
     "record": {
         "validation": (20, 10_000, 50),
-        "tane": (16, 30_000, 200),
         "verify": 300,
     },
     "smoke": {
         "validation": (6, 200, 4),
-        "tane": (6, 200, 4),
         "verify": 4,
     },
 }
 
 TASK_KINDS = {
     "validation": "hyfd_validate",
-    "tane": "tane_generate",
     "verify": "verify_chunk",
 }
 
@@ -182,25 +177,6 @@ def test_validation(benchmark, monkeypatch, scale):
     benchmark.pedantic(
         _measure, args=("validation", scale, run), rounds=1, iterations=1
     )
-
-
-def test_tane(benchmark, monkeypatch, scale):
-    instance = _planted(INPUTS[scale]["tane"])
-    clock = _SiteClock()
-    monkeypatch.setattr(
-        Tane,
-        "_generate_next_level",
-        staticmethod(clock.wrap(Tane._generate_next_level)),
-    )
-
-    def run(workers):
-        clock.seconds = 0.0
-        started = time.perf_counter()
-        cover = Tane(workers=workers).discover(instance)
-        call = time.perf_counter() - started
-        return list(cover.items()), clock.seconds, call
-
-    benchmark.pedantic(_measure, args=("tane", scale, run), rounds=1, iterations=1)
 
 
 def test_verify(benchmark, scale):

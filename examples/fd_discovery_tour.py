@@ -1,6 +1,6 @@
 """A tour of the FD-discovery and closure substrate.
 
-Runs all four discovery algorithms (brute force, TANE, DFD, HyFD) on
+Runs all three discovery algorithms (brute force, TANE, HyFD) on
 the same dataset, confirms they agree on the complete set of minimal
 FDs, and compares the three closure algorithms of paper §4 on the
 result — a small, self-contained version of the efficiency analysis.
@@ -14,7 +14,6 @@ import argparse
 import time
 
 from repro import (
-    DFD,
     BruteForceFD,
     HyFD,
     Tane,
@@ -62,7 +61,7 @@ def main() -> None:
     )
 
     # --- Discovery ----------------------------------------------------
-    algorithms = [BruteForceFD(), Tane(), DFD(), HyFD()]
+    algorithms = [BruteForceFD(), Tane(), HyFD()]
     rows = []
     results = {}
     for algorithm in algorithms:
@@ -84,7 +83,7 @@ def main() -> None:
     reference = canon(results["bruteforce"])
     for name, fds in results.items():
         assert canon(fds) == reference, f"{name} disagrees with the oracle!"
-    print("\nAll four algorithms agree on the complete set of minimal FDs.\n")
+    print("\nAll three algorithms agree on the complete set of minimal FDs.\n")
 
     # --- Closure (paper §4) -------------------------------------------
     fds = results["hyfd"]

@@ -6,7 +6,7 @@ A from-scratch Python reproduction of
     "Data-driven Schema Normalization", EDBT 2017.
 
 The package implements the complete Normalize system: FD discovery
-(HyFD, TANE, DFD, and a brute-force oracle), the three closure
+(HyFD, TANE, and a brute-force oracle), the three closure
 algorithms, key derivation, BCNF/3NF violation detection, constraint
 scoring and (semi-)automatic selection, schema decomposition, and
 DUCC-based primary-key discovery — plus the synthetic workloads and the
@@ -25,7 +25,6 @@ from repro._lazy import lazy_exports
 __version__ = "1.0.0"
 
 __all__ = [
-    "DFD",
     "FD",
     "AutoDecider",
     "BruteForceFD",
@@ -92,7 +91,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.discovery.base": ("discover_fds",),
         "repro.discovery.bruteforce": ("BruteForceFD",),
-        "repro.discovery.dfd": ("DFD",),
         "repro.discovery.hyfd": ("HyFD",),
         "repro.discovery.tane": ("Tane",),
         "repro.discovery.ucc": ("DuccUCC", "NaiveUCC", "discover_uccs"),

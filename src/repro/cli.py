@@ -65,6 +65,11 @@ EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 EXIT_TERMINATED = 143
 
+#: the ``--algorithm`` choices: the keys of
+#: ``repro.discovery.base.FD_ALGORITHMS``, spelled out so ``--help``
+#: need not import the discovery package (a test pins the two together)
+FD_ALGORITHM_NAMES = ("hyfd", "tane", "bruteforce")
+
 
 class _Terminated(BaseException):
     """Raised by the SIGTERM handler so ``finally`` blocks run.
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--algorithm",
         default="hyfd",
-        choices=("hyfd", "tane", "dfd", "bruteforce"),
+        choices=FD_ALGORITHM_NAMES,
         help="FD discovery algorithm (default: hyfd)",
     )
     parser.add_argument(
@@ -195,10 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for HyFD validation levels and TANE "
-        "level generation; closure always runs serially (default: "
-        "$REPRO_WORKERS or 1 = serial); results are byte-identical at "
-        "any worker count",
+        help="process-pool size for HyFD validation levels; every other "
+        "stage runs serially (default: $REPRO_WORKERS or 1 = serial); "
+        "results are byte-identical at any worker count",
     )
     governance = parser.add_argument_group("resource governance")
     governance.add_argument(
@@ -607,7 +611,7 @@ def build_apply_batch_parser(watch: bool = False) -> argparse.ArgumentParser:
     parser.add_argument(
         "--algorithm",
         default="hyfd",
-        choices=("hyfd", "tane", "dfd", "bruteforce"),
+        choices=FD_ALGORITHM_NAMES,
         help="FD discovery algorithm for the initial run (default: hyfd)",
     )
     parser.add_argument(
@@ -973,7 +977,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         help="delete the session (after any other actions)",
     )
     for flag, kwargs in (
-        ("--algorithm", {"choices": ("hyfd", "tane", "dfd", "bruteforce")}),
+        ("--algorithm", {"choices": FD_ALGORITHM_NAMES}),
         ("--target", {"choices": ("bcnf", "3nf")}),
         ("--closure", {"choices": ("naive", "improved", "optimized")}),
         ("--deadline", {"metavar": "DUR"}),

@@ -124,7 +124,6 @@ class Normalizer:
             "position",
             "duplication",
         ),
-        ucc_seed: int = 42,
         budget: Budget | None = None,
         degrade: bool = True,
         checkpoint_path: str | Path | None = None,
@@ -148,7 +147,6 @@ class Normalizer:
         self.null_equals_null = null_equals_null
         self.exact_distinct = exact_distinct
         self.score_features = score_features
-        self.ucc_seed = ucc_seed
         self.budget = budget
         self.degrade = degrade
         self.checkpoint_path = checkpoint_path
@@ -578,9 +576,9 @@ class Normalizer:
         # The paper uses DUCC here: decompositions never assigned this
         # relation a key, and derived FD keys may miss minimal keys.
         try:
-            uccs = DuccUCC(
-                null_equals_null=self.null_equals_null, seed=self.ucc_seed
-            ).discover(item.instance)
+            uccs = DuccUCC(null_equals_null=self.null_equals_null).discover(
+                item.instance
+            )
         except BudgetExceeded as exc:
             # The lattice search salvages verified minimal UCCs; choose
             # among those rather than leaving the relation keyless.
@@ -642,7 +640,6 @@ class Normalizer:
             "max_lhs_size": getattr(self.algorithm, "max_lhs_size", None),
             "exact_distinct": self.exact_distinct,
             "score_features": list(self.score_features),
-            "ucc_seed": self.ucc_seed,
         }
         # Only a sampling discoverer (``--approximate``) has a sample to
         # pin; a checkpoint that records one still resumes other runs,

@@ -8,19 +8,16 @@ dependencies of the instance.  This package provides:
   it doubles as the test oracle for the faster algorithms,
 * :mod:`repro.discovery.tane` — TANE [Huhtala et al. 1999], the classic
   levelwise algorithm the paper cites for step (1),
-* :mod:`repro.discovery.dfd` — DFD [Abedjan et al. 2014], random-walk
-  discovery, also cited as an alternative,
 * :mod:`repro.discovery.hyfd` — HyFD [Papenbrock & Naumann 2016], the
   hybrid sampling/validation algorithm Normalize actually uses,
 * :mod:`repro.discovery.ucc` — unique column combination discovery
-  (levelwise and DUCC-style random walk) for the primary-key selection
-  component.
+  (levelwise and DUCC-style boundary search) for the primary-key
+  selection component.
 """
 
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "DFD",
     "IND",
     "BruteForceFD",
     "DuccUCC",
@@ -43,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.discovery.base": ("FDAlgorithm", "discover_fds"),
         "repro.discovery.bruteforce": ("BruteForceFD",),
-        "repro.discovery.dfd": ("DFD",),
         "repro.discovery.hyfd": ("HyFD",),
         "repro.discovery.hyucc": ("HyUCC",),
         "repro.discovery.ind": (

@@ -30,7 +30,6 @@ __all__ = ["FDAlgorithm", "discover_fds"]
 FD_ALGORITHMS = {
     "hyfd": "repro.discovery.hyfd.HyFD",
     "tane": "repro.discovery.tane.Tane",
-    "dfd": "repro.discovery.dfd.DFD",
     "bruteforce": "repro.discovery.bruteforce.BruteForceFD",
 }
 
@@ -98,7 +97,7 @@ def discover_fds(
     """Convenience front door: discover FDs with a named algorithm.
 
     ``algorithm`` may be an :class:`FDAlgorithm` instance or one of
-    ``"hyfd"``, ``"tane"``, ``"dfd"``, ``"bruteforce"``.
+    ``"hyfd"``, ``"tane"``, ``"bruteforce"``.
     """
     if isinstance(algorithm, FDAlgorithm):
         return algorithm.discover(instance)

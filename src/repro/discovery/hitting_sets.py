@@ -1,10 +1,10 @@
 """Minimal hitting set enumeration over attribute bitmasks.
 
 Minimal FDs are exactly the minimal hitting sets of the *difference
-sets* of the violating record pairs (the FDep view of discovery), and
-both DFD and DUCC use minimal hitting sets of the complements of
-maximal non-dependencies to prove their result complete.  This module
-provides one shared enumerator for all of them.
+sets* of the violating record pairs (the FDep view of discovery that
+``BruteForceFD`` takes), and DUCC's lattice search uses minimal hitting
+sets of the complements of maximal non-uniques to prove its result
+complete.  This module provides one shared enumerator for both.
 
 The enumerator branches on the first not-yet-hit difference set and
 maintains the MMCS-style *criticality* invariant: every chosen

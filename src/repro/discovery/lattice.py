@@ -1,26 +1,23 @@
 """Shared lattice search for minimal satisfying attribute sets.
 
-DFD (functional dependencies per RHS attribute) and DUCC (unique column
-combinations) both solve the same abstract problem: given an *upward
-monotone* predicate over subsets of a universe (supersets of a
-satisfying set satisfy it too), find all inclusion-minimal satisfying
-sets.  Both papers use the same machinery: classify nodes as
-(non-)dependencies during random walks, record minimal dependencies and
-maximal non-dependencies, and use the *minimal hitting sets of the
-complements of the maximal non-dependencies* to find unexplored holes
-and to prove completeness.
+DUCC (unique column combinations) and approximate-FD discovery
+(:mod:`repro.extensions.approximate`) solve the same abstract problem:
+given an *upward monotone* predicate over subsets of a universe
+(supersets of a satisfying set satisfy it too), find all
+inclusion-minimal satisfying sets.  DUCC's machinery does it: record
+minimal satisfying sets and maximal non-satisfying sets, and use the
+*minimal hitting sets of the complements of the maximal non-satisfying
+sets* to find unexplored holes and to prove completeness.
 
-This module implements that machinery once:
-
-* an optional random-walk priming phase (the DFD/DUCC flavour) that
-  cheaply seeds the minimal/maximal sets,
-* the hitting-set-driven completion loop, which is guaranteed to
-  terminate with exactly the minimal satisfying sets.
+The DUCC and DFD papers prime those boundary sets with random walks.
+The hitting-set completion loop below is exact without them, and on
+every input measured the walks made no search faster (DESIGN.md §2), so
+the search starts from the trivial boundaries and its result depends on
+the predicate alone.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 
 from repro.discovery.hitting_sets import minimal_hitting_sets
@@ -40,7 +37,7 @@ class _Classifier:
     query can reach.
     """
 
-    __slots__ = ("predicate", "universe", "min_sat", "max_unsat", "cache", "evaluations")
+    __slots__ = ("predicate", "universe", "min_sat", "max_unsat", "cache")
 
     def __init__(self, predicate: Callable[[int], bool], universe: int) -> None:
         self.predicate = predicate
@@ -48,7 +45,6 @@ class _Classifier:
         self.min_sat = SetTrie()
         self.max_unsat = SetTrie()
         self.cache: dict[int, bool] = {}
-        self.evaluations = 0
 
     def satisfies(self, mask: int) -> bool:
         if self.min_sat.contains_subset_of(mask):
@@ -59,22 +55,8 @@ class _Classifier:
         if cached is None:
             add_candidates(1, "lattice-eval")
             cached = self.predicate(mask)
-            self.evaluations += 1
             self.cache[mask] = cached
         return cached
-
-    def minimize(self, mask: int) -> int:
-        """Walk down to an inclusion-minimal satisfying subset."""
-        changed = True
-        while changed:
-            changed = False
-            for attr in iter_bits(mask):
-                smaller = mask & ~(1 << attr)
-                if self.satisfies(smaller):
-                    mask = smaller
-                    changed = True
-                    break
-        return mask
 
     def maximize(self, mask: int) -> int:
         """Walk up to an inclusion-maximal non-satisfying superset."""
@@ -91,17 +73,10 @@ class _Classifier:
 
 
 def find_minimal_satisfying(
-    predicate: Callable[[int], bool],
-    universe: int,
-    seed: int | None = None,
-    random_walks: int = 0,
+    predicate: Callable[[int], bool], universe: int
 ) -> list[int]:
-    """Return all minimal subsets of ``universe`` satisfying ``predicate``.
-
-    ``predicate`` must be upward monotone.  ``random_walks`` > 0 enables
-    the DFD/DUCC-style priming walks (seeded for determinism); the
-    completion loop afterwards makes the result exact regardless.
-    """
+    """Return all minimal subsets of ``universe`` satisfying ``predicate``,
+    sorted; ``predicate`` must be upward monotone."""
     classifier = _Classifier(predicate, universe)
 
     try:
@@ -111,40 +86,13 @@ def find_minimal_satisfying(
         if not classifier.satisfies(universe):
             return []
 
-        if random_walks > 0:
-            _prime_with_random_walks(classifier, seed, random_walks)
-
         return _complete_with_hitting_sets(classifier)
     except BudgetExceeded as exc:
-        # Minimal satisfying sets found so far are exact facts; callers
-        # (DFD, DUCC, AFD discovery) fold them into their own partials.
+        # Minimal satisfying sets found so far are exact facts; DUCC's
+        # caller keys a relation with them.
         raise exc.attach_partial(
             sorted(classifier.min_sat.iter_all()), exact=True
         )
-
-
-def _prime_with_random_walks(
-    classifier: _Classifier, seed: int | None, walks: int
-) -> None:
-    """DFD-style priming: random walks that pin down boundary elements."""
-    rng = random.Random(seed)
-    attributes = list(iter_bits(classifier.universe))
-    for _ in range(walks):
-        start = 1 << rng.choice(attributes)
-        if classifier.satisfies(start):
-            classifier.min_sat.insert(classifier.minimize(start))
-        else:
-            # Walk upward randomly until satisfied, then settle both ends.
-            current = start
-            while not classifier.satisfies(current):
-                missing = list(iter_bits(classifier.universe & ~current))
-                if not missing:
-                    break
-                current |= 1 << rng.choice(missing)
-            if classifier.satisfies(current):
-                classifier.min_sat.insert(classifier.minimize(current))
-            down = classifier.maximize(start)
-            classifier.max_unsat.insert(down)
 
 
 def _complete_with_hitting_sets(classifier: _Classifier) -> list[int]:

@@ -20,19 +20,13 @@ Partitions are kept for single attributes plus the previous and current
 level (the direct key test needs the previous level), so memory stays
 proportional to the widest lattice levels actually visited.
 
-With ``workers > 1`` the per-level partition products (the dominant
-cost) shard over the process pool: each worker receives its chunk's
-prefix partitions as CSR bytes plus the shared-memory column codes, and
-``intersect_ids`` is deterministic in those inputs, so the merged level
-is byte-identical to the serial one.  The key-pruning minimality test
-stays serial — it is incremental in the shared ``errors`` memo and
-rarely hot.
+TANE is an exact reference for HyFD, not the pipeline's discoverer
+(HyFD was faster on every end-to-end input), so it always runs serially.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 
 from repro.discovery.base import FDAlgorithm
 from repro.model.attributes import full_mask, iter_bits
@@ -42,23 +36,13 @@ from repro.runtime.errors import BudgetExceeded
 from repro.runtime.governor import add_candidates, checkpoint
 from repro.structures.partitions import StrippedPartition
 
-__all__ = ["Tane", "product_shard"]
+__all__ = ["Tane"]
 
 
 class Tane(FDAlgorithm):
     """Complete minimal-FD discovery via the TANE levelwise algorithm."""
 
     name = "tane"
-
-    def __init__(
-        self,
-        null_equals_null: bool = True,
-        max_lhs_size: int | None = None,
-        workers: int | None = None,
-    ) -> None:
-        super().__init__(null_equals_null, max_lhs_size)
-        self.workers = workers
-        self.last_pool_stats = None
 
     def discover(self, instance: RelationInstance) -> FDSet:
         result = FDSet(instance.arity)
@@ -70,31 +54,9 @@ class Tane(FDAlgorithm):
         return result
 
     def _discover(self, instance: RelationInstance, result: FDSet) -> None:
-        from repro.parallel import RelationRun, resolve_workers
-        from repro.runtime.governor import suspended
-
         arity = instance.arity
         if arity == 0:
             return
-        self.last_pool_stats = None
-        workers = resolve_workers(self.workers)
-        parallel = None
-        if workers > 1:
-            parallel = RelationRun(
-                workers, instance.encoded(self.null_equals_null)
-            )
-        try:
-            self._discover_levels(instance, result, parallel)
-        finally:
-            if parallel is not None:
-                with suspended():
-                    parallel.close()
-                self.last_pool_stats = parallel.stats
-
-    def _discover_levels(
-        self, instance: RelationInstance, result: FDSet, parallel
-    ) -> None:
-        arity = instance.arity
         everything = full_mask(arity)
 
         # Level 0 seed: the empty set's partition and error.
@@ -124,7 +86,7 @@ class Tane(FDAlgorithm):
                 encoding.codes,
             )
             level, partitions = self._generate_next_level(
-                survivors, partitions, errors, arity, encoding.codes, parallel
+                survivors, partitions, errors, arity, encoding.codes
             )
             depth += 1
 
@@ -220,7 +182,6 @@ class Tane(FDAlgorithm):
         errors: dict[int, int],
         arity: int,
         codes: list,
-        parallel=None,
     ) -> tuple[list[int], dict[int, StrippedPartition]]:
         survivor_set = set(survivors)
         # Group by prefix (all attributes except the largest one).
@@ -229,40 +190,27 @@ class Tane(FDAlgorithm):
             top = 1 << (mask.bit_length() - 1)
             prefix_blocks.setdefault(mask & ~top, []).append(mask)
 
-        # Enumerate the level's candidates in serial order first so the
-        # parallel path shards (and merges) exactly this sequence.
-        cands: list[tuple[int, int, int]] = []
+        next_level: list[int] = []
+        next_partitions: dict[int, StrippedPartition] = {}
         for block in prefix_blocks.values():
             block.sort()
             for first, second in itertools.combinations(block, 2):
-                # first and second share the prefix, so the join only adds
-                # second's top attribute: π(first) · π({top}) = π(candidate),
-                # computed against the value-id vector (no probe fill/reset).
                 candidate = first | second
-                if all(
+                if not all(
                     candidate & ~(1 << attr) in survivor_set
                     for attr in iter_bits(candidate)
                 ):
-                    cands.append((first, second, candidate))
-
-        num_rows = len(codes[0]) if codes else 0
-        if (
-            parallel is not None
-            and cands
-            and parallel.should(len(cands) * num_rows)
-        ):
-            products = Tane._pooled_products(cands, partitions, parallel)
-        else:
-            products = (
-                _product(partitions[first], codes[second.bit_length() - 1])
-                for first, second, _ in cands
-            )
-        next_level: list[int] = []
-        next_partitions: dict[int, StrippedPartition] = {}
-        for (_, _, candidate), partition in zip(cands, products):
-            next_partitions[candidate] = partition
-            errors[candidate] = partition.error
-            next_level.append(candidate)
+                    continue
+                # first and second share the prefix, so the join only adds
+                # second's top attribute: π(first) · π({top}) = π(candidate),
+                # computed against the value-id vector (no probe fill/reset).
+                add_candidates(1, "tane-generate")
+                partition = partitions[first].intersect_ids(
+                    codes[second.bit_length() - 1]
+                )
+                next_partitions[candidate] = partition
+                errors[candidate] = partition.error
+                next_level.append(candidate)
         # Retain singles and the just-finished level: the key-pruning
         # minimality test of the next level reaches one level down.
         for attr in range(arity):
@@ -270,74 +218,3 @@ class Tane(FDAlgorithm):
         for mask in survivors:
             next_partitions.setdefault(mask, partitions[mask])
         return next_level, next_partitions
-
-    @staticmethod
-    def _pooled_products(
-        cands: list[tuple[int, int, int]],
-        partitions: dict[int, StrippedPartition],
-        parallel,
-    ) -> list[StrippedPartition]:
-        """Shard the level's partition products over the pool.
-
-        Each chunk ships the prefix partitions it needs as CSR bytes;
-        the single-attribute side comes from the shared-memory codes.
-        Workers account the candidates (folded back at the merge), so
-        the parent must not double-count them here.
-        """
-        handle = parallel.handle
-        payloads = []
-        for start, stop in parallel.ranges(len(cands)):
-            firsts = {}
-            items = []
-            for first, second, _ in cands[start:stop]:
-                if first not in firsts:
-                    firsts[first] = _to_bytes(partitions[first])
-                items.append((first, second.bit_length() - 1))
-            payloads.append({"handle": handle, "firsts": firsts, "items": items})
-        shards = parallel.map(
-            "tane_generate", payloads, stage="tane-generate", items=len(cands)
-        )
-        return [
-            _from_bytes(csr, handle.num_rows) for shard in shards for csr in shard
-        ]
-
-
-def _product(prefix: StrippedPartition, codes) -> StrippedPartition:
-    """π(candidate) = π(prefix) · π({top}), with ``codes`` the top
-    attribute's value ids (no probe fill/reset)."""
-    add_candidates(1, "tane-generate")
-    return prefix.intersect_ids(codes)
-
-
-def product_shard(payload: dict) -> list[tuple[bytes, bytes]]:
-    """Pool task ``tane_generate``: the CSR bytes of each product
-    ``(prefix mask, top attribute)`` in ``payload["items"]``.
-
-    ``payload["firsts"]`` carries the parent's prefix partitions as CSR
-    bytes; the top attributes' codes come from the shared-memory
-    relation ``payload["handle"]`` names.  ``intersect_ids`` is
-    deterministic in (partition, codes), so the bytes equal the serial
-    product's.
-    """
-    from repro.parallel.tasks import attached
-
-    encoding = attached(payload["handle"])
-    firsts = {
-        mask: _from_bytes(csr, encoding.num_rows)
-        for mask, csr in payload["firsts"].items()
-    }
-    return [
-        _to_bytes(_product(firsts[first], encoding.codes[attr]))
-        for first, attr in payload["items"]
-    ]
-
-
-def _to_bytes(partition: StrippedPartition) -> tuple[bytes, bytes]:
-    return partition.row_data.tobytes(), partition.offsets.tobytes()
-
-
-def _from_bytes(csr: tuple[bytes, bytes], num_rows: int) -> StrippedPartition:
-    rows, offsets = array("i"), array("i")
-    rows.frombytes(csr[0])
-    offsets.frombytes(csr[1])
-    return StrippedPartition._from_csr(rows, offsets, num_rows)

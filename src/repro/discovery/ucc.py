@@ -7,7 +7,7 @@ we provide three implementations:
 
 * :class:`DuccUCC` — DUCC-style boundary search: "π(X) has no
   non-singleton cluster" is upward monotone, so the generic lattice
-  machinery (random walks + hitting-set completion) applies directly,
+  machinery (hitting-set completion) applies directly,
 * :class:`NaiveUCC` — an Apriori-levelwise enumerator used as the test
   oracle,
 * :class:`~repro.discovery.hyucc.HyUCC` — the hybrid
@@ -48,15 +48,8 @@ class DuccUCC:
 
     name = "ducc"
 
-    def __init__(
-        self,
-        null_equals_null: bool = True,
-        seed: int = 42,
-        random_walks: int = 8,
-    ) -> None:
+    def __init__(self, null_equals_null: bool = True) -> None:
         self.null_equals_null = null_equals_null
-        self.seed = seed
-        self.random_walks = random_walks
         self.last_cache_stats = None
 
     def discover(self, instance: RelationInstance) -> list[int]:
@@ -70,12 +63,7 @@ class DuccUCC:
         def is_unique(mask: int) -> bool:
             return cache.get(mask).is_unique
 
-        return find_minimal_satisfying(
-            is_unique,
-            full_mask(arity),
-            seed=self.seed,
-            random_walks=self.random_walks,
-        )
+        return find_minimal_satisfying(is_unique, full_mask(arity))
 
 
 class NaiveUCC:

@@ -18,7 +18,7 @@ only the most frequent ``A`` value is optimal, so
 Because ``g3`` never increases when the LHS grows, "error ≤ ε" is an
 upward-monotone predicate and the generic boundary search of
 :mod:`repro.discovery.lattice` enumerates the minimal approximate LHSs
-exactly — the same machinery DFD/DUCC use.
+exactly — the same machinery DUCC uses.
 
 :func:`violating_rows` reports the concrete exception records, which is
 the actionable half of the "errors in the data" question: a user can

@@ -135,7 +135,6 @@ class IncrementalNormalizer:
             "position",
             "duplication",
         ),
-        ucc_seed: int = 42,
         budget: Budget | None = None,
         journal_path: str | Path | None = None,
         defer_initial_run: bool = False,
@@ -154,7 +153,6 @@ class IncrementalNormalizer:
         self.null_equals_null = null_equals_null
         self.exact_distinct = exact_distinct
         self.score_features = tuple(score_features)
-        self.ucc_seed = ucc_seed
         self.budget = budget
         self.journal_path = journal_path
         self._order = names
@@ -183,7 +181,6 @@ class IncrementalNormalizer:
             null_equals_null=self.null_equals_null,
             exact_distinct=self.exact_distinct,
             score_features=self.score_features,
-            ucc_seed=self.ucc_seed,
             budget=self.budget,
             degrade=False,
         )
@@ -211,7 +208,6 @@ class IncrementalNormalizer:
             "null_equals_null": self.null_equals_null,
             "exact_distinct": self.exact_distinct,
             "score_features": list(self.score_features),
-            "ucc_seed": self.ucc_seed,
         }
 
     # ------------------------------------------------------------------
@@ -348,7 +344,6 @@ class IncrementalNormalizer:
             null_equals_null=self.null_equals_null,
             exact_distinct=self.exact_distinct,
             score_features=self.score_features,
-            ucc_seed=self.ucc_seed,
             budget=self.budget,
             degrade=False,
         )

@@ -141,10 +141,17 @@ def resume_engine(
         defer_initial_run=True,
         **engine_kwargs,
     )
-    if state["config"] != engine.config():
+    # Every knob of this build must match; a key it has no knob for
+    # (DUCC's random-walk seed, which never changed a key it found) is
+    # skipped, as pipeline checkpoints skip it.
+    config = engine.config()
+    recorded = state["config"]
+    if not isinstance(recorded, dict) or {
+        key: recorded.get(key) for key in config
+    } != config:
         raise CheckpointError(
             "journal was written with a different configuration: "
-            f"{state['config']} != {engine.config()}"
+            f"{recorded} != {config}"
         )
     applied = state["applied_batches"]
     if not isinstance(applied, int) or applied < 0 or applied > len(batches):

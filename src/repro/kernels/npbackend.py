@@ -25,8 +25,8 @@ Inputs arrive as ``array('i')`` buffers or shared-memory memoryview
 slices; ``_as_np`` wraps them zero-copy via ``np.frombuffer``.  Views
 are created per call and never cached, so worker teardown can release
 the shm segment without ``BufferError``.  Outputs are converted back to
-``array('i')`` so the CSR byte protocol (e.g. TANE's shipped
-``tobytes()`` prefixes) is identical across backends.
+``array('i')``, so a partition holds the same bytes whichever backend
+built it.
 
 The registry only calls this module for inputs of at least
 ``repro.kernels.SMALL_INPUT_THRESHOLD`` driving elements

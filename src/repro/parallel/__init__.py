@@ -17,9 +17,9 @@ DESIGN.md §3).  Closure runs serially: its pooled version did not pay
   retry/quarantine logic this makes the layer self-healing (a crashed,
   OOM-killed, or hung worker costs a retry, not the run),
 * :mod:`repro.parallel.tasks` — the task-kind registry naming each
-  hot path's handler (HyFD validation levels, TANE level generation,
-  verification campaigns), which lives beside that path's serial loop,
-  plus the worker-side attachment cache.
+  hot path's handler (HyFD validation levels, verification campaigns),
+  which lives beside that path's serial loop, plus the worker-side
+  attachment cache.
 
 The determinism contract (see ``docs/PARALLEL.md``): results are merged
 in payload order and every handler is a pure function of its payload

@@ -39,7 +39,6 @@ __all__ = [
 #: Task handlers by kind, as ``module.function``.
 TASK_HANDLERS = {
     "hyfd_validate": "repro.discovery.hyfd.validation.validate_shard",
-    "tane_generate": "repro.discovery.tane.product_shard",
     "verify_chunk": "repro.verification.runner.verify_chunk",
     "chaos_probe": "repro.parallel.tasks.chaos_probe",
     "pool_probe": "repro.parallel.tasks.pool_probe",

@@ -60,6 +60,7 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.discovery.base import FD_ALGORITHMS
 from repro.incremental.changes import ChangeBatch
 from repro.incremental.engine import BatchOutcome, IncrementalNormalizer
 from repro.incremental.journal import resume_engine
@@ -121,8 +122,11 @@ class SessionOptions:
     max_candidates: int | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("hyfd", "tane", "dfd", "bruteforce"):
-            raise InputError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm not in FD_ALGORITHMS:
+            raise InputError(
+                f"unknown algorithm {self.algorithm!r}; choose from "
+                f"{sorted(FD_ALGORITHMS)}"
+            )
         if self.target not in ("bcnf", "3nf"):
             raise InputError(
                 f"unknown target {self.target!r} (the incremental engine "
@@ -177,8 +181,17 @@ class SessionOptions:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SessionOptions":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        """The options a session directory's ``meta.json`` persisted.
+
+        The algorithm is taken as recorded, even one this build no
+        longer registers (``dfd``): revival from a journal runs no
+        discovery, and the name must still equal the journal's.
+        """
+        known = set(cls.__dataclass_fields__) - {"algorithm"}
+        options = cls(**{k: v for k, v in payload.items() if k in known})
+        if "algorithm" in payload:
+            object.__setattr__(options, "algorithm", payload["algorithm"])
+        return options
 
     @classmethod
     def from_params(cls, params: dict) -> "SessionOptions":

@@ -4,7 +4,7 @@ These are the performance-critical substrates the paper relies on:
 
 * :mod:`repro.structures.settrie` — the "prefix tree, aka trie" used by
   the improved/optimized closure algorithms and the violation detector
-  for subset lookups over attribute sets, and for the DFD/DUCC
+  for subset lookups over attribute sets, and for the DUCC
   lattice-search boundary sets,
 * :mod:`repro.structures.fdtree` — HyFD's positive cover as a
   level-indexed bitset lattice,
@@ -12,7 +12,7 @@ These are the performance-critical substrates the paper relies on:
   relation values, the shared substrate of the PLI hot path,
 * :mod:`repro.structures.partitions` — stripped partitions (position
   list indexes, CSR layout) with intersection, the backbone of
-  TANE/DFD/HyFD,
+  TANE/HyFD/DUCC,
 * :mod:`repro.structures.bloom` — Bloom filters with cardinality
   estimation for the duplication score (paper §7.2).
 """

@@ -3,7 +3,7 @@
 A *stripped partition* ``π(X)`` groups the row indices of a relation by
 equal values in the attribute set ``X`` and drops singleton clusters
 (they can never witness or violate an FD).  This is the classic TANE
-representation [Huhtala et al. 1999] that HyFD and DFD reuse:
+representation [Huhtala et al. 1999] that HyFD and DUCC reuse:
 
 * ``X → A`` holds  iff  ``π(X)`` refines ``π(A)``  iff
   ``error(π(X)) == error(π(X ∪ A))``,
@@ -319,7 +319,7 @@ class PLICache:
     partitions stay until :meth:`forget_below` drops them.  HyFD's
     validation calls it as it climbs the lattice level by level, so it
     keeps only the frontier its next builds start from; every other
-    user (HyUCC, DFD, DUCC and the incremental engine) keeps every
+    user (HyUCC, DUCC and the incremental engine) keeps every
     partition it asked for, which laptop-scale inputs afford (see
     DESIGN.md §3).  ``stats`` counts hits, misses, and forgotten
     partitions (``evictions``).

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: baseline first: the brute-force oracle defines the expected output.
-DEFAULT_FD_ALGORITHMS: tuple[str, ...] = ("bruteforce", "tane", "dfd", "hyfd")
+DEFAULT_FD_ALGORITHMS: tuple[str, ...] = ("bruteforce", "tane", "hyfd")
 DEFAULT_UCC_ALGORITHMS: tuple[str, ...] = ("naive", "ducc", "hyucc")
 
 

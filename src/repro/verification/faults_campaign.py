@@ -16,17 +16,27 @@ contract:
 * a kill mid-run is survivable: resuming from the journaled checkpoint
   reproduces the *byte-identical* DDL of an uninterrupted reference
   run,
-* an un-fired fault leaves the pipeline bit-for-bit unaffected (the
-  governed result equals the reference).
+* a governor that fires nothing leaves the pipeline bit-for-bit
+  unaffected (the governed result equals the reference).
 
-Sweeping seeds moves the fault tick across every checkpoint site the
-pipeline has.  Console entry point: ``repro verify --faults``.
+Each seed's fault targets one checkpoint label its run reaches: a
+governed run without a fault first records the tick of every checkpoint
+per label (``pli``, ``hyfd-validate``, ``closure-optimized``,
+``scoring``, ``lattice-eval``, ...), seed ``s`` picks label
+``(s // 3) mod n`` of the ``n`` it reached, in the order it reached
+them, and the fault fires at one of that label's recorded ticks.  A
+draw over ticks alone lands almost every fault in PLI construction,
+which ticks once per row; cycling labels moves the fault through every
+stage the pipeline has, DUCC's key search included.  Console entry
+point: ``repro verify --faults``.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import tempfile
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -52,6 +62,8 @@ class FaultCampaignReport:
     worker_faults: int = 0
     respawns: int = 0
     quarantined: int = 0
+    #: faults fired per checkpoint label
+    fired_by_stage: Counter = field(default_factory=Counter)
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -74,6 +86,14 @@ class FaultCampaignReport:
         lines[0] += ": " + (
             "all passed" if self.ok else f"{len(self.failures)} FAILURES"
         )
+        if self.fired_by_stage:
+            lines.append(
+                "  fired per label: "
+                + ", ".join(
+                    f"{label} {count}"
+                    for label, count in sorted(self.fired_by_stage.items())
+                )
+            )
         for failure in self.failures:
             lines.append(f"  FAIL {failure}")
         return "\n".join(lines)
@@ -97,10 +117,23 @@ def _ddl(result) -> str:
     return schema_to_ddl(result.schema, result.instances)
 
 
+class _LabelRecorder:
+    """Takes a fault plan's place on a governed run and records, per
+    checkpoint label, the governor tick of each checkpoint; it fires
+    nothing."""
+
+    mode = "record"  # no worker-fault mode: the pool ships it nowhere
+    fired = False
+
+    def __init__(self) -> None:
+        self.ticks: dict[str, list[int]] = {}
+
+    def on_tick(self, governor, stage: str) -> None:
+        self.ticks.setdefault(stage, []).append(governor.ticks)
+
+
 def _check_lossless(seed: int, report, result, instance) -> None:
     """The result's relations join back to exactly the input's rows."""
-    from collections import Counter
-
     rebuilt = result.reconstruct(instance.name)
     if Counter(rebuilt.iter_rows()) != Counter(instance.iter_rows()):
         report.failures.append(
@@ -152,16 +185,27 @@ def _run_one(
 ) -> None:
     instance = _make_instance(seed, num_rows, max_columns)
     reference_ddl = _ddl(_normalizer().run(instance))
+    recorder = _LabelRecorder()
+    if _ddl(_normalizer(fault_plan=recorder).run(instance)) != reference_ddl:
+        report.failures.append(
+            f"seed {seed}: a governed run without a fault differs from "
+            "the ungoverned reference"
+        )
+        return
 
-    # Cycle the mode deterministically so every third seed is a kill,
-    # and keep ticks low — small campaign tables only produce a few
-    # hundred — so most seeds actually exercise a recovery path.
+    # Each run of three seeds faults one label with a timeout, an OOM
+    # and a kill; the next three move on to the next label this seed's
+    # run reaches.  The tick is one at which the label checkpoints, so
+    # the fault always fires.
     from repro.runtime.faults import PROCESS_FAULT_MODES
 
-    plan = FaultPlan.from_seed(
-        seed,
-        mode=PROCESS_FAULT_MODES[seed % len(PROCESS_FAULT_MODES)],
-        max_tick=256,
+    modes = len(PROCESS_FAULT_MODES)
+    labels = list(recorder.ticks)
+    stage = labels[(seed // modes) % len(labels)]
+    plan = FaultPlan(
+        mode=PROCESS_FAULT_MODES[seed % modes],
+        at_tick=random.Random(seed).choice(recorder.ticks[stage]),
+        stage=stage,
     )
 
     handle, ckpt = tempfile.mkstemp(prefix="repro-fault-", suffix=".json")
@@ -178,6 +222,7 @@ def _run_one(
         except SimulatedKill:
             report.fired += 1
             report.kills += 1
+            report.fired_by_stage[plan.fired_at_stage] += 1
             _check_resume(seed, report, instance, ckpt, reference_ddl)
             return
         except BudgetExceeded as exc:
@@ -203,28 +248,28 @@ def _run_one(
             )
             return
         _check_lossless(seed, report, result, instance)
-        if plan.fired:
-            report.fired += 1
-            breach_visible = bool(result.fidelity.events) or any(
-                attempt.outcome == "breach"
-                for fidelity in result.fidelity.relations.values()
-                for attempt in fidelity.attempts
+        if not plan.fired:
+            report.failures.append(
+                f"seed {seed}: the fault at {stage!r} tick {plan.at_tick} "
+                "never fired, so the governed run left the path its "
+                "recording took"
             )
-            if not breach_visible:
-                report.failures.append(
-                    f"seed {seed}: fault {plan.mode!r} fired at stage "
-                    f"{plan.fired_at_stage!r} but the fidelity report "
-                    "shows no breach"
-                )
-            if result.fidelity.degraded:
-                report.degraded_results += 1
-        else:
-            # The fault never fired: governance must be a no-op.
-            if _ddl(result) != reference_ddl:
-                report.failures.append(
-                    f"seed {seed}: governed run (no fault fired) differs "
-                    "from the ungoverned reference"
-                )
+            return
+        report.fired += 1
+        report.fired_by_stage[plan.fired_at_stage] += 1
+        breach_visible = bool(result.fidelity.events) or any(
+            attempt.outcome == "breach"
+            for fidelity in result.fidelity.relations.values()
+            for attempt in fidelity.attempts
+        )
+        if not breach_visible:
+            report.failures.append(
+                f"seed {seed}: fault {plan.mode!r} fired at stage "
+                f"{plan.fired_at_stage!r} but the fidelity report "
+                "shows no breach"
+            )
+        if result.fidelity.degraded:
+            report.degraded_results += 1
     finally:
         for leftover in (ckpt, ckpt + ".tmp"):
             try:
@@ -334,6 +379,7 @@ def _run_one_worker_fault(
         if plan.fired:
             report.fired += 1
             report.worker_faults += 1
+            report.fired_by_stage[plan.fired_at_stage] += 1
             if stats is None:
                 report.failures.append(
                     f"seed {seed}: worker fault {mode!r} fired but no "

@@ -333,7 +333,6 @@ def run_incremental_differential(
             null_equals_null=null_equals_null,
             exact_distinct=engine.exact_distinct,
             score_features=engine.score_features,
-            ucc_seed=engine.ucc_seed,
             degrade=False,
         ).run(updated)
         scratch_ddl = schema_to_ddl(scratch.schema, scratch.instances)

@@ -26,6 +26,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["data.csv", "--algorithm", "magic"])
 
+    def test_algorithm_choices_are_the_registry(self):
+        from repro.cli import (
+            FD_ALGORITHM_NAMES,
+            build_apply_batch_parser,
+            build_submit_parser,
+        )
+        from repro.discovery.base import FD_ALGORITHMS
+
+        assert FD_ALGORITHM_NAMES == tuple(FD_ALGORITHMS)
+        for parser in (
+            build_parser(),
+            build_apply_batch_parser(),
+            build_submit_parser(),
+        ):
+            (action,) = [a for a in parser._actions if a.dest == "algorithm"]
+            assert action.choices is FD_ALGORITHM_NAMES
+
     def test_multiple_files(self):
         args = build_parser().parse_args(["a.csv", "b.csv"])
         assert args.files == ["a.csv", "b.csv"]

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.normalize import Normalizer
 from repro.discovery.bruteforce import BruteForceFD
-from repro.discovery.dfd import DFD
 from repro.discovery.hyfd import HyFD
 from repro.discovery.tane import Tane
 from repro.discovery.ucc import DuccUCC, NaiveUCC
@@ -21,7 +20,7 @@ from repro.model.schema import Relation
 from repro.runtime.errors import InputError
 from tests.helpers import canon_fds
 
-ALGORITHMS = [BruteForceFD, Tane, DFD, HyFD]
+ALGORITHMS = [BruteForceFD, Tane, HyFD]
 
 
 def instance_of(columns, rows, name="t"):

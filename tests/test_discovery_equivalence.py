@@ -1,7 +1,7 @@
-"""Cross-algorithm equivalence: TANE, DFD, and HyFD against the oracle.
+"""Cross-algorithm equivalence: TANE and HyFD against the oracle.
 
 These are the central correctness tests of the discovery layer: all
-four algorithms must produce the *identical* complete set of minimal
+three algorithms must produce the *identical* complete set of minimal
 FDs on arbitrary instances, under both NULL semantics and with LHS-size
 pruning.
 """
@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD
-from repro.discovery.dfd import DFD
 from repro.discovery.hyfd import HyFD
 from repro.discovery.tane import Tane
 from repro.io.datasets import address_example, planets_example
 from tests.helpers import canon_fds
 
-ALGORITHMS = [Tane, DFD, HyFD]
+ALGORITHMS = [Tane, HyFD]
 
 instance_params = st.tuples(
     st.integers(min_value=0, max_value=1_000_000),  # seed
@@ -204,7 +203,7 @@ class TestDiscoverFrontDoor:
 
         instance = random_instance(1, 3, 10, domain_size=2)
         expected = canon_fds(BruteForceFD().discover(instance))
-        for name in ("hyfd", "tane", "dfd", "bruteforce"):
+        for name in ("hyfd", "tane", "bruteforce"):
             assert canon_fds(discover_fds(instance, name)) == expected
 
     def test_unknown_name_raises(self):

@@ -33,7 +33,7 @@ class TestExampleScripts:
 
     def test_fd_discovery_tour(self, capsys):
         out = run_example("fd_discovery_tour.py", ["--dataset", "planets"], capsys)
-        assert "All four algorithms agree" in out
+        assert "All three algorithms agree" in out
         assert "Atmosphere -> Rings" in out
 
     def test_interactive_scripted(self, capsys):

@@ -126,6 +126,20 @@ class TestFaultCampaign:
         assert report.fired >= 1  # the sweep must actually exercise faults
         assert "all passed" in report.to_str()
 
+    def test_every_stage_gets_faulted(self):
+        # Seeds cycle the fault over the labels each run reaches, so a
+        # short campaign already breaks closure, scoring and DUCC's key
+        # search, not only HyFD's partition building.
+        report = run_fault_campaign(range(30), workers=1)
+        assert report.ok, report.to_str()
+        assert report.fired == len(report.seeds)
+        assert sum(report.fired_by_stage.values()) == report.fired
+        for stage in ("closure-", "scoring", "lattice-", "pli", "hyfd-"):
+            assert any(
+                label.startswith(stage) for label in report.fired_by_stage
+            ), report.to_str()
+        assert "fired per label:" in report.to_str()
+
     def test_failures_flip_ok(self):
         from repro.verification.faults_campaign import FaultCampaignReport
 

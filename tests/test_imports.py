@@ -36,7 +36,6 @@ LAZY_PACKAGES = (
 
 DISCOVERERS = {
     "repro.discovery.bruteforce",
-    "repro.discovery.dfd",
     "repro.discovery.hyfd",
     "repro.discovery.tane",
 }
@@ -113,7 +112,6 @@ class TestCommandImports:
             "repro.evaluation",
             "repro.profiling",
             "repro.discovery.tane",
-            "repro.discovery.dfd",
             "repro.discovery.bruteforce",
         ) == []
 

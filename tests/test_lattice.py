@@ -48,27 +48,13 @@ class TestProperties:
             st.integers(min_value=1, max_value=2**8 - 1),
             min_size=1,
             max_size=6,
-        ),
-        st.booleans(),
+        )
     )
-    def test_recovers_exactly_the_minimal_seeds(self, seeds, use_walks):
+    def test_recovers_exactly_the_minimal_seeds(self, seeds):
         universe = full_mask(8)
         predicate = monotone_predicate_from_seeds(seeds)
-        result = find_minimal_satisfying(
-            predicate,
-            universe,
-            seed=17,
-            random_walks=6 if use_walks else 0,
-        )
-        assert sorted(result) == reference_minimal(seeds)
-
-    @given(st.integers(min_value=0, max_value=1000))
-    def test_deterministic_given_seed(self, seed):
-        seeds = [0b0110, 0b1001, 0b0011]
-        predicate = monotone_predicate_from_seeds(seeds)
-        first = find_minimal_satisfying(predicate, 0b1111, seed=seed, random_walks=4)
-        second = find_minimal_satisfying(predicate, 0b1111, seed=seed, random_walks=4)
-        assert first == second
+        result = find_minimal_satisfying(predicate, universe)
+        assert result == reference_minimal(seeds)
 
     def test_predicate_evaluation_count_is_bounded(self):
         # The classifier memoizes: no mask is evaluated twice.
@@ -78,5 +64,5 @@ class TestProperties:
             calls.append(mask)
             return mask & 0b11 == 0b11
 
-        find_minimal_satisfying(predicate, full_mask(6), random_walks=8, seed=3)
+        find_minimal_satisfying(predicate, full_mask(6))
         assert len(calls) == len(set(calls))

@@ -56,14 +56,14 @@ INSTANCES = [
 @pytest.mark.parametrize("make", INSTANCES)
 @pytest.mark.parametrize("null_equals_null", [True, False])
 class TestDiscoveryInvariance:
-    def test_hyfd_tane_dfd_covers_identical(self, make, null_equals_null):
+    def test_hyfd_tane_covers_identical(self, make, null_equals_null):
         from repro.discovery.base import discover_fds
 
         instance = make()
 
         def discover():
             out = {}
-            for algorithm in ("hyfd", "tane", "dfd"):
+            for algorithm in ("hyfd", "tane"):
                 fds = discover_fds(
                     instance, algorithm, null_equals_null=null_equals_null
                 )

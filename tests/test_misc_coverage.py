@@ -2,7 +2,6 @@
 
 from repro.core.normalize import Normalizer, normalize
 from repro.core.result import DecompositionStep
-from repro.discovery.dfd import DFD
 from repro.discovery.tane import Tane
 from repro.structures.bloom import BloomFilter
 
@@ -22,10 +21,6 @@ class TestNormalizerVariants:
 
     def test_tane_instance_pipeline(self, address):
         result = normalize(address, algorithm=Tane())
-        assert result.total_values == 27
-
-    def test_dfd_instance_pipeline(self, address):
-        result = normalize(address, algorithm=DFD(seed=1))
         assert result.total_values == 27
 
     def test_exact_distinct_pipeline(self, address):

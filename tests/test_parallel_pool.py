@@ -227,25 +227,35 @@ class TestBudgetPropagation:
                 pool.map_tasks("pool_probe", [{"value": 1}], stage="test")
 
     def test_worker_candidates_fold_into_parent(self, monkeypatch):
+        # Every HyFD candidate is a partition built during validation,
+        # and with the threshold at zero every level runs in workers:
+        # the parent counts only what the merges fold back.
         monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
         instance = plant_instance(3, num_columns=5, num_rows=40).instance
         governor = Governor(Budget())
-        from repro.discovery.tane import Tane
+        from repro.discovery.hyfd import HyFD
 
+        algorithm = HyFD(workers=2)
         with activate(governor):
-            Tane(workers=2).discover(instance)
+            algorithm.discover(instance)
+        assert algorithm.last_pool_stats.tasks_dispatched > 0
         assert governor.candidates > 0
 
     def test_candidate_cap_enforced_at_merge(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
         instance = plant_instance(3, num_columns=6, num_rows=40).instance
         governor = Governor(Budget(max_candidates=1))
-        from repro.discovery.tane import Tane
+        from repro.discovery.hyfd import HyFD
 
         with activate(governor):
             with pytest.raises(BudgetExceeded) as excinfo:
-                Tane(workers=2).discover(instance)
-        # TANE salvages completed levels on a breach.
+                HyFD(workers=2).discover(instance)
+        # Workers do not enforce the cap; the merge of the batch that
+        # crossed it does, under the batch's stage (a serial breach
+        # would name the partition build, "pli").
+        assert excinfo.value.reason == "candidates"
+        assert excinfo.value.stage == "hyfd-validate"
+        # HyFD salvages its positive cover on a breach.
         assert excinfo.value.partial is not None
 
 

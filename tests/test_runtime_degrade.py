@@ -88,7 +88,7 @@ class TestLadderDescent:
 
 
 class TestOneAttempt:
-    @pytest.mark.parametrize("name", ["hyfd", "dfd"])
+    @pytest.mark.parametrize("name", ["hyfd", "tane"])
     def test_a_breach_is_the_only_attempt(self, address, name):
         algorithm = BreachingAlgorithm(name=name, partial=one_fd(address))
         _, fidelity = discover_within_budget(address, algorithm)

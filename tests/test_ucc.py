@@ -68,7 +68,7 @@ class TestDuccUCC:
     @settings(max_examples=30)
     def test_matches_naive(self, seed, cols, rows, domain):
         instance = random_instance(seed, cols, rows, domain)
-        assert sorted(DuccUCC(seed=seed).discover(instance)) == sorted(
+        assert sorted(DuccUCC().discover(instance)) == sorted(
             NaiveUCC().discover(instance)
         )
 

@@ -26,7 +26,7 @@ class TestFastSubset:
 
 class TestNullSemanticsParity:
     """Satellite: on NULL-heavy instances, each NULL semantics must give
-    one answer unanimously across TANE, DFD, HyFD, and BruteForce."""
+    one answer unanimously across TANE, HyFD, and BruteForce."""
 
     @pytest.mark.parametrize("null_rate", [0.3, 0.6])
     @pytest.mark.parametrize("nen", [True, False])

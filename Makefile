@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-serve bench-e2e-smoke
+.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-serve bench-e2e-smoke bench-budget-smoke
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -101,3 +101,9 @@ bench-serve:
 # tracer's invariants (benchmarks/e2e/README.md).
 bench-e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
+
+# Budget-sweep smoke (a few seconds): this checkout on the smallest
+# profile under one deadline and one memory budget, so a flag the
+# sweep passes cannot disappear unnoticed.
+bench-budget-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_budget_sweep.py -q -k smoke

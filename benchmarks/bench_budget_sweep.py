@@ -1,9 +1,9 @@
-"""How governed runs end: a sweep over deadlines, memory limits and caps.
+"""How governed runs end: a sweep over deadlines and memory limits.
 
-Runs the normalize CLI under ``--deadline``, ``--memory-limit`` and
-``--max-candidates`` budgets on the end-to-end benchmark inputs (made
-by ``e2e/workloads.py``) and on the EXPERIMENTS.md profile datasets,
-and records for every run:
+Runs the normalize CLI under ``--deadline`` and ``--memory-limit``
+budgets on the end-to-end benchmark inputs (made by
+``e2e/workloads.py``) and on the EXPERIMENTS.md profile datasets, and
+records for every run:
 
 * the exit code;
 * ``pipeline_s``, the wall time of ``Normalizer.run`` (the span a
@@ -22,11 +22,18 @@ sides budget by budget, so load drift hits both alike::
     PYTHONPATH=src python benchmarks/bench_budget_sweep.py \\
         --side parent=/tmp/parent/src --side change=src --runs 3
 
-The default is this checkout's ``src`` alone, as ``change``.  Results go
-to ``benchmarks/results/BENCH_budget_sweep.json``: the raw runs, and per
-budget and side the number of runs ending with golden DDL, with exact
-discovery, the relations kept, the largest ``pipeline_s`` overshoot of a
-deadline, and whether the outcome flipped between runs.
+Each side's ``src`` is first copied, without ``__pycache__``, into a
+fresh temporary directory, and every child runs from that copy with
+``PYTHONDONTWRITEBYTECODE=1``: both sides compile every module they
+load from source in every child, whatever caches their trees hold.
+
+The default is this checkout's ``src`` alone, as ``change``.  Results
+go to ``benchmarks/results/BENCH_budget_sweep_budgets.json``: the raw
+runs, and per budget and side the number of runs ending with golden
+DDL, with exact discovery, the relations kept, the largest
+``pipeline_s`` overshoot of a deadline, and whether the outcome flipped
+between runs.  ``test_budget_sweep_smoke`` runs a one-input sweep
+(``make bench-budget-smoke``).
 
 Profile budgets are shares of each profile's unbudgeted ``pipeline_s``
 on the first side, so both sides get the same seconds.
@@ -38,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,7 +54,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-RESULT = HERE / "results" / "BENCH_budget_sweep.json"
+RESULT = HERE / "results" / "BENCH_budget_sweep_budgets.json"
 
 #: e2e input → (the CSV ``workloads.py`` writes for it, extra CLI args)
 E2E_INPUTS = {
@@ -67,7 +75,6 @@ E2E_BUDGETS = {
         ("--deadline", "16s"),
         ("--memory-limit", "25mb"),
         ("--memory-limit", "28mb"),
-        ("--max-candidates", "20000"),
     ],
     "tall_narrow": [
         ("--deadline", "1s"),
@@ -101,7 +108,13 @@ PROFILES = {
 }
 #: profile deadlines, as shares of the unbudgeted ``pipeline_s``
 PROFILE_SHARES = (0.10, 0.25, 0.50, 0.75)
-PROFILE_CANDIDATES = (100, 1_000, 10_000, 100_000)
+
+#: how the children get their bytecode, recorded in the results
+BYTECODE = (
+    "each side's src copied without __pycache__ into a fresh temporary "
+    "directory; children run with PYTHONDONTWRITEBYTECODE=1, so both "
+    "sides compile every module they load from source"
+)
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +152,13 @@ def child(stats_path: str, cli_args: list[str]) -> int:
 # ----------------------------------------------------------------------
 # The parent
 # ----------------------------------------------------------------------
-def _make_inputs(work: Path, side_src: str) -> dict[str, Path]:
-    """Write every input CSV under ``work``; returns name → CSV path."""
+def _make_inputs(work: Path, side_src: str, names: list[str]) -> dict[str, Path]:
+    """Write the CSVs of the inputs ``names`` under ``work``; returns
+    e2e workload or profile name → CSV path."""
     env = dict(os.environ, PYTHONPATH=side_src)
     paths = {}
-    for workload in sorted({csv for csv, _ in E2E_INPUTS.values()}):
+    workloads = {E2E_INPUTS[name][0] for name in names if name in E2E_INPUTS}
+    for workload in sorted(workloads):
         target = work / workload
         target.mkdir(parents=True, exist_ok=True)
         subprocess.run(
@@ -166,7 +181,8 @@ def _make_inputs(work: Path, side_src: str) -> dict[str, Path]:
         "name, rows, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
         "write_csv(getattr(profiles, name)(num_rows=rows), path)\n"
     )
-    for name, (generator, rows) in PROFILES.items():
+    for name in (name for name in names if name in PROFILES):
+        generator, rows = PROFILES[name]
         path = work / f"{name}.csv"
         subprocess.run(
             [sys.executable, "-c", script, generator, str(rows), str(path)],
@@ -263,38 +279,60 @@ def _deadline_seconds(budget: list[str]) -> float | None:
     return parse_duration(budget[1]) if budget[0] == "--deadline" else None
 
 
-def sweep(sides: dict[str, str], runs: int, only: set[str] | None) -> dict:
+def _copy_src(src: str, work: Path, side: str) -> str:
+    """``src`` copied without bytecode caches; returns the copy's path."""
+    copy = work / "src" / side
+    shutil.copytree(
+        src, copy, ignore=shutil.ignore_patterns("__pycache__", "*.pyc")
+    )
+    return str(copy)
+
+
+def sweep(
+    sides: dict[str, str],
+    runs: int,
+    only: set[str] | None,
+    budgets: dict[str, list[tuple[str, str]]] | None = None,
+) -> dict:
+    """Sweep every input (or those in ``only``) on every side.
+
+    ``budgets`` maps an input to the budgets it runs under instead of
+    its defaults (``E2E_BUDGETS``, or ``PROFILE_SHARES`` of a profile's
+    unbudgeted time).
+    """
     names = list(sides)
+    inputs = [
+        name for name in [*E2E_INPUTS, *PROFILES] if not only or name in only
+    ]
     with tempfile.TemporaryDirectory(prefix="budget-sweep-") as tmp:
         work = Path(tmp)
-        csvs = _make_inputs(work, sides[names[0]])
+        sides = {side: _copy_src(src, work, side) for side, src in sides.items()}
+        csvs = _make_inputs(work, sides[names[0]], inputs)
 
         cases = []  # (input, csv, extra args, budget args)
         references: dict[str, dict] = {}
-        for name, (workload, extra) in E2E_INPUTS.items():
-            for flag, value in E2E_BUDGETS[name]:
-                cases.append((name, csvs[workload], extra, [flag, value]))
-        for name in PROFILES:
-            for cap in PROFILE_CANDIDATES:
-                cases.append((name, csvs[name], [], ["--max-candidates", str(cap)]))
-        if only:
-            cases = [case for case in cases if case[0] in only]
-
-        # Unbudgeted references per input and side: golden DDL, and
-        # the pipeline time profile deadlines are shares of.
-        for name in dict.fromkeys(case[0] for case in cases):
-            csv, extra = next((c[1], c[2]) for c in cases if c[0] == name)
+        for name in inputs:
+            workload, extra = E2E_INPUTS.get(name, (name, []))
+            csv = csvs[workload]
+            # The unbudgeted reference per side: golden DDL, and the
+            # pipeline time profile deadlines are shares of.
             references[name] = {}
             for side in names:
                 record = _run(sides[side], csv, extra, [], work)
                 references[name][side] = record
                 print(f"reference {name} [{side}]: {record['pipeline_s']:.2f}s",
                       file=sys.stderr)
-            if name in PROFILES:
+            if budgets is not None and name in budgets:
+                chosen = budgets[name]
+            elif name in PROFILES:
                 base = references[name][names[0]]["pipeline_s"]
-                for share in PROFILE_SHARES:
-                    deadline = f"{base * share * 1000:.1f}ms"
-                    cases.append((name, csv, extra, ["--deadline", deadline]))
+                chosen = [
+                    ("--deadline", f"{base * share * 1000:.1f}ms")
+                    for share in PROFILE_SHARES
+                ]
+            else:
+                chosen = E2E_BUDGETS[name]
+            cases.extend((name, csv, extra, list(budget)) for budget in chosen)
 
         results: dict[tuple, dict[str, list]] = {}
         for rep in range(runs):
@@ -334,10 +372,12 @@ def sweep(sides: dict[str, str], runs: int, only: set[str] | None) -> dict:
             "python": platform.python_version(),
         },
         "sides": names,
+        "bytecode": BYTECODE,
         "runs_per_budget": runs,
         "references": {
             name: {
                 side: {
+                    "exit": record["exit"],
                     "pipeline_s": round(record["pipeline_s"], 3),
                     "process_s": round(record["process_s"], 3),
                     "relations": record["relations"],
@@ -392,6 +432,27 @@ def main(argv: list[str]) -> int:
     write(document, Path(args.out))
     print(json.dumps(document["totals"], indent=1))
     return 0
+
+
+def test_budget_sweep_smoke():
+    """This checkout's ``src`` on the smallest profile under one deadline
+    and one memory budget, one run each: the unbudgeted reference and
+    both budgeted runs exit 0, and budgets this loose keep its DDL."""
+    document = sweep(
+        {"change": str(HERE.parent / "src")},
+        runs=1,
+        only={"amalgam"},
+        budgets={"amalgam": [("--deadline", "60s"), ("--memory-limit", "1gb")]},
+    )
+    assert document["references"]["amalgam"]["change"]["exit"] == 0
+    summaries = {
+        entry["budget"]: entry["summary"]["change"]
+        for entry in document["budgets"]
+    }
+    assert set(summaries) == {"--deadline 60s", "--memory-limit 1gb"}
+    for summary in summaries.values():
+        assert summary["failed"] == 0
+        assert summary["golden"] == summary["exact_discovery"] == 1
 
 
 def write(document: dict, path: Path) -> None:

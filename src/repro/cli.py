@@ -218,38 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="peak resident-memory ceiling, e.g. 512MB, 2gb",
     )
     governance.add_argument(
-        "--max-candidates",
-        type=int,
-        metavar="N",
-        help="cap on discovery candidate work units (lattice nodes, "
-        "partition intersections)",
-    )
-    governance.add_argument(
         "--no-degrade",
         action="store_true",
         help="on a budget breach in discovery, fail (exit 3) instead of "
         "keeping the partial FDs discovered before it",
-    )
-    governance.add_argument(
-        "--approximate",
-        action="store_true",
-        help="sampled discovery: run discovery on a --sample-rows sample, "
-        "verify candidates against the full data with the g3 measure, "
-        "and report per-FD error bounds",
-    )
-    governance.add_argument(
-        "--sample-rows",
-        type=int,
-        metavar="N",
-        help="row-sample size of --approximate (default: 512)",
-    )
-    governance.add_argument(
-        "--approx-error",
-        type=float,
-        metavar="EPS",
-        help="g3 error --approximate tolerates when verifying sampled FDs "
-        "against the full data (default: 0.0 = keep only exactly-holding "
-        "FDs)",
     )
     governance.add_argument(
         "--checkpoint",
@@ -275,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _budget(args: argparse.Namespace) -> Budget | None:
     """The run's budget from the governance flags (None if unbounded)."""
-    if not (args.deadline or args.memory_limit or args.max_candidates):
+    if not (args.deadline or args.memory_limit):
         return None
     from repro.runtime.governor import Budget, parse_duration, parse_memory
 
@@ -284,7 +256,6 @@ def _budget(args: argparse.Namespace) -> Budget | None:
         max_memory_bytes=(
             parse_memory(args.memory_limit) if args.memory_limit else None
         ),
-        max_candidates=args.max_candidates,
     )
 
 
@@ -421,33 +392,13 @@ def _main_normalize(argv: list[str]) -> int:
         for path in args.files
     ]
 
-    sampling = {
-        name: value
-        for name, value in (
-            ("sample_rows", args.sample_rows),
-            ("approx_error", args.approx_error),
-        )
-        if value is not None
-    }
-    if sampling and not args.approximate:
-        raise InputError("--sample-rows and --approx-error need --approximate")
-    sampled = None
-    if args.approximate:
-        if args.load_fds:
-            raise InputError("--approximate cannot be combined with --load-fds")
-        from repro.discovery.sampled import SampledG3FD
-
-        sampled = SampledG3FD(max_lhs_size=args.max_lhs_size, **sampling)
-
     if args.profile:
         from repro.profiling import profile
 
         for instance in instances:
             print(
                 profile(
-                    instance,
-                    fd_algorithm=sampled if sampled is not None else args.algorithm,
-                    workers=args.workers,
+                    instance, fd_algorithm=args.algorithm, workers=args.workers
                 ).to_str()
             )
             print()
@@ -468,7 +419,7 @@ def _main_normalize(argv: list[str]) -> int:
     from repro.core.normalize import Normalizer
     from repro.core.selection import AutoDecider
 
-    algorithm: object = sampled if sampled is not None else args.algorithm
+    algorithm: object = args.algorithm
     if args.load_fds:
         from repro.discovery.precomputed import PrecomputedFDs
         from repro.io.serialization import load_fdset
@@ -543,13 +494,6 @@ def _main_normalize(argv: list[str]) -> int:
             f"discovery {stat.fd_discovery_seconds:.2f}s, "
             f"closure {stat.closure_seconds:.2f}s"
         )
-    if sampled is not None and sampled.reports:
-        print()
-        print("approximate discovery (g3 error bounds):")
-        for name, bounds in sampled.reports.items():
-            print(f"  [{name}]")
-            for bound in bounds:
-                print(f"    {bound}")
 
     if args.ddl:
         from repro.io.ddl import schema_to_ddl
@@ -677,12 +621,6 @@ def build_apply_batch_parser(watch: bool = False) -> argparse.ArgumentParser:
         "--memory-limit",
         metavar="SIZE",
         help="peak resident-memory ceiling, e.g. 512MB, 2gb",
-    )
-    governance.add_argument(
-        "--max-candidates",
-        type=int,
-        metavar="N",
-        help="cap on candidate work units per governed phase",
     )
     if watch:
         parser.add_argument(
@@ -982,7 +920,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
         ("--closure", {"choices": ("naive", "improved", "optimized")}),
         ("--deadline", {"metavar": "DUR"}),
         ("--memory-limit", {"metavar": "SIZE"}),
-        ("--max-candidates", {"metavar": "N"}),
         ("--delimiter", {"metavar": "CHAR"}),
     ):
         parser.add_argument(flag, default=None, **kwargs)
@@ -1019,7 +956,6 @@ def _main_submit(argv: list[str]) -> int:
                     ("closure", args.closure),
                     ("deadline", args.deadline),
                     ("memory_limit", args.memory_limit),
-                    ("max_candidates", args.max_candidates),
                     ("delimiter", args.delimiter),
                 )
                 if value is not None

@@ -630,7 +630,7 @@ class Normalizer:
         return self.closure_algorithm
 
     def _config(self) -> dict:
-        config = {
+        return {
             "algorithm": getattr(
                 self.algorithm, "name", type(self.algorithm).__name__
             ),
@@ -641,14 +641,6 @@ class Normalizer:
             "exact_distinct": self.exact_distinct,
             "score_features": list(self.score_features),
         }
-        # Only a sampling discoverer (``--approximate``) has a sample to
-        # pin; a checkpoint that records one still resumes other runs,
-        # which leave the keys out.
-        sample_rows = getattr(self.algorithm, "sample_rows", None)
-        if sample_rows is not None:
-            config["sample_rows"] = sample_rows
-            config["approx_error"] = self.algorithm.approx_error
-        return config
 
     def _flush(self, state: PipelineState) -> None:
         if self.checkpoint_path is None:

@@ -26,7 +26,6 @@ __all__ = [
     "HyUCC",
     "NaiveUCC",
     "PrecomputedFDs",
-    "SampledG3FD",
     "Tane",
     "discover_fds",
     "discover_uccs",
@@ -49,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(
             "verify_foreign_keys",
         ),
         "repro.discovery.precomputed": ("PrecomputedFDs",),
-        "repro.discovery.sampled": ("SampledG3FD",),
         "repro.discovery.tane": ("Tane",),
         "repro.discovery.ucc": ("DuccUCC", "NaiveUCC", "discover_uccs"),
     },

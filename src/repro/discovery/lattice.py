@@ -23,7 +23,7 @@ from collections.abc import Callable
 from repro.discovery.hitting_sets import minimal_hitting_sets
 from repro.model.attributes import iter_bits
 from repro.runtime.errors import BudgetExceeded
-from repro.runtime.governor import add_candidates, checkpoint
+from repro.runtime.governor import checkpoint
 from repro.structures.settrie import SetTrie
 
 __all__ = ["find_minimal_satisfying"]
@@ -53,7 +53,7 @@ class _Classifier:
             return False
         cached = self.cache.get(mask)
         if cached is None:
-            add_candidates(1, "lattice-eval")
+            checkpoint("lattice-eval")
             cached = self.predicate(mask)
             self.cache[mask] = cached
         return cached

@@ -33,7 +33,7 @@ from repro.model.attributes import full_mask, iter_bits
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
 from repro.runtime.errors import BudgetExceeded
-from repro.runtime.governor import add_candidates, checkpoint
+from repro.runtime.governor import checkpoint
 from repro.structures.partitions import StrippedPartition
 
 __all__ = ["Tane"]
@@ -163,7 +163,7 @@ class Tane(FDAlgorithm):
             joined = sub | attr_bit
             joined_error = errors.get(joined)
             if joined_error is None:
-                add_candidates(1, "tane-key")
+                checkpoint("tane-key")
                 joined_error = partitions[sub].intersect_ids(
                     codes[attr]
                 ).error
@@ -204,7 +204,7 @@ class Tane(FDAlgorithm):
                 # first and second share the prefix, so the join only adds
                 # second's top attribute: π(first) · π({top}) = π(candidate),
                 # computed against the value-id vector (no probe fill/reset).
-                add_candidates(1, "tane-generate")
+                checkpoint("tane-generate")
                 partition = partitions[first].intersect_ids(
                     codes[second.bit_length() - 1]
                 )

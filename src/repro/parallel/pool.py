@@ -17,11 +17,8 @@ Design points, each load-bearing:
   cooperative checkpoints.  A worker breach cancels the rest of the
   batch (a shared event every worker governor polls) and surfaces in
   the parent as an ordinary :class:`BudgetExceeded`, so every existing
-  salvage/degradation path works unchanged.  Candidate-work counts are
-  folded back through :func:`~repro.runtime.governor.add_candidates`,
-  keeping the global ``max_candidates`` cap authoritative (enforced at
-  batch merge rather than mid-shard — the documented difference to
-  serial runs).
+  salvage/degradation path works unchanged.  The workers' ticks are
+  folded into the parent's governor at the batch merge.
 * **Parent stays cooperative** — while waiting for results the parent
   keeps ticking its own checkpoints, so deadlines, and in particular
   injected faults (``FaultPlan`` kills), still fire *mid-shard*; an
@@ -70,7 +67,6 @@ from repro.runtime.governor import (
     Budget,
     Governor,
     activate,
-    add_candidates,
     checkpoint,
     current_governor,
 )
@@ -452,7 +448,6 @@ def _worker_main(
                     (
                         value,
                         governor.ticks,
-                        governor.candidates,
                         worker_attach_seconds() - attach_before,
                     ),
                 ),
@@ -505,7 +500,6 @@ class _BatchState:
         "breach",
         "error",
         "ticks",
-        "candidates",
     )
 
     def __init__(self, kind: str, payloads: list) -> None:
@@ -519,7 +513,6 @@ class _BatchState:
         self.breach: dict | None = None
         self.error: dict | None = None
         self.ticks = 0
-        self.candidates = 0
 
     def finish(self, index: int) -> None:
         self.done[index] = True
@@ -715,9 +708,6 @@ class WorkerPool:
                 self._cancel.clear()
             self._note_worker_fault(plan, fault)
 
-        governor = current_governor()
-        if governor is not None and state.ticks:
-            governor.ticks += state.ticks
         if state.error is not None:
             self._raise_worker_error(kind, state.error)
         if state.breach is not None:
@@ -727,8 +717,9 @@ class WorkerPool:
                 limit=state.breach["limit"],
                 observed=state.breach["observed"],
             )
-        if state.candidates:
-            add_candidates(state.candidates, stage)
+        # The workers' ticks count against the parent's budget too; the
+        # fold probes it when a probe is due.
+        checkpoint(stage, units=state.ticks)
         return state.results
 
     # -- batch plumbing ------------------------------------------------
@@ -761,10 +752,9 @@ class WorkerPool:
         if state.done[index]:
             return  # duplicate after a conservative retry
         if status == "ok":
-            task_value, task_ticks, task_candidates, attach = value
+            task_value, task_ticks, attach = value
             state.results[index] = task_value
             state.ticks += task_ticks
-            state.candidates += task_candidates
             self.stats.attach_seconds += attach
         elif status == "budget":
             state.breach = state.breach or value
@@ -871,9 +861,9 @@ class WorkerPool:
     def _execute_in_process(self, kind: str, payload, stage: str):
         """Run one task handler in the parent, under the ambient governor.
 
-        The parent's own governor ticks/candidate counts advance
-        directly (no fold-back needed) and budget breaches propagate as
-        usual; any other exception is wrapped like a worker error.
+        The parent's own governor ticks advance directly (no fold-back
+        needed) and budget breaches propagate as usual; any other
+        exception is wrapped like a worker error.
         """
         from repro.parallel.tasks import handler
 

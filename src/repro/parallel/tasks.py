@@ -17,9 +17,9 @@ memoized per segment for the lifetime of the worker, so a multi-level
 discovery run attaches each relation once.
 
 Handlers run under the worker's own governor (installed by the pool's
-worker loop), so the ``checkpoint``/``add_candidates`` calls inside
-them enforce the propagated budget and poll the batch-cancel event at
-the usual cooperative granularity.
+worker loop), so the ``checkpoint`` calls inside them enforce the
+propagated budget and poll the batch-cancel event at the usual
+cooperative granularity.
 """
 
 from __future__ import annotations

@@ -60,9 +60,6 @@ class DataProfile:
     timings: dict[str, float] = field(default_factory=dict)
     #: integer totals plus the ``kernel_backend`` name string
     counters: dict[str, int | str] = field(default_factory=dict)
-    #: per-FD g3 error lines when an approximate (sampled) discoverer
-    #: produced the FD set; ``None`` for exact runs
-    approx_bounds: list[str] | None = None
 
     def to_str(self) -> str:
         lines = [
@@ -80,9 +77,6 @@ class DataProfile:
                     f"{key}={value}" for key, value in self.counters.items()
                 )
             )
-        if self.approx_bounds is not None:
-            lines.append("  approximate FDs (g3 error bounds):")
-            lines.extend(f"    {bound}" for bound in self.approx_bounds)
         lines.append("")
         rows = [
             [
@@ -170,12 +164,6 @@ def profile(
     timings["fd_discovery"] = time.perf_counter() - started
     _collect_cache_counters(counters, "fd_", fd_algorithm)
     _collect_pool_counters(counters, fd_algorithm)
-    approx_bounds = None
-    if hasattr(fd_algorithm, "format_bounds"):
-        approx_bounds = fd_algorithm.format_bounds(instance.columns)
-        sampled = getattr(fd_algorithm, "last_sampled_rows", None)
-        if sampled is not None:
-            counters["fd_sampled_rows"] = sampled
 
     started = time.perf_counter()
     ucc = resolve_ucc_algorithm(
@@ -197,7 +185,6 @@ def profile(
         uccs=uccs,
         timings=timings,
         counters=counters,
-        approx_bounds=approx_bounds,
     )
 
 

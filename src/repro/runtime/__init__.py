@@ -33,7 +33,6 @@ __all__ = [
     "ReproError",
     "SimulatedKill",
     "activate",
-    "add_candidates",
     "checkpoint",
     "current_governor",
     "parse_duration",
@@ -56,7 +55,6 @@ __getattr__, __dir__ = lazy_exports(
             "Budget",
             "Governor",
             "activate",
-            "add_candidates",
             "checkpoint",
             "current_governor",
             "parse_duration",

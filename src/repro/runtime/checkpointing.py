@@ -37,6 +37,12 @@ __all__ = ["PipelineState", "load_state", "save_state"]
 CHECKPOINT_FORMAT = "repro/pipeline-checkpoint"
 CHECKPOINT_VERSION = 1
 
+#: The ``algorithm`` older builds recorded for sampled discovery
+#: (``repro --approximate``), which no build can run any more.  Its
+#: FDs are replayed with the unsound fidelity recorded beside them, so
+#: whatever discoverer the resuming run has may continue it.
+SAMPLED_ALGORITHM = "sampled-g3"
+
 
 @dataclass(slots=True)
 class PipelineState:
@@ -127,6 +133,8 @@ class PipelineState:
     # ------------------------------------------------------------------
     def validate_against(self, config: dict[str, Any], instances) -> None:
         for key, value in self.config.items():
+            if key == "algorithm" and value == SAMPLED_ALGORITHM:
+                continue
             if key in config and config[key] != value:
                 raise CheckpointError(
                     f"checkpoint was written with {key}={value!r} but this "

@@ -13,8 +13,6 @@ docs/ROBUSTNESS.md), trying DFD and then HyFD on a row sample after a
 breach rescued no run, and holding part of the wall clock back from
 discovery for the later stages ended no more runs with the exact
 schema, so discovery gets one attempt and the whole remaining budget.
-Sampled discovery is a mode the user picks up front instead:
-:class:`~repro.discovery.sampled.SampledG3FD` (``repro --approximate``).
 
 Each relation's attempt is recorded in a :class:`RelationFidelity`,
 aggregated per run into a :class:`FidelityReport` that travels on the
@@ -74,23 +72,22 @@ class RelationFidelity:
 
     ``fidelity``:
         * ``"exact"``   — complete minimal FDs from an exact algorithm,
-        * ``"sampled"`` — discovered on a row sample by
-          :class:`~repro.discovery.sampled.SampledG3FD`, then verified
-          against the full relation with g3 ≤ ``approx_error``;
-          complete *for the sample*, sound within the error bound,
         * ``"partial"`` — the salvaged prefix of an interrupted run;
           sound facts only if the breach carried exact partial state,
         * ``"none"``    — nothing was salvaged.
+
+    Checkpoints of older builds may also hold ``"sampled"`` (FDs
+    discovered on a row sample); like any value but ``"exact"`` it
+    reads as not exact, and its ``sound`` flag was recorded with it.
     """
 
     relation: str
     fidelity: str = "exact"
     attempts: list[StageAttempt] = field(default_factory=list)
-    sampled_rows: int | None = None
     notes: list[str] = field(default_factory=list)
     #: True when every FD in the returned set is *known to hold* on the
-    #: full relation (exact runs, g3-verified samples with ε=0, exact
-    #: partial prefixes); False when unvalidated candidates may remain.
+    #: full relation (exact runs, exact partial prefixes); False when
+    #: unvalidated candidates may remain.
     sound: bool = True
 
     @property
@@ -101,8 +98,6 @@ class RelationFidelity:
         lines = [f"{self.relation}: {self.fidelity}"]
         lines.extend(f"  - {attempt.to_str()}" for attempt in self.attempts)
         lines.extend(f"  note: {note}" for note in self.notes)
-        if self.sampled_rows is not None:
-            lines.append(f"  sampled rows: {self.sampled_rows}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -110,7 +105,6 @@ class RelationFidelity:
             "relation": self.relation,
             "fidelity": self.fidelity,
             "attempts": [attempt.to_json() for attempt in self.attempts],
-            "sampled_rows": self.sampled_rows,
             "notes": list(self.notes),
             "sound": self.sound,
         }
@@ -121,7 +115,6 @@ class RelationFidelity:
             relation=payload["relation"],
             fidelity=payload["fidelity"],
             attempts=[StageAttempt.from_json(a) for a in payload["attempts"]],
-            sampled_rows=payload["sampled_rows"],
             notes=list(payload["notes"]),
             sound=payload.get("sound", True),
         )
@@ -214,13 +207,6 @@ def discover_within_budget(
             num_fds=len(fds),
         )
     )
-    # ``repro --approximate`` discovers through SampledG3FD, which says
-    # how many rows it sampled (None when the sample covered the data).
-    sampled = getattr(algorithm, "last_sampled_rows", None)
-    if sampled is not None:
-        fidelity.fidelity = "sampled"
-        fidelity.sampled_rows = sampled
-        fidelity.sound = algorithm.approx_error == 0.0
     return fds, fidelity
 
 

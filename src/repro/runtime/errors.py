@@ -8,9 +8,9 @@ families without string matching:
   CSV, mismatched columns, impossible configuration.  Subclasses
   :class:`ValueError` so pre-taxonomy callers that caught ``ValueError``
   keep working.
-* :class:`BudgetExceeded` — a resource budget (wall-clock deadline,
-  memory ceiling, candidate cap) was breached at a cooperative
-  checkpoint, or a fault was injected there.  It carries the *partial
+* :class:`BudgetExceeded` — a resource budget (wall-clock deadline or
+  memory ceiling) was breached at a cooperative checkpoint, or a fault
+  was injected there.  It carries the *partial
   state* accumulated up to the breach so callers can degrade instead of
   losing everything.
 * :class:`CheckpointError` — a pipeline checkpoint cannot be loaded or
@@ -62,8 +62,8 @@ class BudgetExceeded(ReproError):
     """A resource budget was breached at a cooperative checkpoint.
 
     Attributes:
-        reason: ``"deadline"``, ``"memory"``, ``"candidates"``, or a
-            fault-injection reason (``"fault:..."``).
+        reason: ``"deadline"``, ``"memory"``, or a fault-injection
+            reason (``"fault:..."``).
         stage: the pipeline stage whose checkpoint fired (best effort).
         limit / observed: the budget value and the measurement that
             crossed it, in the reason's native unit.

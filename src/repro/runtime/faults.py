@@ -4,16 +4,18 @@ Every degradation and resume path in the pipeline exists to survive a
 failure that is hard to produce on demand: a deadline landing in the
 middle of TANE's level 7, an OOM during HyFD validation, a ``kill -9``
 between two decomposition decisions.  A :class:`FaultPlan` produces
-exactly those events *deterministically*: given a seed, it fires once
-at the Nth checkpoint tick, raising either a synthetic
-:class:`~repro.runtime.errors.BudgetExceeded` (exercising the
-salvage of partial results) or a :class:`SimulatedKill` (exercising
+exactly those events *deterministically*: it fires once, at the first
+checkpoint at or past tick N (optionally only one of a given stage
+label), raising either a synthetic
+:class:`~repro.runtime.errors.BudgetExceeded` (exercising the salvage
+of partial results) or a :class:`SimulatedKill` (exercising
 checkpoint/resume — it derives from ``BaseException`` so no recovery
 layer can swallow it, exactly like a real kill).
 
-The verification harness (``repro verify --faults``) sweeps seeds so
-that, over a campaign, faults land at every checkpoint site the
-pipeline has.
+The verification harness (``repro verify --faults``) first records an
+unfaulted run's checkpoints, then takes each plan's label and tick
+from that recording, so that over a campaign faults land at every
+checkpoint label the pipeline has.
 
 Beyond the in-process modes, three **worker-level** modes target the
 process-parallel execution layer with *real* process failures instead
@@ -34,7 +36,6 @@ byte-identical to serial.
 from __future__ import annotations
 
 import os
-import random
 import signal
 import time
 from dataclasses import dataclass, field
@@ -114,26 +115,6 @@ class FaultPlan:
             )
         if self.at_tick < 1:
             raise InputError("at_tick must be >= 1")
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        mode: str | None = None,
-        max_tick: int = 4096,
-        stage: str | None = None,
-    ) -> "FaultPlan":
-        """Derive a deterministic plan from a campaign seed."""
-        rng = random.Random(seed * 0x9E3779B1 ^ 0xFA17)
-        if mode is None:
-            # Seed-derived plans stay in-process: the worker modes need
-            # pool plumbing (shared_flag) and are opted into explicitly
-            # by the chaos campaign.
-            mode = rng.choice(PROCESS_FAULT_MODES)
-        # Bias towards early ticks so short runs are hit too, while the
-        # tail still reaches deep into long runs.
-        at_tick = min(int(rng.expovariate(1.0 / (max_tick / 8))) + 1, max_tick)
-        return cls(mode=mode, at_tick=at_tick, stage=stage)
 
     # ------------------------------------------------------------------
     # Governor hook

@@ -2,12 +2,13 @@
 
 FD discovery is the pipeline's unbounded step — result sizes grow
 exponentially with the attribute count — so every hot loop in the
-library calls :func:`checkpoint` (and candidate-generating loops call
-:func:`add_candidates`).  When no budget is active both are a single
-global read and a ``None`` test; when a :class:`Governor` is active,
-ticks are counted and the expensive probes (wall clock, resident
-memory) run only every ``Budget.check_interval`` ticks, keeping the
-governed hot paths within a few percent of ungoverned speed.
+library calls :func:`checkpoint`, with ``units`` sized to the work
+the step does (rows walked, candidates built).  When no budget is
+active that is a single global read and a ``None`` test; when a
+:class:`Governor` is active, ticks are counted and the expensive
+probes (wall clock, resident memory) run only every
+``Budget.check_interval`` ticks, keeping the governed hot paths within
+a few percent of ungoverned speed.
 
 On breach the governor raises :class:`~repro.runtime.errors.BudgetExceeded`;
 the raising algorithm attaches whatever partial state it accumulated
@@ -39,7 +40,6 @@ __all__ = [
     "Budget",
     "Governor",
     "activate",
-    "add_candidates",
     "checkpoint",
     "current_governor",
     "in_blocks",
@@ -53,17 +53,12 @@ _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
 @dataclass(frozen=True, slots=True)
 class Budget:
-    """Resource ceilings for one pipeline run.
-
-    ``None`` disables the corresponding check.  ``max_candidates`` caps
-    *candidate work units* — lattice nodes generated, predicate
-    evaluations, partition intersections — the discovery-side proxy for
-    the exponential blow-up that neither time nor memory catches early.
+    """Resource ceilings for one pipeline run: wall clock and resident
+    memory.  ``None`` disables the corresponding check.
     """
 
     deadline_seconds: float | None = None
     max_memory_bytes: int | None = None
-    max_candidates: int | None = None
     #: ticks between wall-clock / memory probes (probes are ~µs, ticks ~ns)
     check_interval: int = 256
 
@@ -72,18 +67,12 @@ class Budget:
             raise InputError("deadline_seconds must be positive")
         if self.max_memory_bytes is not None and self.max_memory_bytes <= 0:
             raise InputError("max_memory_bytes must be positive")
-        if self.max_candidates is not None and self.max_candidates <= 0:
-            raise InputError("max_candidates must be positive")
         if self.check_interval < 1:
             raise InputError("check_interval must be >= 1")
 
     @property
     def unbounded(self) -> bool:
-        return (
-            self.deadline_seconds is None
-            and self.max_memory_bytes is None
-            and self.max_candidates is None
-        )
+        return self.deadline_seconds is None and self.max_memory_bytes is None
 
 
 def _rss_bytes() -> int:
@@ -118,7 +107,6 @@ class Governor:
         "started_at",
         "deadline_at",
         "ticks",
-        "candidates",
         "breach",
         "_clock",
         "_next_probe",
@@ -141,7 +129,6 @@ class Governor:
             else None
         )
         self.ticks = 0
-        self.candidates = 0
         self.breach: BudgetExceeded | None = None
         self._next_probe = self.budget.check_interval
         self._suspended = 0
@@ -160,16 +147,6 @@ class Governor:
         if self.ticks >= self._next_probe:
             self._next_probe = self.ticks + self.budget.check_interval
             self._probe(stage)
-
-    def add_candidates(self, count: int, stage: str = "") -> None:
-        """Account candidate work; enforces ``max_candidates`` exactly."""
-        if self._suspended:
-            return
-        self.candidates += count
-        limit = self.budget.max_candidates
-        if limit is not None and self.candidates > limit:
-            self._raise("candidates", stage, limit, self.candidates)
-        self.tick(stage, count)
 
     # ------------------------------------------------------------------
     # Probes
@@ -253,13 +230,6 @@ def in_blocks(rows: Iterable, stage: str) -> Iterator[list]:
     while block := list(islice(rows, BLOCK_ROWS)):
         checkpoint(stage, units=len(block))
         yield block
-
-
-def add_candidates(count: int, stage: str = "") -> None:
-    """Account candidate work units against the active budget, if any."""
-    governor = _ACTIVE
-    if governor is not None:
-        governor.add_candidates(count, stage)
 
 
 @contextmanager

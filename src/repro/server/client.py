@@ -169,8 +169,8 @@ class ReproClient:
         """Upload a CSV and run governed discovery + normalization.
 
         ``options`` become query parameters (``algorithm``, ``target``,
-        ``closure``, ``deadline``, ``memory_limit``, ``max_candidates``,
-        ``delimiter``, ``header``, ``csv_errors``).
+        ``closure``, ``deadline``, ``memory_limit``, ``delimiter``,
+        ``header``, ``csv_errors``).
         """
         params = {"name": name, **options}
         if session is not None:

@@ -119,7 +119,6 @@ class SessionOptions:
     csv_errors: str = "strict"
     deadline: str | None = None
     memory_limit: str | None = None
-    max_candidates: int | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in FD_ALGORITHMS:
@@ -141,13 +140,8 @@ class SessionOptions:
         self.budget()
 
     def budget(self) -> Budget | None:
-        if not (self.deadline or self.memory_limit or self.max_candidates):
+        if not (self.deadline or self.memory_limit):
             return None
-        max_candidates = self.max_candidates
-        if max_candidates is not None:
-            max_candidates = int(max_candidates)
-            if max_candidates <= 0:
-                raise InputError("max_candidates must be positive")
         return Budget(
             deadline_seconds=(
                 parse_duration(self.deadline) if self.deadline else None
@@ -155,7 +149,6 @@ class SessionOptions:
             max_memory_bytes=(
                 parse_memory(self.memory_limit) if self.memory_limit else None
             ),
-            max_candidates=max_candidates,
         )
 
     def engine_kwargs(self) -> dict:
@@ -176,7 +169,6 @@ class SessionOptions:
             "csv_errors": self.csv_errors,
             "deadline": self.deadline,
             "memory_limit": self.memory_limit,
-            "max_candidates": self.max_candidates,
         }
 
     @classmethod
@@ -185,7 +177,9 @@ class SessionOptions:
 
         The algorithm is taken as recorded, even one this build no
         longer registers (``dfd``): revival from a journal runs no
-        discovery, and the name must still equal the journal's.
+        discovery, and the name must still equal the journal's.  Keys
+        this build has no option for (``storage``, the candidate cap)
+        are dropped.
         """
         known = set(cls.__dataclass_fields__) - {"algorithm"}
         options = cls(**{k: v for k, v in payload.items() if k in known})
@@ -202,14 +196,6 @@ class SessionOptions:
             value = params.get(key)
             if value:
                 kwargs[key] = value
-        if params.get("max_candidates"):
-            try:
-                kwargs["max_candidates"] = int(params["max_candidates"])
-            except ValueError:
-                raise InputError(
-                    f"max_candidates must be an integer, got "
-                    f"{params['max_candidates']!r}"
-                ) from None
         header = params.get("header")
         if header is not None:
             kwargs["has_header"] = header not in ("0", "false", "no")

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro import kernels
 from repro.model.attributes import bits_of
-from repro.runtime.governor import add_candidates, checkpoint
+from repro.runtime.governor import checkpoint
 from repro.structures.encoding import encode_column
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -416,11 +416,10 @@ class PLICache:
         remaining.sort(
             key=lambda i: self._cache[1 << i].num_non_singleton_rows
         )
-        # A miss is one candidate, but it also ticks the rows its products
-        # walk at most, so the governor probes a tall relation every few
-        # misses rather than once per 256 of them.
-        add_candidates(1, "pli")
-        checkpoint("pli", units=len(partition.row_data) * len(remaining))
+        # A miss ticks once plus the rows its products walk at most, so
+        # the governor probes a tall relation every few misses rather
+        # than once per 256 of them.
+        checkpoint("pli", units=1 + len(partition.row_data) * len(remaining))
         codes = self._encoding.codes
         for index in remaining:
             partition = partition.intersect_ids(codes[index])

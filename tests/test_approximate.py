@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD
 from repro.extensions.approximate import (
@@ -12,8 +11,6 @@ from repro.extensions.approximate import (
     g3_error,
     violating_rows,
 )
-from repro.io.csv_io import write_csv
-from repro.io.datasets import address_example, denormalized_university
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from tests.helpers import canon_fds
@@ -156,107 +153,3 @@ class TestViolatingRows:
                 assert len(violating_rows(instance, lhs, rhs_attr)) == round(
                     expected
                 )
-
-
-class TestApproximateMode:
-    def test_sampled_g3_is_sound_at_zero_error(self):
-        from repro.discovery.hyfd import HyFD
-        from repro.discovery.sampled import SampledG3FD
-        from tests.helpers import fd_holds
-
-        instance = denormalized_university()
-        algorithm = SampledG3FD(sample_rows=5, approx_error=0.0, seed=3)
-        fds = algorithm.discover(instance)
-        assert algorithm.last_sampled_rows == 5
-        exact = canon_fds(HyFD().discover(instance))
-        for lhs, attr in canon_fds(fds):
-            assert fd_holds(instance, lhs, 1 << attr)
-            assert algorithm.last_errors[(lhs, attr)] == 0.0
-        assert canon_fds(fds) <= exact
-
-    def test_positive_error_keeps_approximate_fds(self):
-        from repro.discovery.sampled import SampledG3FD
-
-        columns = [
-            ["k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"],
-            ["a", "a", "a", "a", "b", "b", "b", "z"],
-        ]
-        # col0 -> col1 holds exactly; col1 -> col0 has g3 > 0.
-        instance = RelationInstance(
-            Relation("t", ("x", "y")), columns
-        )
-        algorithm = SampledG3FD(sample_rows=4, approx_error=0.5, seed=1)
-        algorithm.discover(instance)
-        assert all(
-            error <= 0.5 for error in algorithm.last_errors.values()
-        )
-
-    def test_cli_reports_bounds(self, tmp_path, capsys):
-        csv_path = tmp_path / "u.csv"
-        write_csv(denormalized_university(), csv_path)
-        assert (
-            main([str(csv_path), "--approximate", "--sample-rows", "6"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "approximate discovery (g3 error bounds)" in out
-        assert "g3=" in out
-
-    def test_cli_profile_reports_bounds(self, tmp_path, capsys):
-        csv_path = tmp_path / "u.csv"
-        write_csv(denormalized_university(), csv_path)
-        assert (
-            main(
-                [
-                    str(csv_path),
-                    "--profile",
-                    "--approximate",
-                    "--sample-rows",
-                    "6",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "approximate FDs (g3 error bounds):" in out
-        assert "fd_sampled_rows=6" in out
-
-    def test_approximate_conflicts_with_load_fds(self, tmp_path, capsys):
-        csv_path = tmp_path / "u.csv"
-        write_csv(denormalized_university(), csv_path)
-        code = main(
-            [
-                str(csv_path),
-                "--approximate",
-                "--load-fds",
-                str(tmp_path / "whatever.json"),
-            ]
-        )
-        assert code == 2
-        assert "cannot be combined" in capsys.readouterr().err
-
-    def test_exact_when_sample_covers_relation(self, capsys, tmp_path):
-        from repro.discovery.hyfd import HyFD
-        from repro.discovery.sampled import SampledG3FD
-
-        instance = address_example()
-        algorithm = SampledG3FD(sample_rows=10_000)
-        fds = algorithm.discover(instance)
-        assert algorithm.last_sampled_rows is None
-        assert canon_fds(fds) == canon_fds(HyFD().discover(instance))
-
-
-class TestSampling:
-    def test_sampling_is_deterministic(self, university):
-        from repro.discovery.sampled import sample_instance_rows
-
-        first, n1 = sample_instance_rows(university, 4, seed=7)
-        second, n2 = sample_instance_rows(university, 4, seed=7)
-        assert n1 == n2 == 4
-        assert list(first.iter_rows()) == list(second.iter_rows())
-
-    def test_small_instance_returned_verbatim(self, address):
-        from repro.discovery.sampled import sample_instance_rows
-
-        sample, n = sample_instance_rows(address, 100, seed=7)
-        assert sample is address
-        assert n == address.num_rows

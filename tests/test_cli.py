@@ -187,12 +187,11 @@ class TestExtendedOptions:
         ("flags", "message"),
         [
             (["--load-fds", "{fds}"], "different columns"),
-            (["--approximate", "--load-fds", "{fds}"], "cannot be combined"),
             (["{other}", "--load-fds", "{fds}"], "exactly one input file"),
             (["{other}", "--target", "4nf"], "exactly one input file"),
             (["{other}", "--save-fds", "{fds}"], "exactly one input file"),
         ],
-        ids=["column-mismatch", "approximate", "load-fds", "4nf", "save-fds"],
+        ids=["column-mismatch", "load-fds", "4nf", "save-fds"],
     )
     def test_load_fds_column_mismatch(self, tmp_path, capsys, flags, message):
         # Bad argument combinations are input errors (exit 2), never the

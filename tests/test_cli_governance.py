@@ -62,13 +62,34 @@ class TestExitCodes:
         assert "budget exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value", [("--sample-rows", "2"), ("--approx-error", "0.1")]
+        "argv",
+        [
+            ["{csv}", "--approximate"],
+            ["{csv}", "--sample-rows", "4"],
+            ["{csv}", "--approx-error", "0.1"],
+            ["{csv}", "--max-candidates", "100"],
+            ["apply-batch", "{csv}", "--changes", "c", "--max-candidates", "9"],
+            ["watch", "{csv}", "--changes", "c", "--max-candidates", "9"],
+            ["submit", "--port", "1", "--max-candidates", "9"],
+        ],
+        ids=[
+            "approximate",
+            "sample-rows",
+            "approx-error",
+            "max-candidates",
+            "apply-batch-max-candidates",
+            "watch-max-candidates",
+            "submit-max-candidates",
+        ],
     )
-    def test_sampling_flags_need_approximate(
-        self, small_csv, capsys, flag, value
-    ):
-        assert main([small_csv, flag, value]) == EXIT_INPUT_ERROR
-        assert "need --approximate" in capsys.readouterr().err
+    def test_retired_flags_are_usage_errors(self, small_csv, capsys, argv):
+        # Sampled discovery and the candidate cap are gone: every parser
+        # that had their flags rejects them with argparse's usage error.
+        argv = [small_csv if arg == "{csv}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_checkpoint_is_exit_4(self, small_csv, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"
@@ -116,15 +137,6 @@ class TestCheckpointFlow:
         assert ddl.read_bytes() == first_ddl
         seconds = re.compile(r"\d+\.\d+s\b")
         assert seconds.sub("<t>s", first) == seconds.sub("<t>s", second)
-
-    def test_resume_refuses_a_changed_sample(self, small_csv, tmp_path):
-        ckpt = str(tmp_path / "run.ckpt")
-        approximate = [small_csv, "--approximate", "--sample-rows"]
-        assert main([*approximate, "3", "--checkpoint", ckpt]) == 0
-        assert main([*approximate, "2", "--resume", ckpt]) == (
-            EXIT_CHECKPOINT_ERROR
-        )
-        assert main([*approximate, "3", "--resume", ckpt]) == 0
 
     def test_a_recorded_sample_does_not_block_a_plain_resume(
         self, small_csv, tmp_path

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.normalize import Normalizer
 from repro.runtime.errors import BudgetExceeded, InputError
-from repro.runtime.faults import FAULT_MODES, FaultPlan, SimulatedKill
+from repro.runtime.faults import FaultPlan, SimulatedKill
 from repro.runtime.governor import Budget, Governor, activate, checkpoint
 from repro.verification.faults_campaign import run_fault_campaign
 
@@ -17,13 +17,6 @@ class TestFaultPlan:
     def test_tick_must_be_positive(self):
         with pytest.raises(InputError):
             FaultPlan(at_tick=0)
-
-    def test_from_seed_is_deterministic(self):
-        first = FaultPlan.from_seed(17)
-        second = FaultPlan.from_seed(17)
-        assert (first.mode, first.at_tick) == (second.mode, second.at_tick)
-        assert first.mode in FAULT_MODES
-        assert 1 <= first.at_tick <= 4096
 
     def test_fires_exactly_once(self):
         plan = FaultPlan(mode="timeout", at_tick=3)

@@ -1,11 +1,13 @@
-"""State persisted before DFD and DUCC's random walks were deleted still loads.
+"""State persisted by older builds still loads.
 
-That build recorded DUCC's walk seed in every pipeline checkpoint and
-incremental journal config, a key this build has no knob for, and a
+One build recorded DUCC's walk seed in every pipeline checkpoint and
+incremental journal config, a key this build has no knob for, and its
 daemon could persist a session created with ``--algorithm dfd``.  The
-files under ``fixtures/legacy_state`` were written by it (see the README
-there); each test copies what it resumes, since resuming rewrites
-journals and checkpoints.
+next one could still write checkpoints of sampled discovery
+(``--approximate``) and persist daemon sessions with a candidate cap.
+The files under ``fixtures/legacy_state`` were written by those builds
+(see the README there); each test copies what it resumes, since
+resuming rewrites journals and checkpoints.
 """
 
 import json
@@ -114,6 +116,44 @@ class TestPipelineCheckpoint:
         assert out_ddl.read_text(encoding="utf-8") == EXPECTED_DDL
 
 
+class TestApproximateCheckpoint:
+    """``repro orders.csv --approximate --sample-rows 4 --approx-error
+    0.2 --checkpoint ...``: it records the sampled discoverer, its sample
+    size and g3 bound, and an unsound ``"sampled"`` relation."""
+
+    def test_a_plain_cli_resume_completes(self, legacy):
+        checkpoint = legacy / "approximate.checkpoint.json"
+        state = load_state(checkpoint)
+        assert state.config["algorithm"] == "sampled-g3"
+        assert retired_keys(state.config, Normalizer()._config()) == {
+            "sample_rows",
+            "approx_error",
+        }
+        fidelity = state.fidelity["orders"]
+        assert fidelity.fidelity == "sampled"
+        assert not fidelity.exact
+        assert not fidelity.sound
+
+        out_ddl = legacy / "out.sql"
+        exit_code = main(
+            [
+                str(legacy / "orders.csv"),
+                "--resume",
+                str(checkpoint),
+                "--ddl",
+                str(out_ddl),
+            ]
+        )
+        assert exit_code == 0
+        assert out_ddl.read_text(encoding="utf-8") == EXPECTED_DDL
+
+    def test_a_knob_this_run_has_is_still_compared(self, legacy):
+        state = load_state(legacy / "approximate.checkpoint.json")
+        instance = read_csv(legacy / "orders.csv")
+        with pytest.raises(CheckpointError, match="target"):
+            Normalizer(target="3nf").run(instance, resume_state=state)
+
+
 class TestDaemonRevival:
     def test_sessions_revive_from_their_journals(self, legacy):
         with ServerThread(resume_dir=str(legacy / "resume_dir")) as harness:
@@ -130,6 +170,16 @@ class TestDaemonRevival:
             assert client.ddl("orders-dfd") == EXPECTED_DDL
             stats = client.stats()["sessions"]
         assert stats["journal_hits"] == 2
+        assert stats["discovery_runs"] == 0
+
+    def test_a_capped_session_revives(self, legacy):
+        with ServerThread(resume_dir=str(legacy / "resume_dir")) as harness:
+            client = harness.client("acme")
+            assert client.ddl("orders-capped") == EXPECTED_DDL
+            options = client.session_info("orders-capped")["options"]
+            stats = client.stats()["sessions"]
+        assert "max_candidates" not in options
+        assert stats["journal_hits"] >= 1
         assert stats["discovery_runs"] == 0
 
     def test_a_new_dfd_session_is_a_400(self, tmp_path):

@@ -120,15 +120,23 @@ class TestFaultsAndResume:
                 assert schema_to_ddl(resumed.schema) == baseline
         assert killed, "no fault tick interrupted the run; widen the range"
 
-    def test_budget_breach_salvages_partial_state(self):
+    def test_budget_breach_salvages_partial_state(self, monkeypatch):
         from repro.runtime.errors import BudgetExceeded
         from repro.runtime.governor import Budget, Governor, activate
 
+        # Every validation level goes to the workers, and the parent's
+        # clock stands still: only a worker sees the deadline pass.
+        monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
         instance = _planted(3)
-        governor = Governor(Budget(max_candidates=1))
+        governor = Governor(
+            Budget(deadline_seconds=1e-6, check_interval=1), clock=lambda: 0.0
+        )
+        algorithm = HyFD(workers=2)
         with activate(governor):
             with pytest.raises(BudgetExceeded) as excinfo:
-                HyFD(workers=2).discover(instance)
+                algorithm.discover(instance)
+        assert excinfo.value.reason == "deadline"
+        assert algorithm.last_pool_stats.tasks_dispatched > 0
         # HyFD keeps its positive cover as an unvalidated partial.
         assert excinfo.value.partial is not None
         assert not excinfo.value.partial_exact

@@ -226,37 +226,18 @@ class TestBudgetPropagation:
             with pytest.raises(BudgetExceeded):
                 pool.map_tasks("pool_probe", [{"value": 1}], stage="test")
 
-    def test_worker_candidates_fold_into_parent(self, monkeypatch):
-        # Every HyFD candidate is a partition built during validation,
-        # and with the threshold at zero every level runs in workers:
-        # the parent counts only what the merges fold back.
-        monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
-        instance = plant_instance(3, num_columns=5, num_rows=40).instance
+    def test_worker_candidates_fold_into_parent(self):
+        # A worker's checkpoints (its candidate work: partition builds,
+        # lattice nodes) tick its own governor; the batch merge folds
+        # those ticks into the parent's, which also ticks while it waits.
         governor = Governor(Budget())
-        from repro.discovery.hyfd import HyFD
-
-        algorithm = HyFD(workers=2)
+        pool = get_pool(2)
         with activate(governor):
-            algorithm.discover(instance)
-        assert algorithm.last_pool_stats.tasks_dispatched > 0
-        assert governor.candidates > 0
-
-    def test_candidate_cap_enforced_at_merge(self, monkeypatch):
-        monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
-        instance = plant_instance(3, num_columns=6, num_rows=40).instance
-        governor = Governor(Budget(max_candidates=1))
-        from repro.discovery.hyfd import HyFD
-
-        with activate(governor):
-            with pytest.raises(BudgetExceeded) as excinfo:
-                HyFD(workers=2).discover(instance)
-        # Workers do not enforce the cap; the merge of the batch that
-        # crossed it does, under the batch's stage (a serial breach
-        # would name the partition build, "pli").
-        assert excinfo.value.reason == "candidates"
-        assert excinfo.value.stage == "hyfd-validate"
-        # HyFD salvages its positive cover on a breach.
-        assert excinfo.value.partial is not None
+            results = pool.map_tasks(
+                "pool_probe", [{"ticks": 1000}, {"ticks": 1000}], stage="test"
+            )
+        assert all(result["in_worker"] for result in results)
+        assert governor.ticks >= 2000
 
 
 class TestStats:

@@ -26,11 +26,7 @@ from repro.parallel import (
 )
 from repro.parallel.shm import SEGMENT_PREFIX, owned_segments
 from repro.runtime.errors import InputError
-from repro.runtime.faults import (
-    PROCESS_FAULT_MODES,
-    WORKER_FAULT_MODES,
-    FaultPlan,
-)
+from repro.runtime.faults import WORKER_FAULT_MODES, FaultPlan
 from repro.runtime.governor import Budget, Governor, activate, checkpoint
 from repro.verification.planted import plant_instance
 
@@ -183,10 +179,6 @@ class TestGracefulDegradation:
 
 
 class TestWorkerFaultPlans:
-    def test_from_seed_never_picks_worker_modes(self):
-        for seed in range(64):
-            assert FaultPlan.from_seed(seed).mode in PROCESS_FAULT_MODES
-
     def test_worker_mode_is_noop_in_parent(self):
         plan = FaultPlan(mode="worker_kill", at_tick=1)
         governor = Governor(Budget(check_interval=1), fault_plan=plan)

@@ -122,12 +122,10 @@ class TestFidelitySerialization:
     def make_report(self):
         fidelity = RelationFidelity(
             relation="r",
-            fidelity="sampled",
+            fidelity="partial",
             attempts=[
                 StageAttempt("hyfd", "breach", reason="deadline", seconds=1.5),
-                StageAttempt("sampled", "ok", seconds=0.5, num_fds=3),
             ],
-            sampled_rows=128,
             notes=["note"],
             sound=False,
         )
@@ -156,4 +154,4 @@ class TestFidelitySerialization:
     def test_to_str_mentions_degradation(self):
         text = self.make_report().to_str()
         assert "DEGRADED" in text
-        assert "sampled" in text
+        assert "partial" in text

@@ -7,7 +7,6 @@ from repro.runtime.governor import (
     Budget,
     Governor,
     activate,
-    add_candidates,
     checkpoint,
     current_governor,
     parse_duration,
@@ -36,7 +35,6 @@ class TestBudget:
     def test_any_ceiling_makes_it_bounded(self):
         assert not Budget(deadline_seconds=1.0).unbounded
         assert not Budget(max_memory_bytes=1 << 20).unbounded
-        assert not Budget(max_candidates=100).unbounded
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -44,7 +42,7 @@ class TestBudget:
             {"deadline_seconds": 0},
             {"deadline_seconds": -1},
             {"max_memory_bytes": 0},
-            {"max_candidates": -5},
+            {"max_memory_bytes": -1},
             {"check_interval": 0},
         ],
     )
@@ -121,16 +119,6 @@ class TestGovernorDeadline:
         assert Governor(Budget(), clock=clock).remaining_seconds() is None
 
 
-class TestGovernorCandidates:
-    def test_cap_enforced_exactly(self):
-        governor = Governor(Budget(max_candidates=10))
-        governor.add_candidates(10, "pli")  # exactly at the cap: fine
-        with pytest.raises(BudgetExceeded) as exc_info:
-            governor.add_candidates(1, "pli")
-        assert exc_info.value.reason == "candidates"
-        assert exc_info.value.observed == 11
-
-
 class TestGovernorMemory:
     def test_impossible_ceiling_breaches_immediately(self):
         governor = Governor(Budget(max_memory_bytes=1, check_interval=1))
@@ -142,19 +130,25 @@ class TestGovernorMemory:
 class TestAmbientGovernor:
     def test_checkpoint_is_noop_without_governor(self):
         assert current_governor() is None
-        checkpoint("nowhere")  # must not raise
-        add_candidates(1_000_000, "nowhere")
+        checkpoint("nowhere", units=1_000_000)  # must not raise
 
     def test_activate_installs_and_restores(self):
-        outer = Governor(Budget(max_candidates=100))
-        inner = Governor(Budget(max_candidates=5))
+        clock = FakeClock()
+        outer = Governor(
+            Budget(deadline_seconds=100.0, check_interval=1), clock=clock
+        )
+        inner = Governor(
+            Budget(deadline_seconds=5.0, check_interval=1), clock=clock
+        )
+        clock.advance(6.0)  # past the inner deadline only
         with activate(outer):
             assert current_governor() is outer
             with activate(inner):
                 assert current_governor() is inner
                 with pytest.raises(BudgetExceeded):
-                    add_candidates(6)
+                    checkpoint()
             assert current_governor() is outer
+            checkpoint()  # the outer budget still holds
         assert current_governor() is None
 
     def test_suspended_masks_breaches(self):
@@ -195,18 +189,17 @@ class TestTicksFollowTheWork:
         # probe interval.
         assert governor.ticks == instance.num_rows
 
-    def test_a_miss_counts_one_candidate_and_ticks_its_rows(self):
+    def test_a_miss_ticks_once_plus_its_rows(self):
         from repro.structures.partitions import PLICache
         from repro.verification.planted import plant_instance
 
         instance = plant_instance(3, num_columns=4, num_rows=500).instance
         cache = PLICache(instance)
         base_rows = cache.get(0b01).num_non_singleton_rows
-        governor = Governor(Budget(max_candidates=10))
+        governor = Governor(Budget())
         with activate(governor):
             cache.get(0b11)
             cache.get(0b11)  # a hit charges nothing
-        assert governor.candidates == 1
         assert governor.ticks == 1 + base_rows
 
     def test_closure_stops_at_its_first_probe_past_the_deadline(self):

@@ -129,25 +129,33 @@ class TestSessionOptions:
 
     def test_round_trips_through_json(self):
         options = SessionOptions(
-            algorithm="tane", target="3nf", deadline="5s", max_candidates=10
+            algorithm="tane", target="3nf", deadline="5s", memory_limit="1GB"
         )
         assert SessionOptions.from_json(options.to_json()) == options
 
     def test_budget_built_from_human_strings(self):
-        budget = SessionOptions(
-            deadline="2s", memory_limit="1MB", max_candidates=7
-        ).budget()
+        budget = SessionOptions(deadline="2s", memory_limit="1MB").budget()
         assert budget.deadline_seconds == pytest.approx(2.0)
         assert budget.max_memory_bytes == 1024 * 1024
-        assert budget.max_candidates == 7
+        assert SessionOptions().budget() is None
 
     def test_from_params_parses_header_flag_and_ints(self):
+        # A parameter naming no option (the retired candidate cap) is
+        # ignored, like any unknown query parameter.
         options = SessionOptions.from_params(
-            {"algorithm": "tane", "header": "false", "max_candidates": "3"}
+            {
+                "algorithm": "tane",
+                "header": "false",
+                "deadline": "2s",
+                "memory_limit": "1MB",
+                "max_candidates": "3",
+            }
         )
         assert options.algorithm == "tane"
         assert not options.has_header
-        assert options.max_candidates == 3
+        assert options.budget().deadline_seconds == pytest.approx(2.0)
+        assert options.budget().max_memory_bytes == 1024 * 1024
+        assert "max_candidates" not in options.to_json()
 
 
 class TestSessionRegistry:

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-serve bench-e2e-smoke bench-budget-smoke
+.PHONY: verify verify-parallel verify-kernels verify-lattice serve-smoke fuzz fuzz-faults fuzz-chaos fuzz-incremental fuzz-kernels fuzz-lattice bench bench-engine bench-fdtree bench-incremental bench-parallel bench-serve bench-e2e-smoke bench-budget-smoke bench-discovery-smoke
 
 # Tier-1 suite — the gate every change must keep green (see ROADMAP.md).
 verify:
@@ -107,3 +107,9 @@ bench-e2e-smoke:
 # sweep passes cannot disappear unnoticed.
 bench-budget-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_budget_sweep.py -q -k smoke
+
+# All-pairs budget smoke (a few seconds): two tiny relations, one on
+# each side of HyFD's ALL_PAIRS_BUDGET; the all-pairs path must run
+# exactly below it, with the same cover as sampling and validation.
+bench-discovery-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_discovery_comparison.py -q -k smoke

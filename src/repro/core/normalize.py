@@ -478,10 +478,6 @@ class Normalizer:
                 refuted = (rhs & ~chosen.fd.lhs) & ~verified
                 if refuted:
                     item.fds.remove_masks(chosen.fd.lhs, refuted)
-                if not verified:
-                    # The whole candidate was bogus; re-rank without it.
-                    timings["selection"] += time.perf_counter() - started
-                    return [item]
                 rhs = verified
 
             state.record_decision(
@@ -496,6 +492,10 @@ class Normalizer:
             )
             self._flush(state)
         timings["selection"] += time.perf_counter() - started
+        if refuted and not rhs:
+            # The whole candidate was bogus (journaled with an empty
+            # ``edited_rhs``, so a resume replays it): re-rank without it.
+            return [item]
 
         started = time.perf_counter()
         lhs_names = relation.names_of(chosen.fd.lhs)

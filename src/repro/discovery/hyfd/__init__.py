@@ -17,6 +17,11 @@ phases until a fixpoint:
 
 The final tree holds exactly the complete set of minimal FDs.  The
 ``max_lhs_size`` option implements the paper's §4.3 pruning "for free".
+
+On small relations (fewer than ``hyfd.ALL_PAIRS_BUDGET`` rows per
+column) HyFD skips sampling and validation: it compares every row
+pair, which makes the negative cover complete, so induction alone
+yields the exact cover.
 """
 
 from repro.discovery.hyfd.hyfd import HyFD

@@ -85,7 +85,12 @@ class PipelineState:
 
         Shapes:
             {"kind": "fd", "relation": R, "lhs": [...], "rhs": [...],
-             "edited_rhs": [...]}             — decomposition chosen
+             "edited_rhs": [...], "refuted_rhs": [...]}
+                                              — decomposition chosen; an
+                                                empty ``edited_rhs`` with a
+                                                non-empty ``refuted_rhs``
+                                                means the FD did not hold
+                                                and R was re-ranked
             {"kind": "stop", "relation": R}   — user stopped the relation
             {"kind": "key", "relation": R, "key": [...] | None}
         """

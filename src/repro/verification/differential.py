@@ -19,7 +19,7 @@ the pathological case of all discoverers agreeing on a wrong answer.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.discovery.base import FDAlgorithm, resolve_fd_algorithm
@@ -125,16 +125,21 @@ def run_fd_differential(
 ) -> list[Disagreement]:
     """Run all FD discoverers on ``instance`` and diff against the first.
 
+    HyFD runs twice, as shipped and with its pair budget at 0 (labelled
+    ``"<name> (budget 0)"``): tables small enough for its all-pairs path
+    would otherwise never reach its sampler and validation.
+
     Returns one :class:`Disagreement` per algorithm that deviates from
     the baseline (the first entry — brute force by default); an empty
     list means unanimous agreement.
     """
     resolved = _resolve_fd(algorithms, null_equals_null, max_lhs_size)
-    baseline_name, baseline_algo = resolved[0]
-    expected = canonical_fds(baseline_algo.discover(instance))
+    discoveries = _discover_each(resolved, instance)
+    baseline_name, baseline_fds = next(discoveries)
+    expected = canonical_fds(baseline_fds)
     disagreements: list[Disagreement] = []
-    for label, algo in resolved[1:]:
-        got = canonical_fds(algo.discover(instance))
+    for label, fds in discoveries:
+        got = canonical_fds(fds)
         if got != expected:
             disagreements.append(
                 Disagreement(
@@ -147,6 +152,25 @@ def run_fd_differential(
                 )
             )
     return disagreements
+
+
+def _discover_each(
+    resolved: list[tuple[str, FDAlgorithm]], instance: RelationInstance
+) -> Iterator[tuple[str, FDSet]]:
+    """``(label, FDs)`` of every algorithm in order, HyFD both ways."""
+    from repro.discovery.hyfd import HyFD
+    from repro.discovery.hyfd import hyfd as hyfd_module
+
+    for label, algo in resolved:
+        yield label, algo.discover(instance)
+        if isinstance(algo, HyFD):
+            saved = hyfd_module.ALL_PAIRS_BUDGET
+            hyfd_module.ALL_PAIRS_BUDGET = 0
+            try:
+                fds = algo.discover(instance)
+            finally:
+                hyfd_module.ALL_PAIRS_BUDGET = saved
+            yield f"{label} (budget 0)", fds
 
 
 def run_ucc_differential(

@@ -21,7 +21,7 @@ contract:
 
 Each seed's fault targets one checkpoint label its run reaches: a
 governed run without a fault first records the tick of every checkpoint
-per label (``pli``, ``hyfd-validate``, ``closure-optimized``,
+per label (``pli``, ``hyfd-pairs``, ``closure-optimized``,
 ``scoring``, ``lattice-eval``, ...), seed ``s`` picks label
 ``(s // 3) mod n`` of the ``n`` it reached, in the order it reached
 them, and the fault fires at one of that label's recorded ticks.  A
@@ -330,6 +330,7 @@ def _run_one_worker_fault(
     """
     import random
 
+    from repro.discovery.hyfd import hyfd as hyfd_module
     from repro.parallel import pool as pool_mod
     from repro.parallel import supervisor as supervisor_mod
     from repro.parallel.pool import pool_stats, shutdown_pool
@@ -345,10 +346,13 @@ def _run_one_worker_fault(
     rng = random.Random(seed * 0x51ED270 ^ 0xC8A05)
     plan = FaultPlan(mode=mode, at_tick=rng.randint(1, 2))
 
-    # Force the pool path on these small campaign tables, and keep hang
+    # Force HyFD's validation and the pool path on these small campaign
+    # tables (so faults land in validation shards), and keep hang
     # detection fast enough for a test-sized timeout.
+    saved_budget = hyfd_module.ALL_PAIRS_BUDGET
     saved_threshold = pool_mod.SERIAL_THRESHOLD
     saved_hang = supervisor_mod.HANG_TIMEOUT
+    hyfd_module.ALL_PAIRS_BUDGET = 0
     pool_mod.SERIAL_THRESHOLD = 0
     supervisor_mod.HANG_TIMEOUT = 0.75
     shutdown_pool()  # a fresh pool re-arms the one-shot fault flag
@@ -406,5 +410,6 @@ def _run_one_worker_fault(
             )
     finally:
         shutdown_pool()
+        hyfd_module.ALL_PAIRS_BUDGET = saved_budget
         pool_mod.SERIAL_THRESHOLD = saved_threshold
         supervisor_mod.HANG_TIMEOUT = saved_hang

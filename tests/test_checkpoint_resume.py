@@ -1,11 +1,15 @@
 """Tests for checkpoint journaling, replay validation, and kill/resume."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.normalize import Normalizer
 from repro.datagen.random_tables import random_instance
+from repro.discovery.base import FDAlgorithm
+from repro.discovery.bruteforce import BruteForceFD
+from repro.io.csv_io import read_csv
 from repro.io.ddl import schema_to_ddl
 from repro.io.serialization import checkpoint_from_json, checkpoint_to_json
 from repro.model.fd import FDSet
@@ -13,8 +17,10 @@ from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from repro.runtime.checkpointing import PipelineState, load_state, save_state
 from repro.runtime.degrade import RelationFidelity
-from repro.runtime.errors import CheckpointError
+from repro.runtime.errors import BudgetExceeded, CheckpointError
 from repro.runtime.faults import FaultPlan, SimulatedKill
+
+ORDERS = Path(__file__).resolve().parent / "fixtures" / "legacy_state" / "orders.csv"
 
 
 def make_state():
@@ -216,3 +222,55 @@ class TestKillAndResume:
             Normalizer(algorithm="hyfd", target="3nf").run(
                 university, resume_state=state
             )
+
+
+class _BogusPartial(FDAlgorithm):
+    """Stand-in discoverer: breaches at once and attaches the exact cover
+    plus ``price -> product``, which the orders data refutes (price 3
+    goes with ``pad`` and with a NULL product), as an inexact partial."""
+
+    name = "bogus-partial"
+
+    def discover(self, instance):
+        fds = BruteForceFD().discover(instance)
+        relation = instance.relation
+        fds.add_masks(relation.mask_of(["price"]), relation.mask_of(["product"]))
+        raise BudgetExceeded("deadline", stage="bogus").attach_partial(
+            fds, exact=False
+        )
+
+
+class TestRefutedFdReplay:
+    """A split on an unsound cover that refutes its whole FD is journaled
+    (an empty ``edited_rhs``), so a resume re-ranks without it too."""
+
+    @staticmethod
+    def steps(result):
+        return [
+            (step.parent, step.lhs, step.rhs, step.chosen_rank, step.num_candidates)
+            for step in result.steps
+        ]
+
+    def test_resume_replays_the_refutation(self, tmp_path):
+        instance = read_csv(ORDERS)
+        ckpt = tmp_path / "refuted.ckpt"
+        recorded = Normalizer(algorithm=_BogusPartial(), checkpoint_path=ckpt).run(
+            instance
+        )
+        state = load_state(ckpt)
+        refutations = [
+            decision
+            for decision in state.decisions
+            if decision["kind"] == "fd" and not decision["edited_rhs"]
+        ]
+        assert [
+            (decision["lhs"], decision["refuted_rhs"]) for decision in refutations
+        ] == [(["price"], ["product"])]
+
+        resumed = Normalizer(algorithm=_BogusPartial(), checkpoint_path=ckpt).run(
+            instance, resume_state=state
+        )
+        assert self.steps(resumed) == self.steps(recorded)
+        assert schema_to_ddl(resumed.schema, resumed.instances) == schema_to_ddl(
+            recorded.schema, recorded.instances
+        )

@@ -3,7 +3,9 @@
 These are the central correctness tests of the discovery layer: all
 three algorithms must produce the *identical* complete set of minimal
 FDs on arbitrary instances, under both NULL semantics and with LHS-size
-pruning.
+pruning.  HyFD takes these small inputs through its all-pairs path, so
+it also runs with its pair budget at 0 (``hyfd_budget_0``), which sends
+every input through its sampler and validation.
 """
 
 import pytest
@@ -13,11 +15,30 @@ from hypothesis import strategies as st
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import BruteForceFD
 from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.discovery.tane import Tane
 from repro.io.datasets import address_example, planets_example
 from tests.helpers import canon_fds
 
-ALGORITHMS = [Tane, HyFD]
+
+def hyfd_budget_0(**kwargs) -> HyFD:
+    """A HyFD whose ``discover`` runs with ``ALL_PAIRS_BUDGET`` at 0."""
+    algorithm = HyFD(**kwargs)
+    shipped = algorithm.discover
+
+    def discover(instance):
+        saved = hyfd_module.ALL_PAIRS_BUDGET
+        hyfd_module.ALL_PAIRS_BUDGET = 0
+        try:
+            return shipped(instance)
+        finally:
+            hyfd_module.ALL_PAIRS_BUDGET = saved
+
+    algorithm.discover = discover
+    return algorithm
+
+
+ALGORITHMS = [Tane, HyFD, hyfd_budget_0]
 
 instance_params = st.tuples(
     st.integers(min_value=0, max_value=1_000_000),  # seed
@@ -194,7 +215,7 @@ class TestCSRAgainstListPartition:
         seed, cols, rows, domain, null_rate = params
         instance = random_instance(seed, cols, rows, domain, null_rate)
         expected = canon_fds(BruteForceFD().discover(instance))
-        assert canon_fds(HyFD().discover(instance)) == expected
+        assert canon_fds(hyfd_budget_0().discover(instance)) == expected
 
 
 class TestDiscoverFrontDoor:

@@ -457,10 +457,14 @@ class TestPickleAndCounters:
         clone.add(0b111, 0b1)  # still mutable after the trip
         assert clone.contains_fd(0b111, 0)
 
-    def test_profile_records_lattice_counters(self):
+    def test_profile_records_lattice_counters(self, monkeypatch):
         from repro.datagen.random_tables import random_instance
+        from repro.discovery.hyfd import hyfd as hyfd_module
         from repro.profiling import profile
 
+        # Validation's sweeps are the counted ones; the pair budget at 0
+        # sends these 20 rows through it.
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
         kernels.set_backend("python")
         report = profile(random_instance(41, 3, 20, domain_size=2))
         assert report.counters["kernel_lattice_generalization_calls"] > 0

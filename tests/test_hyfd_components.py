@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.datagen.random_tables import random_instance
 from repro.discovery.bruteforce import distinct_agree_sets
+from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.discovery.hyfd.induction import (
     apply_agree_set,
     build_positive_cover,
@@ -17,6 +19,7 @@ from repro.discovery.hyfd.induction import (
 from repro.discovery.hyfd import sampler as sampler_module
 from repro.discovery.hyfd.sampler import Sampler
 from repro.discovery.hyfd.validation import validate_tree
+from repro.model.attributes import iter_bits
 from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from repro.runtime.governor import Governor, activate, checkpoint
@@ -303,3 +306,94 @@ class TestValidation:
             if rhs >> attr & 1
         }
         assert got == canon_fds(BruteForceFD().discover(instance))
+
+
+class TestAllPairs:
+    """Below ``ALL_PAIRS_BUDGET`` HyFD compares every row pair and
+    inducts the cover from them; nothing is sampled or validated."""
+
+    @staticmethod
+    def _spy_sampler(monkeypatch):
+        built = []
+        original = Sampler.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sampler, "__init__", init)
+        return built
+
+    @pytest.mark.parametrize("max_lhs_size", [None, 2])
+    @pytest.mark.parametrize("null_equals_null", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cover_equals_validation_in_iteration_order(
+        self, monkeypatch, seed, null_equals_null, max_lhs_size
+    ):
+        instance = random_instance(seed, 7, 40, domain_size=3, null_rate=0.15)
+        built = self._spy_sampler(monkeypatch)
+
+        def discover():
+            return list(
+                HyFD(
+                    null_equals_null=null_equals_null, max_lhs_size=max_lhs_size
+                ).discover(instance).items()
+            )
+
+        pairs = discover()
+        assert built == []
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
+        validated = discover()
+        assert len(built) == 1
+        assert pairs == validated
+
+    def test_pair_path_runs_only_below_the_budget(self, monkeypatch):
+        # The budget counts rows per column: at 4, a 3-column relation
+        # compares all pairs up to 11 rows.
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 4)
+        built = self._spy_sampler(monkeypatch)
+        HyFD().discover(random_instance(4, 3, 11, domain_size=2))
+        assert built == []
+        HyFD().discover(random_instance(4, 3, 12, domain_size=2))
+        assert len(built) == 1
+
+    def test_one_checkpoint_per_row_under_its_own_label(self):
+        instance = random_instance(6, 5, 30, domain_size=3)
+        log = _TickLog()
+        with activate(Governor(fault_plan=log)):
+            algorithm = HyFD()
+            algorithm.discover(instance)
+        pair_ticks = [ticks for stage, ticks in log.calls if stage == "hyfd-pairs"]
+        # ticks grow by the row's pair count: 29, 28, ..., 1
+        assert len(pair_ticks) == 29
+        assert [b - a for a, b in zip(pair_ticks, pair_ticks[1:])] == list(
+            range(28, 0, -1)
+        )
+        assert algorithm.last_cache_stats.as_dict() == {
+            "pli_hits": 0,
+            "pli_misses": 0,
+            "pli_evictions": 0,
+        }
+
+    def test_breach_mid_pass_attaches_the_induced_cover(self):
+        """The partial is the cover induced from the rows compared so
+        far: inexact, yet it generalizes every FD of the exact cover."""
+        from repro.runtime.errors import BudgetExceeded
+        from repro.runtime.faults import FaultPlan
+
+        instance = random_instance(8, 6, 40, domain_size=3)
+        exact = HyFD().discover(instance)
+        plan = FaultPlan(mode="timeout", at_tick=300, stage="hyfd-pairs")
+        with activate(Governor(fault_plan=plan)):
+            with pytest.raises(BudgetExceeded) as excinfo:
+                HyFD().discover(instance)
+        assert plan.fired
+        partial = excinfo.value.partial
+        assert not excinfo.value.partial_exact
+        assert dict(partial.items()) != dict(exact.items())
+        for lhs, rhs in exact.items():
+            for attr in iter_bits(rhs):
+                assert any(
+                    general & ~lhs == 0 and general_rhs >> attr & 1
+                    for general, general_rhs in partial.items()
+                ), (lhs, attr)

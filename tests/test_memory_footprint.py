@@ -43,6 +43,7 @@ from repro import kernels
 from repro.core.normalize import Normalizer
 from repro.datagen.musicbrainz import denormalized_musicbrainz
 from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.discovery.hyfd import sampler as sampler_module
 from repro.discovery.hyfd.sampler import Sampler
 from repro.discovery.ucc import DuccUCC
@@ -137,9 +138,11 @@ def test_normalize_shares_the_input_encoding(tall_instance, backend, tmp_path):
     assert peak <= NORMALIZE_BUDGET[1]
 
 
-def test_hyfd_keeps_only_its_validation_frontier():
+def test_hyfd_keeps_only_its_validation_frontier(monkeypatch):
     # 213 rows: every kernel call runs the python loops, so the backend
     # does not matter.  One worker, so REPRO_WORKERS cannot add a pool.
+    # The pair budget at 0 sends the relation through validation.
+    monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
     instance = denormalized_musicbrainz(seed=7).project((1 << 20) - 1)
     algo = HyFD(workers=1)
     _, peak = _traced_per_cell(

@@ -14,6 +14,7 @@ import repro.parallel.pool as pool_mod
 from repro.core.normalize import Normalizer, normalize
 from repro.discovery.bruteforce import BruteForceFD
 from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.io.ddl import schema_to_ddl
 from repro.parallel import shutdown_pool
 from repro.runtime.checkpointing import load_state
@@ -25,6 +26,9 @@ SEEDS = (1, 3, 7, 11)
 
 @pytest.fixture(autouse=True)
 def _force_dispatch(monkeypatch):
+    # These small relations reach HyFD's validation (and so the pool)
+    # only with the pair budget at 0.
+    monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
     monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
     yield
     shutdown_pool()

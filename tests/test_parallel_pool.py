@@ -268,6 +268,9 @@ class TestStats:
         assert delta.tasks_dispatched == 6
 
     def test_profile_surfaces_pool_counters(self, monkeypatch):
+        from repro.discovery.hyfd import hyfd as hyfd_module
+
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
         monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
         from repro.profiling import profile
 

@@ -17,6 +17,7 @@ import pytest
 import repro.parallel.pool as pool_mod
 import repro.parallel.supervisor as supervisor_mod
 from repro.discovery.hyfd import HyFD
+from repro.discovery.hyfd import hyfd as hyfd_module
 from repro.parallel import (
     WorkerCrashError,
     WorkerError,
@@ -272,6 +273,7 @@ class TestAcceptance:
         self, monkeypatch
     ):
         """A SIGKILLed worker mid-batch: identical cover, clean /dev/shm."""
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
         monkeypatch.setattr(pool_mod, "SERIAL_THRESHOLD", 0)
         instance = plant_instance(7, num_columns=6, num_rows=60).instance
         serial = HyFD().discover(instance)

@@ -367,12 +367,15 @@ class TestPLICacheEngine:
         cache.forget_below(3)  # nothing left below 3: no new evictions
         assert cache.stats.evictions == 1
 
-    def test_discovery_correct_with_tiny_cache(self):
+    def test_discovery_correct_with_tiny_cache(self, monkeypatch):
         from repro.discovery.bruteforce import BruteForceFD
         from repro.discovery.hyfd import HyFD
+        from repro.discovery.hyfd import hyfd as hyfd_module
         from tests.helpers import canon_fds
 
-        # Validation reaches 4-attribute LHSs here, so it forgets pairs.
+        # Validation reaches 4-attribute LHSs here, so it forgets pairs;
+        # with the pair budget at 0 these 40 rows reach validation.
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
         instance = random_instance(21, 7, 40, domain_size=3, null_rate=0.1)
         expected = canon_fds(BruteForceFD().discover(instance))
         algo = HyFD(workers=1)
@@ -453,11 +456,13 @@ class TestValidationFrontier:
 
     @pytest.mark.parametrize("null_equals_null", [True, False])
     @pytest.mark.parametrize("seed", [3, 17, 40])
-    def test_hyfd_matches_bruteforce(self, seed, null_equals_null):
+    def test_hyfd_matches_bruteforce(self, monkeypatch, seed, null_equals_null):
         from repro.discovery.bruteforce import BruteForceFD
         from repro.discovery.hyfd import HyFD
+        from repro.discovery.hyfd import hyfd as hyfd_module
         from tests.helpers import canon_fds
 
+        monkeypatch.setattr(hyfd_module, "ALL_PAIRS_BUDGET", 0)
         instance = random_instance(seed, 7, 30, domain_size=3, null_rate=0.2)
         expected = canon_fds(BruteForceFD(null_equals_null).discover(instance))
         algo = HyFD(null_equals_null, workers=1)

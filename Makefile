@@ -40,7 +40,7 @@ fuzz:
 # Fault-injection campaign: breach/kill at checkpoint ticks, assert the
 # robustness contract (docs/ROBUSTNESS.md).
 fuzz-faults:
-	PYTHONPATH=src $(PYTHON) -m repro verify --faults --seeds 25
+	PYTHONPATH=src $(PYTHON) -m repro verify --faults --seeds 400
 
 # Worker-fault chaos campaign: real SIGKILL/exit/hang faults inside
 # pool workers mid-shard; the self-healing pool must recover every

@@ -13,8 +13,9 @@ This is the paper's Figure 1 wired together:
 7. primary-key selection (DUCC key discovery + scoring for relations
    that did not inherit a key).
 
-Steps 3–6 loop per relation until it is conform or the decider stops;
-steps 1–2 run once per input relation up front.
+Steps 1–2 run once per input relation up front; steps 3–6 then run
+once per visit of a relation, until it is conform or the decider
+stops.
 
 The pipeline is *resource-governed*: give it a
 :class:`~repro.runtime.governor.Budget` and every hot loop becomes a
@@ -37,7 +38,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -82,10 +84,32 @@ __all__ = ["Normalizer", "normalize"]
 class _WorkItem:
     instance: RelationInstance
     fds: FDSet  # extended (closed) FDs of this relation
-    #: the FDs are a *complete* set of minimal FDs (exact discovery)
-    exact: bool = True
     #: every FD is *known to hold* on the data (may still be incomplete)
     sound: bool = True
+    #: an input's Table 3 row, until its first visit fills in the keys
+    stats: PipelineStats | None = None
+
+
+@contextmanager
+def _timed(
+    timings: dict[str, float], stage: str, stats: PipelineStats | None = None
+) -> Iterator[None]:
+    """Add the stage's seconds to ``timings[stage]`` and, given an input's
+    ``stats``, set its ``<stage>_seconds``; a stage that raises adds none."""
+    started = time.perf_counter()
+    yield
+    seconds = time.perf_counter() - started
+    timings[stage] += seconds
+    if stats is not None:
+        setattr(stats, f"{stage}_seconds", seconds)
+
+
+def _record_breach(
+    report: FidelityReport, what: str, exc: BudgetExceeded, outcome: str
+) -> None:
+    """Tell the fidelity report how the run went on after a breach."""
+    with suspended():
+        report.events.append(f"{what} by budget breach ({exc.reason}); {outcome}")
 
 
 class Normalizer:
@@ -95,6 +119,13 @@ class Normalizer:
     algorithm, the closure algorithm, the normal form target, the
     decision maker, and the scoring mode (Bloom-estimated vs. exact
     distinct counts).
+
+    :meth:`run` follows Figure 1: it discovers and extends each input,
+    then visits relations — each visit derives keys, finds violating
+    FDs, ranks them, chooses one and decomposes — and finally picks
+    primary keys.  Each stage runs once per visit; its seconds go to
+    ``NormalizationResult.timings`` and, for an input's discovery,
+    closure and first visit, to the input's ``PipelineStats``.
 
     Robustness knobs (all optional; the default pipeline is ungoverned
     and behaves exactly as before):
@@ -151,13 +182,6 @@ class Normalizer:
         self.degrade = degrade
         self.checkpoint_path = checkpoint_path
         self.fault_plan = fault_plan
-        #: Optional cache of steps 2–4 results, keyed by (relation name,
-        #: closure algorithm, cover fingerprint).  The incremental engine
-        #: installs a dict here so relations whose maintained cover did
-        #: not change skip closure/key/violation recomputation entirely.
-        #: Callers must feed canonically-ordered FD sets (same content ⇒
-        #: same iteration order), which every discoverer guarantees.
-        self.closure_cache: dict | None = None
 
     # ------------------------------------------------------------------
     # Pipeline
@@ -201,7 +225,6 @@ class Normalizer:
 
         governor = self._make_governor()
         report = FidelityReport()
-
         timings: dict[str, float] = {
             "fd_discovery": 0.0,
             "closure": 0.0,
@@ -216,146 +239,78 @@ class Normalizer:
         stopped: list[str] = []
 
         with activate(governor):
-            # Steps 1 + 2 per input relation, with Table 3 bookkeeping.
+            # Steps 1–2 per input: discover its FDs, then extend them.
             queue: list[_WorkItem] = []
             discovered: dict[str, FDSet] = {}
             for instance in inputs:
                 # Work on a fresh Relation object so callers' schemas
                 # are never mutated; the codes are shared.
                 instance = instance.rename(instance.name)
-                started = time.perf_counter()
-                fds, fidelity = self._discover(instance, state)
-                discovery_seconds = time.perf_counter() - started
+                input_stats = PipelineStats(
+                    instance.name, instance.arity, instance.num_rows
+                )
+                with _timed(timings, "fd_discovery", input_stats):
+                    fds, fidelity = self._discover(instance, state)
                 discovered[instance.name] = fds.copy()
                 report.relations[instance.name] = fidelity
-                avg_before = fds.average_rhs_size()
-
-                item = _WorkItem(
-                    instance, fds, exact=fidelity.exact, sound=fidelity.sound
-                )
-                cache_key = None
-                if self.closure_cache is not None:
-                    cache_key = (
-                        instance.name,
-                        self._closure_for(fidelity),
-                        tuple(sorted(fds.items())),
-                    )
-                cached = (
-                    self.closure_cache.get(cache_key)
-                    if cache_key is not None
-                    else None
-                )
-                started = time.perf_counter()
+                input_stats.num_fds = fds.count_single_rhs()
+                input_stats.avg_rhs_before_closure = fds.average_rhs_size()
                 try:
-                    if cached is not None:
-                        # Cover unchanged since a previous run: reuse its
-                        # closure and derived keys (the violating-FD scan
-                        # here only feeds timing stats and is recomputed
-                        # per work item anyway).
-                        extended = cached[0].copy()
-                        keys = list(cached[1])
-                        closure_seconds = time.perf_counter() - started
-                        key_seconds = violation_seconds = 0.0
-                        item.fds = extended
-                    else:
-                        extended = calculate_closure(
-                            fds, self._closure_for(fidelity)
-                        )
-                        closure_seconds = time.perf_counter() - started
-                        item.fds = extended
-
-                        started = time.perf_counter()
-                        keys = derive_keys(extended, instance.full_mask())
-                        key_seconds = time.perf_counter() - started
-
-                        started = time.perf_counter()
-                        find_violating_fds(
-                            extended,
-                            keys,
-                            null_mask=instance.null_mask(),
-                            primary_key=instance.relation.primary_key_mask,
-                            foreign_keys=instance.relation.foreign_key_masks(),
-                            target=self.target,
-                        )
-                        violation_seconds = time.perf_counter() - started
-                        if cache_key is not None:
-                            self.closure_cache[cache_key] = (
-                                extended.copy(),
-                                list(keys),
-                            )
+                    with _timed(timings, "closure", input_stats):
+                        fds = calculate_closure(fds, self._closure_for(fidelity))
                 except BudgetExceeded as exc:
-                    # Closure / key-derivation breached: keep the raw
-                    # (unextended) FDs — fewer violations will be found,
-                    # but every decomposition stays sound and lossless.
-                    closure_seconds = key_seconds = violation_seconds = 0.0
-                    keys = []
-                    with suspended():
-                        report.events.append(
-                            f"closure truncated for {instance.name!r} by "
-                            f"budget breach ({exc.reason}); proceeding "
-                            "with unextended FDs"
-                        )
-
-                stats.append(
-                    PipelineStats(
-                        relation=instance.name,
-                        num_attributes=instance.arity,
-                        num_records=instance.num_rows,
-                        num_fds=fds.count_single_rhs(),
-                        num_fd_keys=len(keys),
-                        avg_rhs_before_closure=avg_before,
-                        avg_rhs_after_closure=item.fds.average_rhs_size(),
-                        fd_discovery_seconds=discovery_seconds,
-                        closure_seconds=closure_seconds,
-                        key_derivation_seconds=key_seconds,
-                        violation_detection_seconds=violation_seconds,
+                    # Keep the raw (unextended) FDs: fewer violations
+                    # will be found, but every decomposition stays sound
+                    # and lossless.
+                    _record_breach(
+                        report,
+                        f"closure truncated for {instance.name!r}",
+                        exc,
+                        "proceeding with unextended FDs",
                     )
+                input_stats.avg_rhs_after_closure = fds.average_rhs_size()
+                stats.append(input_stats)
+                queue.append(
+                    _WorkItem(instance, fds, fidelity.sound, input_stats)
                 )
-                timings["fd_discovery"] += discovery_seconds
-                timings["closure"] += closure_seconds
-                timings["key_derivation"] += key_seconds
-                timings["violation_detection"] += violation_seconds
-                queue.append(item)
 
-            # Steps 3–6: the decomposition loop.
+            # Steps 3–6: visit relations until each is conform or stopped.
             final: list[_WorkItem] = []
             while queue:
                 item = queue.pop()
                 try:
-                    outcome = self._normalize_one(
+                    children = self._normalize_one(
                         item, used_names, steps, timings, stopped, state
                     )
                 except BudgetExceeded as exc:
-                    final.append(item)
-                    final.extend(queue)
-                    queue.clear()
-                    with suspended():
-                        report.events.append(
-                            "decomposition loop stopped by budget breach "
-                            f"({exc.reason}); {len(final)} relation(s) "
-                            "kept without further decomposition"
-                        )
+                    final += [item, *queue]
+                    _record_breach(
+                        report,
+                        "decomposition loop stopped",
+                        exc,
+                        f"{len(final)} relation(s) kept without further "
+                        "decomposition",
+                    )
                     break
-                if outcome is None:
+                if children is None:
                     final.append(item)
                 else:
-                    queue.extend(outcome)
+                    queue.extend(children)
 
             # Step 7: primary keys for relations that did not inherit one.
-            started = time.perf_counter()
-            for index, item in enumerate(final):
-                try:
-                    self._select_primary_key(item, state, report)
-                except BudgetExceeded as exc:
-                    with suspended():
-                        report.events.append(
-                            "primary-key selection stopped by budget "
-                            f"breach ({exc.reason}); "
-                            f"{len(final) - index} relation(s) left "
-                            "without a selected key"
+            with _timed(timings, "primary_key_selection"):
+                for index, item in enumerate(final):
+                    try:
+                        self._select_primary_key(item, state, report)
+                    except BudgetExceeded as exc:
+                        _record_breach(
+                            report,
+                            "primary-key selection stopped",
+                            exc,
+                            f"{len(final) - index} relation(s) left without "
+                            "a selected key",
                         )
-                    break
-            timings["primary_key_selection"] += time.perf_counter() - started
+                        break
 
         state.complete = True
         self._flush(state)
@@ -402,7 +357,7 @@ class Normalizer:
         return fds, fidelity
 
     # ------------------------------------------------------------------
-    # One iteration of steps 3–6 for a single relation
+    # Steps 3–6: one visit of a relation
     # ------------------------------------------------------------------
     def _normalize_one(
         self,
@@ -413,96 +368,51 @@ class Normalizer:
         stopped: list[str],
         state: PipelineState,
     ) -> list[_WorkItem] | None:
+        """Return the relations to visit next, or None once it is final."""
         instance = item.instance
         relation = instance.relation
 
-        started = time.perf_counter()
-        keys = derive_keys(item.fds, instance.full_mask())
-        timings["key_derivation"] += time.perf_counter() - started
-
-        started = time.perf_counter()
-        violating = find_violating_fds(
-            item.fds,
-            keys,
-            null_mask=instance.null_mask(),
-            primary_key=relation.primary_key_mask,
-            foreign_keys=relation.foreign_key_masks(),
-            target=self.target,
-        )
-        timings["violation_detection"] += time.perf_counter() - started
+        with _timed(timings, "key_derivation", item.stats):
+            keys = derive_keys(item.fds, instance.full_mask())
+        with _timed(timings, "violation_detection", item.stats):
+            violating = find_violating_fds(
+                item.fds,
+                keys,
+                null_mask=instance.null_mask(),
+                primary_key=relation.primary_key_mask,
+                foreign_keys=relation.foreign_key_masks(),
+                target=self.target,
+            )
+        if item.stats is not None:
+            item.stats.num_fd_keys = len(keys)
+            item.stats = None
         if not violating:
             return None
 
-        started = time.perf_counter()
-        estimator = DistinctEstimator(instance, exact=self.exact_distinct)
-        ranking = rank_violating_fds(
-            instance, violating, estimator, self.score_features
-        )
-
-        recorded = state.next_decision("fd", instance.name)
-        if recorded is not None and recorded["kind"] == "stop":
+        with _timed(timings, "selection"):
+            ranking = rank_violating_fds(
+                instance,
+                violating,
+                DistinctEstimator(instance, exact=self.exact_distinct),
+                self.score_features,
+            )
+            decision = self._choose_fd(item, ranking, state)
+        if decision is None:
             stopped.append(instance.name)
-            timings["selection"] += time.perf_counter() - started
             return None
-        if recorded is not None:
-            chosen = self._match_recorded(relation, ranking, recorded)
-            choice = ranking.index(chosen)
-            rhs = relation.mask_of(recorded["edited_rhs"])
-            refuted = relation.mask_of(recorded.get("refuted_rhs", ()))
-            if refuted:
-                # Replay the degraded-mode refutation so the children's
-                # projected FD sets match the recording run's exactly.
-                item.fds.remove_masks(chosen.fd.lhs, refuted)
-        else:
-            choice = self.decider.choose_violating_fd(instance, ranking)
-            if choice is None:
-                stopped.append(instance.name)
-                state.record_decision(
-                    {"kind": "stop", "relation": instance.name}
-                )
-                self._flush(state)
-                timings["selection"] += time.perf_counter() - started
-                return None
-            chosen = ranking[choice]
-            shared = shared_rhs_attributes(
-                chosen.fd, [score.fd for score in ranking]
-            )
-            rhs = self.decider.edit_rhs(instance, chosen, shared)
-
-            refuted = 0
-            if not item.sound:
-                # Degraded FD sets may contain unvalidated candidates:
-                # verify the FD actually holds before splitting on it —
-                # this is what keeps degraded decompositions lossless.
-                verified = self._verified_rhs(instance, chosen.fd.lhs, rhs)
-                refuted = (rhs & ~chosen.fd.lhs) & ~verified
-                if refuted:
-                    item.fds.remove_masks(chosen.fd.lhs, refuted)
-                rhs = verified
-
-            state.record_decision(
-                {
-                    "kind": "fd",
-                    "relation": instance.name,
-                    "lhs": list(relation.names_of(chosen.fd.lhs)),
-                    "rhs": list(relation.names_of(chosen.fd.rhs)),
-                    "edited_rhs": list(relation.names_of(rhs)),
-                    "refuted_rhs": list(relation.names_of(refuted)),
-                }
-            )
-            self._flush(state)
-        timings["selection"] += time.perf_counter() - started
+        choice, rhs, refuted = decision
         if refuted and not rhs:
             # The whole candidate was bogus (journaled with an empty
             # ``edited_rhs``, so a resume replays it): re-rank without it.
             return [item]
 
-        started = time.perf_counter()
-        lhs_names = relation.names_of(chosen.fd.lhs)
-        r2_name = _fresh_name(f"{relation.name}_{lhs_names[0]}", used_names)
-        outcome = decompose(instance, item.fds, FD(chosen.fd.lhs, rhs), r2_name)
-        timings["decomposition"] += time.perf_counter() - started
-
+        chosen = ranking[choice]
+        with _timed(timings, "decomposition"):
+            lhs_names = relation.names_of(chosen.fd.lhs)
+            r2_name = _fresh_name(f"{relation.name}_{lhs_names[0]}", used_names)
+            outcome = decompose(
+                instance, item.fds, FD(chosen.fd.lhs, rhs), r2_name
+            )
         steps.append(
             DecompositionStep(
                 parent=relation.name,
@@ -517,16 +427,70 @@ class Normalizer:
             )
         )
         return [
-            _WorkItem(
-                outcome.r1, outcome.r1_fds, exact=item.exact, sound=item.sound
-            ),
-            _WorkItem(
-                outcome.r2, outcome.r2_fds, exact=item.exact, sound=item.sound
-            ),
+            _WorkItem(outcome.r1, outcome.r1_fds, item.sound),
+            _WorkItem(outcome.r2, outcome.r2_fds, item.sound),
         ]
 
+    def _choose_fd(
+        self, item: _WorkItem, ranking: list, state: PipelineState
+    ) -> tuple[int, int, int] | None:
+        """Step 5's decision: replay the journaled one or ask the decider,
+        re-verify it on FDs not known to hold, and journal it.
+
+        Returns the chosen rank, the RHS to split off and the RHS
+        attributes the data refuted, or None when the relation stops.
+        """
+        instance = item.instance
+        relation = instance.relation
+        recorded = state.next_decision("fd", instance.name)
+        if recorded is not None:
+            if recorded["kind"] == "stop":
+                return None
+            choice = self._match_recorded(relation, ranking, recorded)
+            rhs = relation.mask_of(recorded["edited_rhs"])
+            refuted = relation.mask_of(recorded.get("refuted_rhs", ()))
+        else:
+            choice = self.decider.choose_violating_fd(instance, ranking)
+            if choice is None:
+                state.record_decision(
+                    {"kind": "stop", "relation": instance.name}
+                )
+                self._flush(state)
+                return None
+            chosen = ranking[choice]
+            shared = shared_rhs_attributes(
+                chosen.fd, [score.fd for score in ranking]
+            )
+            rhs = self.decider.edit_rhs(instance, chosen, shared)
+
+            refuted = 0
+            if not item.sound:
+                # Degraded FD sets may contain unvalidated candidates:
+                # verify the FD actually holds before splitting on it —
+                # this is what keeps degraded decompositions lossless.
+                verified = self._verified_rhs(instance, chosen.fd.lhs, rhs)
+                refuted = (rhs & ~chosen.fd.lhs) & ~verified
+                rhs = verified
+
+            state.record_decision(
+                {
+                    "kind": "fd",
+                    "relation": instance.name,
+                    "lhs": list(relation.names_of(chosen.fd.lhs)),
+                    "rhs": list(relation.names_of(chosen.fd.rhs)),
+                    "edited_rhs": list(relation.names_of(rhs)),
+                    "refuted_rhs": list(relation.names_of(refuted)),
+                }
+            )
+            self._flush(state)
+        if refuted:
+            # A replay repeats the recording run's refutation, so the
+            # children's projected FD sets match that run's exactly.
+            item.fds.remove_masks(ranking[choice].fd.lhs, refuted)
+        return choice, rhs, refuted
+
     @staticmethod
-    def _match_recorded(relation, ranking, recorded):
+    def _match_recorded(relation, ranking, recorded) -> int:
         """Find the recorded decision's FD in the freshly computed ranking.
 
         Matching by content (attribute names) both restores the original
@@ -535,9 +499,9 @@ class Normalizer:
         """
         lhs = relation.mask_of(recorded["lhs"])
         rhs = relation.mask_of(recorded["rhs"])
-        for entry in ranking:
+        for index, entry in enumerate(ranking):
             if entry.fd.lhs == lhs and entry.fd.rhs == rhs:
-                return entry
+                return index
         raise CheckpointError(
             "checkpoint replay diverged: recorded FD "
             f"{recorded['lhs']} -> {recorded['rhs']} is not among the "
@@ -585,12 +549,12 @@ class Normalizer:
             if not isinstance(exc.partial, list) or not exc.partial:
                 raise
             uccs = exc.partial
-            with suspended():
-                report.events.append(
-                    f"key discovery for {item.instance.name!r} truncated "
-                    f"by budget breach ({exc.reason}); choosing among "
-                    f"{len(uccs)} salvaged key candidate(s)"
-                )
+            _record_breach(
+                report,
+                f"key discovery for {item.instance.name!r} truncated",
+                exc,
+                f"choosing among {len(uccs)} salvaged key candidate(s)",
+            )
         with suspended():
             null_mask = item.instance.null_mask()
             candidates = [key for key in uccs if key and not key & null_mask]

@@ -49,19 +49,24 @@ class DecompositionStep:
 
 @dataclass(slots=True)
 class PipelineStats:
-    """Per-input-relation statistics — the paper's Table 3 columns."""
+    """Per-input-relation statistics — the paper's Table 3 columns.
+
+    Normalize fills the counts and seconds as the input's stages run:
+    discovery and closure up front, keys and violations at its first
+    visit.
+    """
 
     relation: str
     num_attributes: int
     num_records: int
-    num_fds: int
-    num_fd_keys: int
-    avg_rhs_before_closure: float
-    avg_rhs_after_closure: float
-    fd_discovery_seconds: float
-    closure_seconds: float
-    key_derivation_seconds: float
-    violation_detection_seconds: float
+    num_fds: int = 0
+    num_fd_keys: int = 0
+    avg_rhs_before_closure: float = 0.0
+    avg_rhs_after_closure: float = 0.0
+    fd_discovery_seconds: float = 0.0
+    closure_seconds: float = 0.0
+    key_derivation_seconds: float = 0.0
+    violation_detection_seconds: float = 0.0
 
 
 @dataclass(slots=True)

@@ -54,15 +54,9 @@ class HyFD(FDAlgorithm):
         self,
         null_equals_null: bool = True,
         max_lhs_size: int | None = None,
-        switch_threshold: float = 0.2,
-        sample_rounds_per_switch: int = 4,
         workers: int | None = None,
     ) -> None:
         super().__init__(null_equals_null, max_lhs_size)
-        if not 0.0 <= switch_threshold <= 1.0:
-            raise ValueError("switch_threshold must be within [0, 1]")
-        self.switch_threshold = switch_threshold
-        self.sample_rounds_per_switch = sample_rounds_per_switch
         self.workers = workers
         self.last_cache_stats = None
         self.last_pool_stats = None
@@ -140,8 +134,6 @@ class HyFD(FDAlgorithm):
                 cache,
                 sampler=sampler,
                 max_lhs_size=self.max_lhs_size,
-                switch_threshold=self.switch_threshold,
-                sample_rounds_per_switch=self.sample_rounds_per_switch,
                 parallel=parallel,
             )
         except BudgetExceeded as exc:

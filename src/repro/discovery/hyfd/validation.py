@@ -12,7 +12,7 @@ removed and specialized — using the violating pair's *full* agree set
 (computed on the shared column encoding), which simultaneously
 enriches the negative cover.
 
-The "hybrid" switch: if a level refutes more than ``switch_threshold``
+The "hybrid" switch: if a level refutes more than :data:`SWITCH_THRESHOLD`
 of its candidates, validation is interrupted and the sampler runs more
 rounds (guided evidence is cheaper than failing validations); the new
 evidence is inducted into the tree and the same level is re-collected.
@@ -29,7 +29,18 @@ from repro.runtime.governor import checkpoint
 from repro.structures.fdtree import FDTree
 from repro.structures.partitions import PLICache
 
-__all__ = ["validate_shard", "validate_tree"]
+__all__ = [
+    "SAMPLE_ROUNDS_PER_SWITCH",
+    "SWITCH_THRESHOLD",
+    "validate_shard",
+    "validate_tree",
+]
+
+#: A level that refutes more than this share of its candidates hands
+#: back to the sampler (HyFD's and HyUCC's "hybrid" switch).
+SWITCH_THRESHOLD = 0.2
+#: Sampler rounds run at each switch before the level is re-collected.
+SAMPLE_ROUNDS_PER_SWITCH = 4
 
 
 def validate_tree(
@@ -37,8 +48,6 @@ def validate_tree(
     cache: PLICache,
     sampler: Sampler | None = None,
     max_lhs_size: int | None = None,
-    switch_threshold: float = 0.2,
-    sample_rounds_per_switch: int = 4,
     parallel=None,
 ) -> None:
     """Mutate ``tree`` until it holds exactly the valid minimal FDs.
@@ -60,11 +69,11 @@ def validate_tree(
         if (
             sampler is not None
             and not sampler.exhausted
-            and invalid / total > switch_threshold
+            and invalid / total > SWITCH_THRESHOLD
         ):
             # Hybrid switch: gather cheap evidence, induct it, redo level.
             fresh: list[int] = []
-            for _ in range(sample_rounds_per_switch):
+            for _ in range(SAMPLE_ROUNDS_PER_SWITCH):
                 fresh.extend(sampler.next_round())
                 if sampler.exhausted:
                     break

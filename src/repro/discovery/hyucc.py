@@ -21,6 +21,7 @@ usually at far fewer partition intersections on duplicate-heavy data.
 
 from __future__ import annotations
 
+from repro.discovery.hyfd import validation
 from repro.discovery.hyfd.sampler import Sampler
 from repro.model.attributes import full_mask, iter_bits
 from repro.model.instance import RelationInstance
@@ -37,17 +38,8 @@ class HyUCC:
 
     name = "hyucc"
 
-    def __init__(
-        self,
-        null_equals_null: bool = True,
-        switch_threshold: float = 0.2,
-        sample_rounds_per_switch: int = 4,
-    ) -> None:
-        if not 0.0 <= switch_threshold <= 1.0:
-            raise ValueError("switch_threshold must be within [0, 1]")
+    def __init__(self, null_equals_null: bool = True) -> None:
         self.null_equals_null = null_equals_null
-        self.switch_threshold = switch_threshold
-        self.sample_rounds_per_switch = sample_rounds_per_switch
         self.last_cache_stats = None
 
     def discover(self, instance: RelationInstance) -> list[int]:
@@ -133,10 +125,10 @@ class HyUCC:
             if (
                 invalid
                 and not sampler.exhausted
-                and invalid / len(current) > self.switch_threshold
+                and invalid / len(current) > validation.SWITCH_THRESHOLD
             ):
                 fresh: list[int] = []
-                for _ in range(self.sample_rounds_per_switch):
+                for _ in range(validation.SAMPLE_ROUNDS_PER_SWITCH):
                     fresh.extend(sampler.next_round())
                     if sampler.exhausted:
                         break

@@ -23,12 +23,15 @@ Each seed's fault targets one checkpoint label its run reaches: a
 governed run without a fault first records the tick of every checkpoint
 per label (``pli``, ``hyfd-pairs``, ``closure-optimized``,
 ``scoring``, ``lattice-eval``, ...), seed ``s`` picks label
-``(s // 3) mod n`` of the ``n`` it reached, in the order it reached
+``(s // 6) mod n`` of the ``n`` it reached, in the order it reached
 them, and the fault fires at one of that label's recorded ticks.  A
 draw over ticks alone lands almost every fault in PLI construction,
 which ticks once per row; cycling labels moves the fault through every
-stage the pipeline has, DUCC's key search included.  Console entry
-point: ``repro verify --faults``.
+stage the pipeline has, DUCC's key search included.  Seeds with
+``(s // 3)`` odd run with HyFD's all-pairs budget at 0, so HyFD's
+sampler and validation (``hyfd-sample``, ``hyfd-validate``) are
+faulted too, not only its pair pass.  Console entry point:
+``repro verify --faults``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.datagen.random_tables import random_instance
 from repro.io.ddl import schema_to_ddl
 from repro.runtime.checkpointing import load_state
 from repro.runtime.errors import BudgetExceeded, CheckpointError, ReproError
-from repro.runtime.faults import FaultPlan, SimulatedKill
+from repro.runtime.faults import PROCESS_FAULT_MODES, FaultPlan, SimulatedKill
 
 __all__ = ["FaultCampaignReport", "run_fault_campaign"]
 
@@ -183,6 +186,26 @@ def _run_one(
     num_rows: int,
     max_columns: int,
 ) -> None:
+    """One in-process fault run.  Every other run of three seeds sets
+    HyFD's all-pairs budget to 0, so that faults also land in its
+    sampler and validation, which campaign-sized tables otherwise skip."""
+    from repro.discovery.hyfd import hyfd as hyfd_module
+
+    saved_budget = hyfd_module.ALL_PAIRS_BUDGET
+    if (seed // len(PROCESS_FAULT_MODES)) % 2:
+        hyfd_module.ALL_PAIRS_BUDGET = 0
+    try:
+        _run_faulted(seed, report, num_rows, max_columns)
+    finally:
+        hyfd_module.ALL_PAIRS_BUDGET = saved_budget
+
+
+def _run_faulted(
+    seed: int,
+    report: FaultCampaignReport,
+    num_rows: int,
+    max_columns: int,
+) -> None:
     instance = _make_instance(seed, num_rows, max_columns)
     reference_ddl = _ddl(_normalizer().run(instance))
     recorder = _LabelRecorder()
@@ -194,14 +217,12 @@ def _run_one(
         return
 
     # Each run of three seeds faults one label with a timeout, an OOM
-    # and a kill; the next three move on to the next label this seed's
-    # run reaches.  The tick is one at which the label checkpoints, so
-    # the fault always fires.
-    from repro.runtime.faults import PROCESS_FAULT_MODES
-
+    # and a kill; the label moves on every six seeds, so each label
+    # position is faulted under both all-pairs budgets.  The tick is
+    # one at which the label checkpoints, so the fault always fires.
     modes = len(PROCESS_FAULT_MODES)
     labels = list(recorder.ticks)
-    stage = labels[(seed // modes) % len(labels)]
+    stage = labels[(seed // (2 * modes)) % len(labels)]
     plan = FaultPlan(
         mode=PROCESS_FAULT_MODES[seed % modes],
         at_tick=random.Random(seed).choice(recorder.ticks[stage]),

@@ -331,8 +331,6 @@ def run_incremental_differential(
             target=target,
             closure_algorithm=engine.closure_algorithm,
             null_equals_null=null_equals_null,
-            exact_distinct=engine.exact_distinct,
-            score_features=engine.score_features,
             degrade=False,
         ).run(updated)
         scratch_ddl = schema_to_ddl(scratch.schema, scratch.instances)

@@ -245,7 +245,3 @@ class TestDiscoverFrontDoor:
     def test_invalid_max_lhs_rejected(self):
         with pytest.raises(ValueError):
             HyFD(max_lhs_size=-1)
-
-    def test_invalid_switch_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            HyFD(switch_threshold=1.5)

@@ -133,6 +133,17 @@ class TestFaultCampaign:
             ), report.to_str()
         assert "fired per label:" in report.to_str()
 
+    def test_hyfd_sampler_and_validation_get_faulted(self):
+        # `repro verify --faults` tables are under HyFD's all-pairs
+        # budget; every other run of three seeds sets it to 0, so faults
+        # also reach HyFD's sampler and validation.
+        report = run_fault_campaign(
+            range(24), num_rows=26, max_columns=6, workers=1
+        )
+        assert report.ok, report.to_str()
+        for label in ("hyfd-pairs", "hyfd-sample", "hyfd-validate"):
+            assert report.fired_by_stage[label] > 0, report.to_str()
+
     def test_failures_flip_ok(self):
         from repro.verification.faults_campaign import FaultCampaignReport
 

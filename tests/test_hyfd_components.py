@@ -17,6 +17,7 @@ from repro.discovery.hyfd.induction import (
     specialize,
 )
 from repro.discovery.hyfd import sampler as sampler_module
+from repro.discovery.hyfd import validation as validation_module
 from repro.discovery.hyfd.sampler import Sampler
 from repro.discovery.hyfd.validation import validate_tree
 from repro.model.attributes import iter_bits
@@ -289,13 +290,14 @@ class TestValidation:
         }
         assert got == canon_fds(BruteForceFD().discover(instance))
 
-    def test_switch_threshold_zero_forces_sampling(self):
+    def test_switch_threshold_zero_forces_sampling(self, monkeypatch):
         instance = random_instance(5, 4, 25, domain_size=2)
         cache = PLICache(instance)
         sampler = Sampler(instance, cache)
         tree = build_positive_cover(4, [])
         # threshold 0 switches on any failure until the sampler drains.
-        validate_tree(tree, cache, sampler=sampler, switch_threshold=0.0)
+        monkeypatch.setattr(validation_module, "SWITCH_THRESHOLD", 0.0)
+        validate_tree(tree, cache, sampler=sampler)
         from repro.discovery.bruteforce import BruteForceFD
         from tests.helpers import canon_fds
 

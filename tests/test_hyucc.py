@@ -1,10 +1,10 @@
 """Tests for HyUCC (hybrid unique column combination discovery)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.random_tables import random_instance
+from repro.discovery.hyfd import validation
 from repro.discovery.hyucc import HyUCC
 from repro.discovery.ucc import NaiveUCC, discover_uccs
 from repro.model.instance import RelationInstance
@@ -37,9 +37,10 @@ class TestEquivalence:
             NaiveUCC(null_equals_null=False).discover(instance)
         )
 
-    def test_zero_switch_threshold(self):
+    def test_zero_switch_threshold(self, monkeypatch):
         instance = random_instance(5, 5, 20, domain_size=2)
-        assert sorted(HyUCC(switch_threshold=0.0).discover(instance)) == sorted(
+        monkeypatch.setattr(validation, "SWITCH_THRESHOLD", 0.0)
+        assert sorted(HyUCC().discover(instance)) == sorted(
             NaiveUCC().discover(instance)
         )
 
@@ -57,10 +58,6 @@ class TestEdges:
         relation = random_instance(0, 2, 0).relation
         instance = RelationInstance(relation, [[1, 1], [2, 2]])
         assert HyUCC().discover(instance) == []
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            HyUCC(switch_threshold=2.0)
 
     def test_front_door(self):
         instance = random_instance(3, 4, 12, domain_size=3)

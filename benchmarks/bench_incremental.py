@@ -19,8 +19,11 @@ cumulative wall-clock of
 Expected shape: the curves diverge with the batch count — the
 incremental cumulative cost grows roughly linearly in the number of
 *new* tuples, the from-scratch cost re-pays the whole (growing)
-instance every batch.  The table persists to
-``benchmarks/results/incremental_vs_full.txt``.
+instance every batch.  At every checkpoint the engine's DDL must equal
+a from-scratch run's (that check sits outside the timed region).  The
+table persists to ``benchmarks/results/incremental_vs_full.txt``;
+``test_incremental_smoke`` runs the check alone on a few batches of a
+small base (``make bench-incremental-smoke``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.core.normalize import Normalizer
 from repro.core.selection import AutoDecider
 from repro.evaluation.reporting import format_table
 from repro.incremental import IncrementalNormalizer
+from repro.io.ddl import schema_to_ddl
 from repro.model.instance import RelationInstance
 from repro.verification.incremental import generate_batch_stream
 from repro.verification.planted import plant_instance
@@ -45,11 +49,10 @@ _ROWS_PER_BATCH = "1-4"
 _SERIES: dict[int, dict[str, float]] = {}
 
 
-def _base():
-    planted = plant_instance(
-        1234, num_columns=7, num_rows=2_000, derived_rate=0.6
+def _base(num_rows=2_000):
+    return plant_instance(
+        1234, num_columns=7, num_rows=num_rows, derived_rate=0.6
     )
-    return planted
 
 
 def _stream(planted, count):
@@ -63,6 +66,35 @@ def _scratch_normalizer() -> Normalizer:
     return Normalizer(
         algorithm="hyfd", decider=AutoDecider(), degrade=False
     )
+
+
+def _run_incremental(planted, batches, checkpoints) -> dict[int, float]:
+    """Absorb ``batches`` in one engine; return the cumulative
+    ``apply_batch`` seconds at each checkpoint, asserting there that
+    the engine's DDL equals a from-scratch run's."""
+    engine = IncrementalNormalizer(
+        RelationInstance(
+            planted.instance.relation,
+            [list(c) for c in planted.instance.columns_data],
+        )
+    )
+    rows = list(planted.instance.iter_rows())
+    marks = {}
+    elapsed = 0.0
+    for index, batch in enumerate(batches, start=1):
+        started = time.perf_counter()
+        engine.apply_batch(batch)
+        elapsed += time.perf_counter() - started
+        rows.extend(tuple(row) for row in batch.inserts)
+        if index in checkpoints:
+            marks[index] = elapsed
+            scratch = _scratch_normalizer().run(
+                RelationInstance.from_rows(planted.instance.relation, rows)
+            )
+            assert engine.ddl() == schema_to_ddl(
+                scratch.schema, scratch.instances
+            ), f"DDL diverged after batch {index}"
+    return marks
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -104,26 +136,18 @@ def _incremental_report(request):
     )
 
 
+def test_incremental_smoke():
+    planted = _base(num_rows=200)
+    marks = _run_incremental(planted, _stream(planted, 4), [1, 2, 4])
+    assert sorted(marks) == [1, 2, 4]
+
+
 def test_incremental_cumulative(benchmark):
     planted = _base()
     batches = _stream(planted, max(CHECKPOINTS))
-
-    def run():
-        engine = IncrementalNormalizer(
-            RelationInstance(
-                planted.instance.relation,
-                [list(c) for c in planted.instance.columns_data],
-            )
-        )
-        marks = {}
-        started = time.perf_counter()
-        for index, batch in enumerate(batches, start=1):
-            engine.apply_batch(batch)
-            if index in CHECKPOINTS:
-                marks[index] = time.perf_counter() - started
-        return marks
-
-    marks = benchmark.pedantic(run, rounds=1, iterations=1)
+    marks = benchmark.pedantic(
+        _run_incremental, (planted, batches, CHECKPOINTS), rounds=1, iterations=1
+    )
     for count, seconds in marks.items():
         _SERIES.setdefault(count, {})["incremental"] = seconds
 

@@ -23,7 +23,6 @@ __all__ = [
     "DuccUCC",
     "FDAlgorithm",
     "HyFD",
-    "HyUCC",
     "NaiveUCC",
     "PrecomputedFDs",
     "Tane",
@@ -40,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.discovery.base": ("FDAlgorithm", "discover_fds"),
         "repro.discovery.bruteforce": ("BruteForceFD",),
         "repro.discovery.hyfd": ("HyFD",),
-        "repro.discovery.hyucc": ("HyUCC",),
         "repro.discovery.ind": (
             "IND",
             "discover_unary_inds",

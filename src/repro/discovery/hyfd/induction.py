@@ -110,8 +110,9 @@ def specialize(
     rhs_attr: int,
     agree_set: int,
     max_lhs_size: int | None = None,
-) -> None:
-    """Insert the minimal specializations of a just-refuted ``lhs → rhs_attr``.
+) -> list[int]:
+    """Insert the minimal specializations of a just-refuted ``lhs → rhs_attr``
+    and return the LHSs added.
 
     With ``max_lhs_size`` set, specializations that would exceed the
     bound are dropped — this is exactly the paper's §4.3 pruning, which
@@ -120,6 +121,6 @@ def specialize(
     rhs_bit = 1 << rhs_attr
     new_size = lhs.bit_count() + 1
     if max_lhs_size is not None and new_size > max_lhs_size:
-        return
+        return []
     candidates = full_mask(tree.num_attributes) & ~(agree_set | rhs_bit | lhs)
-    tree.add_minimal_specializations(lhs, rhs_attr, candidates)
+    return tree.add_minimal_specializations(lhs, rhs_attr, candidates)

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: A level that refutes more than this share of its candidates hands
-#: back to the sampler (HyFD's and HyUCC's "hybrid" switch).
+#: back to the sampler (HyFD's "hybrid" switch).
 SWITCH_THRESHOLD = 0.2
 #: Sampler rounds run at each switch before the level is re-collected.
 SAMPLE_ROUNDS_PER_SWITCH = 4

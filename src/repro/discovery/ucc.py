@@ -3,15 +3,15 @@
 The primary-key selection component of Normalize (paper §5/§7.1) must
 find *all* minimal keys of relations that did not inherit one from a
 decomposition.  The paper delegates this to DUCC [Heise et al. 2013];
-we provide three implementations:
+we provide two implementations:
 
 * :class:`DuccUCC` — DUCC-style boundary search: "π(X) has no
   non-singleton cluster" is upward monotone, so the generic lattice
-  machinery (hitting-set completion) applies directly,
+  machinery (hitting-set completion) applies directly.  It is the one
+  discoverer every caller runs: step 7, ``--check``, ``--profile``,
+  4NF keys and the incremental engine's seed,
 * :class:`NaiveUCC` — an Apriori-levelwise enumerator used as the test
-  oracle,
-* :class:`~repro.discovery.hyucc.HyUCC` — the hybrid
-  sampling/validation variant (separate module).
+  oracle.
 
 Both return the minimal UCCs as attribute bitmasks.  Note that a UCC is
 a key *candidate*; NULL handling follows the same convention as FD
@@ -38,7 +38,6 @@ __all__ = ["DuccUCC", "NaiveUCC", "discover_uccs"]
 #: :func:`~repro.discovery.base.algorithm_class`).
 UCC_ALGORITHMS = {
     "ducc": "repro.discovery.ucc.DuccUCC",
-    "hyucc": "repro.discovery.hyucc.HyUCC",
     "naive": "repro.discovery.ucc.NaiveUCC",
 }
 
@@ -126,7 +125,7 @@ def _next_level(survivors: list[int]) -> list[int]:
 def resolve_ucc_algorithm(algorithm: str = "ducc", **kwargs):
     """Instantiate a UCC discoverer by name.
 
-    Algorithms: ``"ducc"`` (default), ``"hyucc"``, ``"naive"``.
+    Algorithms: ``"ducc"`` (default) and ``"naive"``.
     """
     return algorithm_class(UCC_ALGORITHMS, "UCC", algorithm)(**kwargs)
 

@@ -4,8 +4,8 @@ The paper's §9 leaves dynamic data as an open question; this package
 answers it for batched inserts and deletes.  Instead of re-profiling
 and re-normalizing the whole instance after every change, the engine
 
-* maintains the columnar dictionary encoding and single-attribute
-  PLIs append-only (:mod:`repro.incremental.structures`),
+* maintains the columnar dictionary encoding and stable row ids
+  (:mod:`repro.incremental.structures`),
 * maintains the minimal FD cover and the minimal-UCC (key) cover
   EAIFD-style on the existing HyFD structures — new record pairs only
   refute and specialize; deletes rebuild from a maintained agree-set
@@ -36,7 +36,6 @@ __all__ = [
     "IncrementalNormalizer",
     "LiveRelation",
     "MigrationPlan",
-    "MutableColumnPartition",
     "load_journal",
     "resume_engine",
     "save_journal",
@@ -57,6 +56,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.incremental.migration": ("MigrationPlan",),
         "repro.incremental.monitor": ("ConstraintMonitor", "ConstraintViolation"),
-        "repro.incremental.structures": ("LiveRelation", "MutableColumnPartition"),
+        "repro.incremental.structures": ("LiveRelation",),
     },
 )

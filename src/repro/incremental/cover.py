@@ -1,6 +1,7 @@
 """Incremental minimal-cover maintenance for FDs and keys (EAIFD-style).
 
-The maintained state per relation is exactly HyFD's / HyUCC's:
+The maintained state per relation is exactly HyFD's and DUCC's
+outputs:
 
 * an :class:`~repro.structures.fdtree.FDTree` positive cover of the
   minimal FDs, and
@@ -24,8 +25,13 @@ candidates) against the data via the single-pass
 :meth:`~repro.structures.partitions.StrippedPartition.find_violations`
 path — a cheap, targeted check (only candidates the batch touched)
 that turns a would-be silent divergence into a self-healing
-specialization round.  Keys are maintained identically with HyUCC's
-induction step.
+specialization round.  The partitions it needs come from one
+:class:`~repro.structures.partitions.PLICache` over the live encoding,
+built at the batch's first validation; a batch that leaves no dirty
+candidate builds none (over the 400 rounds of the ``served_stream``
+benchmark, none left one).  Keys are maintained the same way: an agree
+set refutes every key candidate inside it, and each refuted candidate
+is extended by one attribute outside it.
 
 Deletes.  Removing rows can only *generalize* covers, and the new
 minimal FDs are not reachable from the old ones by local search (a
@@ -41,10 +47,11 @@ distinct agree sets — exact by construction, no validation needed.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from typing import Iterable
+from typing import Callable, Iterable
 
-from repro.discovery.hyfd.induction import build_positive_cover
+from repro.discovery.hyfd.induction import build_positive_cover, specialize
 from repro.model.attributes import full_mask, iter_bits
 from repro.model.fd import FDSet
 from repro.runtime.governor import checkpoint
@@ -127,24 +134,23 @@ class IncrementalCover:
         return result
 
     def uccs(self) -> list[int]:
-        """The maintained minimal UCCs, sorted (HyUCC's output order)."""
+        """The maintained minimal UCCs, sorted (DUCC's output order)."""
         return sorted(self._uccs.iter_all())
 
     # ------------------------------------------------------------------
     # Inserts
     # ------------------------------------------------------------------
     def apply_insert(
-        self,
-        encoding: EncodedRelation,
-        first_new_position: int,
-        cache: PLICache,
+        self, encoding: EncodedRelation, first_new_position: int
     ) -> CoverDelta:
         """Refine the covers for rows appended at ``first_new_position``.
 
         Computes the agree set of every pair involving a new row (each
         pair once: new×old plus new×new), applies them through the
         induction step with dirty-candidate recording, then validates
-        the dirty candidates level-wise against the data.
+        the dirty candidates level-wise against the data, with a
+        :class:`PLICache` over ``encoding`` built at the first
+        validation.
         """
         delta = CoverDelta()
         before_fds = dict(self._tree.iter_all())
@@ -175,6 +181,9 @@ class IncrementalCover:
                 self._apply_fd_agree(agree, dirty_fds)
             self._apply_ucc_agree(agree, dirty_uccs)
 
+        cache = functools.cache(
+            lambda: PLICache(None, self.null_equals_null, encoding=encoding)
+        )
         self._validate_dirty_fds(cache, dirty_fds, delta)
         self._validate_dirty_uccs(cache, dirty_uccs, delta)
 
@@ -265,22 +274,11 @@ class IncrementalCover:
             tree.remove(lhs, rhs_mask)
             for rhs_attr in iter_bits(rhs_mask):
                 dirty.discard((lhs, rhs_attr))
-                self._specialize_fd(lhs, rhs_attr, agree, dirty)
-
-    def _specialize_fd(
-        self,
-        lhs: int,
-        rhs_attr: int,
-        agree: int,
-        dirty: set[tuple[int, int]],
-    ) -> None:
-        candidates = full_mask(self.arity) & ~(agree | (1 << rhs_attr) | lhs)
-        added = self._tree.add_minimal_specializations(lhs, rhs_attr, candidates)
-        for new_lhs in added:
-            dirty.add((new_lhs, rhs_attr))
+                for new_lhs in specialize(tree, lhs, rhs_attr, agree):
+                    dirty.add((new_lhs, rhs_attr))
 
     def _apply_ucc_agree(self, agree: int, dirty: set[int] | None) -> None:
-        """HyUCC's induction step, recording the specializations it adds."""
+        """The key side of induction, recording the candidates it adds."""
         candidates = self._uccs
         refuted = list(candidates.iter_subsets_of(agree))
         for mask in refuted:
@@ -301,7 +299,7 @@ class IncrementalCover:
     # ------------------------------------------------------------------
     def _validate_dirty_fds(
         self,
-        cache: PLICache,
+        cache: Callable[[], PLICache],
         dirty: set[tuple[int, int]],
         delta: CoverDelta,
     ) -> None:
@@ -331,8 +329,9 @@ class IncrementalCover:
             for lhs, attrs in sorted(by_lhs.items()):
                 checkpoint("incremental-validate")
                 attrs = sorted(attrs)
-                probes = [cache.probe(attr) for attr in attrs]
-                partition = cache.get(lhs)
+                pli = cache()
+                probes = [pli.probe(attr) for attr in attrs]
+                partition = pli.get(lhs)
                 delta.validations += 1
                 violations = partition.find_violations(attrs, probes)
                 for attr, pair in violations.items():
@@ -340,12 +339,13 @@ class IncrementalCover:
                     tree.remove(lhs, 1 << attr)
                     # The witnessing pair is an existing pair (already
                     # counted, if counting); it only steers specialization.
-                    agree = cache.agree_set(*pair)
-                    self._specialize_fd(lhs, attr, agree, dirty)
+                    agree = pli.agree_set(*pair)
+                    for new_lhs in specialize(tree, lhs, attr, agree):
+                        dirty.add((new_lhs, attr))
 
     def _validate_dirty_uccs(
         self,
-        cache: PLICache,
+        cache: Callable[[], PLICache],
         dirty: set[int],
         delta: CoverDelta,
     ) -> None:
@@ -361,13 +361,14 @@ class IncrementalCover:
                 if mask not in candidates:
                     continue
                 checkpoint("incremental-validate")
-                partition = cache.get(mask)
+                pli = cache()
+                partition = pli.get(mask)
                 delta.validations += 1
                 if partition.is_unique:
                     continue
                 delta.repairs += 1
                 pair_cluster = partition.cluster(0)
-                agree = cache.agree_set(pair_cluster[0], pair_cluster[1])
+                agree = pli.agree_set(pair_cluster[0], pair_cluster[1])
                 self._apply_ucc_agree(agree, dirty)
 
     # ------------------------------------------------------------------

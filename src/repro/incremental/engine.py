@@ -9,10 +9,10 @@ edits.  Per batch:
    :class:`~repro.incremental.monitor.ConstraintMonitor` of the
    *current* result, so the caller learns which discovered constraints
    the batch breaks before the schema evolves to accommodate it;
-2. **maintain** — the live data structures (raw columns, dictionary
-   encoding, single-attribute PLIs, stable row ids) absorb the batch in
-   O(Δ) where possible, and the minimal FD / UCC covers are maintained
-   via :class:`~repro.incremental.cover.IncrementalCover`;
+2. **maintain** — the live data (dictionary encoding and stable row
+   ids) absorbs the batch, and the minimal FD / UCC covers are
+   maintained via :class:`~repro.incremental.cover.IncrementalCover`,
+   which builds partitions only for the candidates it must validate;
 3. **refresh** — the normalization pipeline (closure → keys →
    violating FDs → decomposition → primary keys) re-runs with the
    maintained covers served through
@@ -46,8 +46,8 @@ from pathlib import Path
 from repro.core.normalize import Normalizer
 from repro.core.result import NormalizationResult
 from repro.core.selection import AutoDecider
-from repro.discovery.hyucc import HyUCC
 from repro.discovery.precomputed import PrecomputedFDs
+from repro.discovery.ucc import DuccUCC
 from repro.incremental.changes import ChangeBatch
 from repro.incremental.cover import CoverDelta, IncrementalCover
 from repro.incremental.migration import MigrationPlan
@@ -171,7 +171,7 @@ class IncrementalNormalizer:
             self._covers[name] = IncrementalCover(
                 live.arity,
                 self.result.discovered_fds[name],
-                HyUCC(null_equals_null=self.null_equals_null).discover(
+                DuccUCC(null_equals_null=self.null_equals_null).discover(
                     live.snapshot_instance()
                 ),
                 self.null_equals_null,
@@ -258,9 +258,7 @@ class IncrementalNormalizer:
                 self._merge_delta(outcome.delta, delete_delta)
             if batch.inserts:
                 start, _ = live.insert_rows(batch.inserts)
-                insert_delta = cover.apply_insert(
-                    live.encoding, start, live.pli_cache()
-                )
+                insert_delta = cover.apply_insert(live.encoding, start)
                 outcome.inserts_applied = len(batch.inserts)
                 self._merge_delta(outcome.delta, insert_delta)
         outcome.maintenance_seconds = time.perf_counter() - started

@@ -11,8 +11,9 @@ the journal, restores the covers, and re-runs one refresh.  A killed
 ``repro apply-batch`` run therefore loses at most the batch that was
 in flight.
 
-Writes are atomic (tmp + fsync + rename), the same discipline as the
-pipeline checkpoint in :mod:`repro.runtime.checkpointing`; malformed
+Writes go through :func:`~repro.runtime.checkpointing.write_durably`
+(tmp + fsync + rename + directory fsync), as the pipeline checkpoint
+and the daemon's session files do; malformed
 or mismatched journals raise
 :class:`~repro.runtime.errors.CheckpointError`, which the CLI boundary
 maps to exit code 4.
@@ -21,7 +22,6 @@ maps to exit code 4.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.io.serialization import fdset_from_json, fdset_to_json
 from repro.model.attributes import mask_of_names, names_of
 from repro.model.instance import RelationInstance
+from repro.runtime.checkpointing import write_durably
 from repro.runtime.errors import CheckpointError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,13 +85,8 @@ def save_journal(engine: "IncrementalNormalizer", path: str | Path) -> None:
     """Atomically write the engine's journal."""
     path = Path(path)
     payload = json.dumps(journal_to_json(engine), indent=2)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_durably(path, payload)
     except OSError as exc:
         raise CheckpointError(f"cannot write journal {path}: {exc}") from exc
 

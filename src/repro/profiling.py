@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro import kernels
 from repro.discovery.base import FDAlgorithm, resolve_fd_algorithm
 from repro.discovery.ind import IND, discover_unary_inds
-from repro.discovery.ucc import resolve_ucc_algorithm
+from repro.discovery.ucc import DuccUCC
 from repro.evaluation.reporting import format_table
 from repro.model.fd import FDSet
 from repro.model.instance import RelationInstance
@@ -127,7 +127,6 @@ def _column_stats(instance: RelationInstance) -> list[ColumnStats]:
 def profile(
     instance: RelationInstance,
     fd_algorithm: FDAlgorithm | str = "hyfd",
-    ucc_algorithm: str = "ducc",
     null_equals_null: bool = True,
     workers: int | None = None,
 ) -> DataProfile:
@@ -166,9 +165,7 @@ def profile(
     _collect_pool_counters(counters, fd_algorithm)
 
     started = time.perf_counter()
-    ucc = resolve_ucc_algorithm(
-        ucc_algorithm, null_equals_null=null_equals_null
-    )
+    ucc = DuccUCC(null_equals_null=null_equals_null)
     uccs = ucc.discover(instance)
     timings["ucc_discovery"] = time.perf_counter() - started
     _collect_cache_counters(counters, "ucc_", ucc)

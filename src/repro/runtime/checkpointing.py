@@ -161,20 +161,35 @@ class PipelineState:
 # ----------------------------------------------------------------------
 # Disk round-trip (format in repro.io.serialization)
 # ----------------------------------------------------------------------
+def write_durably(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically and durably.
+
+    Writes a sibling ``.tmp`` file, fsyncs it, renames it over ``path``
+    and fsyncs the directory, so a crash or power cut leaves either the
+    old file or the whole new one, and a completed call survives.
+    Raises ``OSError``; callers map it to their own errors.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def save_state(state: PipelineState, path: str | Path) -> None:
-    """Atomically persist ``state`` (write tmp, fsync, rename)."""
+    """Atomically persist ``state`` (see :func:`write_durably`)."""
     import json
 
     from repro.io.serialization import checkpoint_to_json
 
-    path = Path(path)
-    payload = json.dumps(checkpoint_to_json(state), indent=2)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_durably(path, json.dumps(checkpoint_to_json(state), indent=2))
 
 
 def load_state(path: str | Path) -> PipelineState:

@@ -4,7 +4,7 @@ A **session** is one uploaded dataset plus the live machinery that
 keeps its normalization hot: the
 :class:`~repro.incremental.engine.IncrementalNormalizer` (which owns
 the :class:`~repro.incremental.structures.LiveRelation` encoded
-columns, the PLI caches, and the maintained
+columns and the maintained
 :class:`~repro.incremental.cover.IncrementalCover`), the accumulated
 migration log, and the bookkeeping the registry needs for fairness and
 eviction.  Repeat requests against a session never pay rediscovery —
@@ -39,7 +39,12 @@ observable (``GET /v1/stats``), which is how the kill-9 acceptance test
 proves a restart never rediscovers.
 
 Write ordering per batch: changelog append → engine apply (which
-rewrites the journal) → migration-log rewrite.  A crash between the
+rewrites the journal) → migration-log rewrite, only when the batch
+changed the schema.  Every whole-file write (journal, migration log,
+changelog rollback, ``meta.json``) goes through
+:func:`~repro.runtime.checkpointing.write_durably`: a power cut leaves
+the old file or the new one, never a torn one, and a rollback that
+returned is on disk.  A crash between the
 first two leaves a changelog tail the journal has not seen; revival
 replays the journaled prefix and then *applies* the tail through the
 engine, so the session converges to the state the batch would have
@@ -66,6 +71,7 @@ from repro.incremental.engine import BatchOutcome, IncrementalNormalizer
 from repro.incremental.journal import resume_engine
 from repro.io.csv_io import read_csv
 from repro.model.instance import RelationInstance
+from repro.runtime.checkpointing import write_durably
 from repro.runtime.errors import CheckpointError, InputError
 from repro.runtime.governor import Budget, parse_duration, parse_memory
 
@@ -289,7 +295,7 @@ class Session:
                 f"-- batch {outcome.batch_index} "
                 f"({outcome.relation})\n" + outcome.migration.to_sql()
             )
-        self._write_migrations()
+            self._write_migrations()
         return outcome
 
     def migration_sql(self) -> str:
@@ -321,20 +327,15 @@ class Session:
         if not path.exists():
             return
         lines = path.read_text(encoding="utf-8").splitlines()[:applied]
-        text = "".join(line + "\n" for line in lines)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        write_durably(path, "".join(line + "\n" for line in lines))
 
     def _write_migrations(self) -> None:
         if self.directory is None:
             return
-        path = self.directory / _MIGRATIONS_FILE
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.migration_log, indent=2), encoding="utf-8"
+        write_durably(
+            self.directory / _MIGRATIONS_FILE,
+            json.dumps(self.migration_log, indent=2),
         )
-        os.replace(tmp, path)
 
 
 def _load_changelog_lines(path: Path) -> list[ChangeBatch]:
@@ -495,8 +496,8 @@ class SessionRegistry:
                 "relation": relation_name,
                 "options": options.to_json(),
             }
-            (directory / _META_FILE).write_text(
-                json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8"
+            write_durably(
+                directory / _META_FILE, json.dumps(meta, indent=2, sort_keys=True)
             )
         self.counters["discovery_runs"] += 1
         session = Session(

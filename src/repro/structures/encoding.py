@@ -286,8 +286,9 @@ class EncodedRelation:
         """Bitmask of the attributes on which rows ``left``/``right`` agree.
 
         This is *the* shared agree-set helper: the sampler, HyFD
-        validation, and HyUCC all delegate here instead of re-implementing
-        the loop on their own probe copies.
+        validation, and the incremental cover's validation all delegate
+        here instead of re-implementing the loop on their own probe
+        copies.
         """
         agree = 0
         bit = 1

@@ -319,10 +319,10 @@ class PLICache:
     partitions stay until :meth:`forget_below` drops them.  HyFD's
     validation calls it as it climbs the lattice level by level, so it
     keeps only the frontier its next builds start from; every other
-    user (HyUCC, DUCC and the incremental engine) keeps every
-    partition it asked for, which laptop-scale inputs afford (see
-    DESIGN.md §3).  ``stats`` counts hits, misses, and forgotten
-    partitions (``evictions``).
+    user (DUCC, NaiveUCC and the incremental engine's per-batch
+    validation) keeps every partition it asked for, which laptop-scale
+    inputs afford (see DESIGN.md §3).  ``stats`` counts hits, misses,
+    and forgotten partitions (``evictions``).
     """
 
     __slots__ = (
@@ -339,58 +339,24 @@ class PLICache:
         null_equals_null: bool = True,
         *,
         encoding: Any = None,
-        singles: Sequence[StrippedPartition] | None = None,
     ) -> None:
         """Cache the partitions of ``instance`` (its ``encoded()``), or of
         ``encoding`` when one is given (``instance`` may then be None)."""
+        if encoding is None:
+            encoding = instance.encoded(null_equals_null)
         self.null_equals_null = null_equals_null
         self.stats = CacheStats()
-        self._reset(
-            encoding if encoding is not None else instance.encoded(null_equals_null),
-            singles,
-        )
-
-    def _reset(
-        self, encoding: Any, singles: Sequence[StrippedPartition] | None
-    ) -> None:
-        """(Re)build the permanent entries from an encoding.
-
-        ``singles`` optionally supplies precomputed single-attribute
-        partitions (the incremental engine materializes them from its
-        delta-maintained clusters); otherwise they are grouped from the
-        encoded columns.
-        """
         self._encoding = encoding
         self._cache = {0: StrippedPartition.single_cluster(encoding.num_rows)}
         # popcount → masks in insertion order ({mask: None} as ordered set)
         self._by_popcount: dict[int, dict[int, None]] = {}
-        if singles is not None and len(singles) != encoding.arity:
-            raise ValueError(
-                f"expected {encoding.arity} single-attribute partitions, "
-                f"got {len(singles)}"
-            )
         for index in range(encoding.arity):
             mask = 1 << index
-            if singles is not None:
-                self._cache[mask] = singles[index]
-            else:
-                checkpoint("pli", units=max(encoding.num_rows, 1))
-                self._cache[mask] = StrippedPartition.from_value_ids(
-                    encoding.codes[index], encoding.null_codes[index]
-                )
+            checkpoint("pli", units=max(encoding.num_rows, 1))
+            self._cache[mask] = StrippedPartition.from_value_ids(
+                encoding.codes[index], encoding.null_codes[index]
+            )
             self._by_popcount.setdefault(1, {})[mask] = None
-
-    def refresh(
-        self, encoding: Any, singles: Sequence[StrippedPartition] | None = None
-    ) -> None:
-        """Invalidate every cached partition after the data changed.
-
-        The incremental engine calls this after applying a batch,
-        passing the maintained encoding and (optionally) its
-        delta-maintained single-attribute partitions; cumulative
-        ``stats`` survive the refresh.
-        """
-        self._reset(encoding, singles)
 
     @property
     def encoding(self):

@@ -6,8 +6,8 @@ closure (Algorithm 3, Lemma 1) builds on.  The differential runner makes
 the contract executable: run every algorithm on the same instance,
 canonicalize the outputs, and report each pairwise disagreement against
 a baseline (the brute-force definitional oracle by default).  The same
-treatment applies to UCC discovery (NaiveUCC / DUCC / HyUCC), which the
-primary-key selection step depends on.
+treatment applies to UCC discovery (DUCC against the levelwise NaiveUCC
+oracle), which the primary-key selection step depends on.
 
 Alongside the cross-algorithm diff, :func:`semantic_fd_errors` checks a
 single discoverer's output against the *definition* of a minimal FD —
@@ -43,7 +43,7 @@ __all__ = [
 
 #: baseline first: the brute-force oracle defines the expected output.
 DEFAULT_FD_ALGORITHMS: tuple[str, ...] = ("bruteforce", "tane", "hyfd")
-DEFAULT_UCC_ALGORITHMS: tuple[str, ...] = ("naive", "ducc", "hyucc")
+DEFAULT_UCC_ALGORITHMS: tuple[str, ...] = ("naive", "ducc")
 
 
 @dataclass(slots=True)

@@ -17,9 +17,11 @@ seeded campaign:
   the stream while a plain row mirror tracks what the data should be;
 * after each batch four oracles run — row fidelity (live data vs the
   mirror), FD-cover equality against scratch HyFD (content *and*
-  emission order), key-cover equality against scratch HyUCC, and DDL
-  equality against a scratch :class:`~repro.core.normalize.Normalizer`
-  configured exactly like the engine.
+  emission order), key-cover equality against scratch
+  :class:`~repro.discovery.ucc.NaiveUCC` (the levelwise oracle, not
+  DUCC, which seeds the engine's key cover), and DDL equality against
+  a scratch :class:`~repro.core.normalize.Normalizer` configured
+  exactly like the engine.
 
 Console entry point: ``repro verify --incremental`` (wired in
 :mod:`repro.verification.runner`).
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 
 from repro.core.normalize import Normalizer
 from repro.core.selection import AutoDecider
-from repro.discovery.hyucc import HyUCC
 from repro.discovery.base import discover_fds
+from repro.discovery.ucc import NaiveUCC
 from repro.incremental.changes import ChangeBatch
 from repro.incremental.engine import IncrementalNormalizer
 from repro.io.ddl import schema_to_ddl
@@ -312,8 +314,8 @@ def run_incremental_differential(
                 f"{sorted(scratch_fds.items())}",
             )
 
-        # Oracle 3: key cover == scratch HyUCC.
-        scratch_uccs = HyUCC(null_equals_null=null_equals_null).discover(
+        # Oracle 3: key cover == scratch NaiveUCC.
+        scratch_uccs = NaiveUCC(null_equals_null=null_equals_null).discover(
             updated
         )
         if engine.key_cover(base.name) != list(scratch_uccs):

@@ -245,6 +245,14 @@ class TestInduction:
         level2 = list(tree.iter_level(2))
         assert level2 == []
 
+    def test_specialize_returns_the_lhss_it_added(self):
+        tree = FDTree(4)
+        tree.add(0b0010, 0b1000)  # {B} -> D generalizes {B, C} -> D
+        # {} -> D refuted by a pair agreeing on {A}: candidates B and C
+        assert specialize(tree, 0, 3, 0b0001) == [0b0100]
+        assert tree.contains_fd(0b0100, 3)
+        assert specialize(tree, 0b0001, 3, 0b0111, max_lhs_size=1) == []
+
     def test_max_lhs_pruning_drops_large_candidates(self):
         tree = FDTree(4)
         tree.add(0b0011, 0b0100)

@@ -7,13 +7,12 @@ import pytest
 from repro.core.normalize import Normalizer, normalize
 from repro.core.selection import AutoDecider
 from repro.discovery.base import discover_fds
-from repro.discovery.hyucc import HyUCC
+from repro.discovery.ucc import NaiveUCC
 from repro.incremental import (
     ChangeBatch,
     ChangeLog,
     IncrementalNormalizer,
     LiveRelation,
-    MutableColumnPartition,
     resume_engine,
 )
 from repro.incremental.cover import IncrementalCover
@@ -29,7 +28,7 @@ from repro.model.instance import RelationInstance
 from repro.model.schema import Relation
 from repro.runtime.errors import CheckpointError, InputError
 from repro.structures.encoding import EncodedRelation
-from repro.structures.partitions import StrippedPartition
+from repro.structures.partitions import PLICache
 from repro.verification.incremental import (
     generate_batch_stream,
     run_incremental_differential,
@@ -174,34 +173,6 @@ class TestEncodingMaintenance:
             encoding.remove_rows([5])
 
 
-class TestMutableColumnPartition:
-    def test_appends_match_from_value_ids(self):
-        codes = [0, 1, 0, 2, 1, 0]
-        partition = MutableColumnPartition()
-        partition.append_codes(codes[:4], 0)
-        partition.append_codes(codes[4:], 4)
-        built = partition.to_stripped(codes, null_code=None)
-        oracle = StrippedPartition.from_value_ids(codes, None)
-        assert built.clusters == oracle.clusters
-
-    def test_null_cluster_sorts_last(self):
-        codes = [5, 0, 5, 1, 1]
-        partition = MutableColumnPartition()
-        partition.append_codes(codes, 0)
-        built = partition.to_stripped(codes, null_code=5)
-        oracle = StrippedPartition.from_value_ids(codes, 5)
-        assert built.clusters == oracle.clusters
-
-    def test_dirty_rebuild(self):
-        partition = MutableColumnPartition()
-        partition.append_codes([0, 0, 1], 0)
-        partition.mark_dirty()
-        partition.append_codes([2], 3)  # ignored while dirty
-        partition.rebuild([0, 1, 1])
-        built = partition.to_stripped([0, 1, 1], None)
-        assert built.clusters == [[1, 2]]
-
-
 class TestLiveRelation:
     def test_insert_and_delete_bookkeeping(self, dept_instance):
         live = LiveRelation(dept_instance)
@@ -237,7 +208,7 @@ class TestIncrementalCover:
         cover = IncrementalCover(
             live.arity,
             discover_fds(base.instance, "hyfd", null_equals_null=nen),
-            HyUCC(null_equals_null=nen).discover(base.instance),
+            NaiveUCC(null_equals_null=nen).discover(base.instance),
             nen,
         )
         _, batches = generate_batch_stream(
@@ -252,12 +223,12 @@ class TestIncrementalCover:
                 live.delete_ids(batch.deletes)
             if batch.inserts:
                 start, _ = live.insert_rows(batch.inserts)
-                cover.apply_insert(live.encoding, start, live.pli_cache())
+                cover.apply_insert(live.encoding, start)
             snapshot = live.snapshot_instance()
             scratch = discover_fds(snapshot, "hyfd", null_equals_null=nen)
             assert list(cover.fds().items()) == list(scratch.items())
             assert cover.uccs() == list(
-                HyUCC(null_equals_null=nen).discover(snapshot)
+                NaiveUCC(null_equals_null=nen).discover(snapshot)
             )
 
     def test_delete_recovers_coarser_cover(self, dept_instance):
@@ -267,11 +238,11 @@ class TestIncrementalCover:
         cover = IncrementalCover(
             live.arity,
             discover_fds(dept_instance, "hyfd"),
-            HyUCC().discover(dept_instance),
+            NaiveUCC().discover(dept_instance),
             True,
         )
         start, ids = live.insert_rows([("e9", "d1", "Sales", "SF")])
-        cover.apply_insert(live.encoding, start, live.pli_cache())
+        cover.apply_insert(live.encoding, start)
         dirty = live.snapshot_instance()
         assert list(cover.fds().items()) == list(
             discover_fds(dirty, "hyfd").items()
@@ -282,7 +253,7 @@ class TestIncrementalCover:
         assert list(cover.fds().items()) == list(
             discover_fds(clean, "hyfd").items()
         )
-        assert cover.uccs() == list(HyUCC().discover(clean))
+        assert cover.uccs() == list(NaiveUCC().discover(clean))
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +330,75 @@ class TestIncrementalNormalizer:
             engine.live("emp").snapshot_instance(), algorithm="hyfd"
         )
         assert engine.schema.to_str() == scratch.schema.to_str()
+
+
+class TestValidationCache:
+    """The cover builds a PLICache over the live encoding only for a
+    batch whose candidates need validation."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the ``encoding`` of every PLICache built from one."""
+        built = []
+        original = PLICache.__init__
+
+        def spy(self, instance, null_equals_null=True, **kwargs):
+            built.append(kwargs.get("encoding"))
+            original(self, instance, null_equals_null, **kwargs)
+
+        monkeypatch.setattr(PLICache, "__init__", spy)
+        return built
+
+    def test_absorbed_batches_build_no_partitions(self, monkeypatch):
+        # The served benchmark's shape: planted rows, deletes then inserts.
+        planted = plant_instance(
+            7, num_columns=8, num_rows=212, null_rate=0.02, max_domain=20
+        )
+        rows = list(zip(*planted.instance.columns_data))
+        base = _instance("served", planted.instance.columns, rows[:200])
+        engine = IncrementalNormalizer(base)
+        live = engine.live("served")
+        built = self._spy(monkeypatch)
+        for index in range(3):
+            outcome = engine.apply_batch(
+                ChangeBatch(
+                    inserts=rows[200 + 4 * index : 204 + 4 * index],
+                    deletes=(3 * index, 3 * index + 1),
+                )
+            )
+            assert outcome.delta.validations == 0
+            assert not outcome.delta.changed
+        assert not any(encoding is live.encoding for encoding in built)
+
+    def test_refuting_insert_builds_one_cache(self, dept_instance, monkeypatch):
+        live = LiveRelation(dept_instance)
+        cover = IncrementalCover(
+            live.arity,
+            discover_fds(dept_instance, "hyfd"),
+            NaiveUCC().discover(dept_instance),
+            True,
+        )
+        built = self._spy(monkeypatch)
+        # refutes dept -> dname: its specializations must be validated
+        start, _ = live.insert_rows([("e9", "d1", "Eng", "NY")])
+        delta = cover.apply_insert(live.encoding, start)
+        assert delta.validations > 0
+        assert built == [live.encoding]
+        monkeypatch.undo()
+        snapshot = live.snapshot_instance()
+        assert list(cover.fds().items()) == list(
+            discover_fds(snapshot, "hyfd").items()
+        )
+        assert cover.uccs() == NaiveUCC().discover(snapshot)
+
+    @pytest.mark.parametrize("nen", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_key_cover_matches_naive(self, seed, nen):
+        base = plant_instance(seed, num_columns=5, num_rows=30, null_rate=0.1)
+        engine = IncrementalNormalizer(base.instance, null_equals_null=nen)
+        assert engine.key_cover(base.instance.name) == NaiveUCC(
+            null_equals_null=nen
+        ).discover(base.instance)
 
 
 # ----------------------------------------------------------------------

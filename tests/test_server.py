@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -311,6 +312,68 @@ class TestRevival:
         revived = fresh.revive("t", "s1")
         assert revived.engine.applied_batches == 1
         assert revived.engine.ddl() == ddl_before
+
+
+class TestDurableWrites:
+    """Every file a session renames into place was fsynced first."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record fsynced paths and, per ``os.replace``, whether its
+        source was among them."""
+        synced: set[str] = set()
+        replaced: list[tuple[str, bool]] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            synced.add(os.readlink(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            source = os.path.realpath(src)
+            replaced.append((os.path.basename(dst), source in synced))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return replaced
+
+    def _session(self, tmp_path):
+        registry = SessionRegistry(resume_dir=tmp_path / "state")
+        return registry, registry.create("t", CSV, "emp", SessionOptions(), "s1")
+
+    def test_budget_rollback_fsyncs_before_rename(self, tmp_path, monkeypatch):
+        registry, session = self._session(tmp_path)
+        registry.apply_batch(session, ChangeBatch(inserts=(("4", "eng", "bob"),)))
+        replaced = self._watch(monkeypatch)
+        session.engine.budget = Budget(deadline_seconds=1e-9, check_interval=1)
+        with pytest.raises(BudgetExceeded):
+            registry.apply_batch(
+                session, ChangeBatch(inserts=(("5", "ops", "dan"),))
+            )
+        assert ("changes.jsonl", True) in replaced
+        assert all(fsynced for _, fsynced in replaced), replaced
+
+    def test_schema_change_fsyncs_before_rename(self, tmp_path, monkeypatch):
+        replaced = self._watch(monkeypatch)
+        registry, session = self._session(tmp_path)
+        # refutes dept -> mgr and mgr -> dept
+        outcome = registry.apply_batch(
+            session, ChangeBatch(inserts=(("4", "eng", "ann"),))
+        )
+        assert outcome.schema_changed
+        names = [name for name, _ in replaced]
+        assert {"meta.json", "journal.json", "migrations.json"} <= set(names)
+        assert all(fsynced for _, fsynced in replaced), replaced
+
+    def test_unchanged_schema_leaves_migrations_alone(self, tmp_path, monkeypatch):
+        registry, session = self._session(tmp_path)
+        replaced = self._watch(monkeypatch)
+        outcome = registry.apply_batch(
+            session, ChangeBatch(inserts=(("4", "eng", "bob"),))
+        )
+        assert not outcome.schema_changed
+        assert [name for name, _ in replaced] == ["journal.json"]
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,25 @@ class TestDuccUCC:
             NaiveUCC().discover(instance)
         )
 
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=15)
+    def test_null_semantics_match_naive(self, seed, cols, rows):
+        instance = random_instance(seed, cols, rows, domain_size=2, null_rate=0.3)
+        assert DuccUCC(null_equals_null=False).discover(instance) == (
+            NaiveUCC(null_equals_null=False).discover(instance)
+        )
+
+    def test_edges(self):
+        assert DuccUCC().discover(random_instance(0, 3, 0)) == [0]
+        assert DuccUCC().discover(random_instance(0, 3, 1)) == [0]
+        relation = random_instance(0, 2, 0).relation
+        duplicate = RelationInstance(relation, [[1, 1], [2, 2]])
+        assert DuccUCC().discover(duplicate) == []
+
     def test_null_semantics_respected(self):
         relation = random_instance(0, 1, 0).relation
         instance = RelationInstance(relation, [[None, None]])
